@@ -74,6 +74,7 @@ from .oracle import (
 from .subdivide import (
     SignedCell,
     bv_op_pointed,
+    cone_operator,
     signed_coefficients,
     triangulate_cone,
     unimodularize,
@@ -107,6 +108,7 @@ __all__ = [
     "closed_form_A0_A1",
     "closed_form_A2",
     "coefficients_from_oracle",
+    "cone_operator",
     "cyclotomic_polynomial",
     "divide_by_linear_form",
     "euler_brion_window_check",

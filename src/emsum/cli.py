@@ -22,7 +22,12 @@ from .combinat import todd_coefficients
 from .engine import ExpansionResult, expansion
 from .exactcore import MultiPoly, series_coeffs_twisted_todd
 from .geometry import LatticePolytope, build_polytope
-from .oracle import DEFAULT_BUDGET, coefficients_from_oracle, weighted_ehrhart
+from .oracle import (
+    DEFAULT_BUDGET,
+    coefficients_from_oracle,
+    riemann_sum,
+    weighted_ehrhart,
+)
 from .subdivide import signed_coefficients, triangulate_cone, unimodularize
 
 
@@ -65,6 +70,11 @@ def _parse_fraction(value, what: str) -> Fraction:
         raise InputError(f"invalid {what}: {value!r}") from exc
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which subclasses int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_vertices(text: str) -> LatticePolytope:
     data = _parse_json(text, "polytope")
     if isinstance(data, dict):
@@ -74,9 +84,7 @@ def _parse_vertices(text: str) -> LatticePolytope:
     if not isinstance(data, list) or not data:
         raise InputError("vertices must be a non-empty list of points")
     for p in data:
-        if not isinstance(p, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in p
-        ):
+        if not isinstance(p, list) or not all(_is_int(c) for c in p):
             raise InputError("vertices must be integers")
     try:
         return build_polytope(data)
@@ -93,9 +101,7 @@ def _parse_generators(text: str) -> list:
     if not isinstance(data, list) or not data:
         raise InputError("generators must be a non-empty list of vectors")
     for g in data:
-        if not isinstance(g, list) or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in g
-        ):
+        if not isinstance(g, list) or not all(_is_int(c) for c in g):
             raise InputError("generators must be integer vectors")
     return data
 
@@ -116,7 +122,7 @@ def _parse_phi(text: Optional[str], nvars: int) -> MultiPoly:
         if (
             not isinstance(exps, list)
             or len(exps) != nvars
-            or not all(isinstance(e, int) and e >= 0 for e in exps)
+            or not all(_is_int(e) and e >= 0 for e in exps)
         ):
             raise InputError(
                 f"term exponents must be {nvars} non-negative integers"
@@ -272,8 +278,6 @@ def cmd_ehrhart(spec: JobSpec) -> int:
 
 
 def cmd_riemann_sum(spec: JobSpec) -> int:
-    from .oracle import riemann_sum
-
     val = riemann_sum(spec.poly, spec.phi, spec.n_dil, budget=spec.budget)
     _emit(
         spec.fmt,

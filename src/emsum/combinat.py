@@ -19,9 +19,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactcore import (
-    CYCLO_MAX_ORDER,
     CycloElem,
     MultiPoly,
+    _check_twist,
     series_coeffs_todd,
 )
 
@@ -215,20 +215,6 @@ def c_seq(n_max: int) -> list:
             )
         out.append(total)
     return out
-
-
-def _check_twist(q: int, omega) -> CycloElem:
-    if not 2 <= q <= CYCLO_MAX_ORDER:
-        raise ValueError(f"cyclotomic order must be between 2 and {CYCLO_MAX_ORDER}")
-    if omega is None:
-        omega = CycloElem.omega(q)
-    if not isinstance(omega, CycloElem) or omega.order != q:
-        raise ValueError("omega must be a CycloElem of order q")
-    if omega == 1:
-        raise ValueError("twisted Todd undefined at omega = 1 (pole)")
-    if not omega.is_primitive_root():
-        raise ValueError("omega must be a primitive q-th root of unity")
-    return omega
 
 
 def c_seq_twisted(q: int, omega, n_max: int) -> list:

@@ -21,12 +21,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .combinat import todd_coefficients
-from .conecalc import DiffOp, UniCone, vertex_op
+from .conecalc import DiffOp
 from .exactcore import (
     MultiPoly,
     as_matrix,
     as_vector,
-    hnf_lattice_basis,
     identity_matrix,
     is_spd,
     is_symmetric,
@@ -44,7 +43,7 @@ from .geometry import (
     tangent_cone,
     transverse_cone,
 )
-from .subdivide import STRATEGIES, bv_op_pointed
+from .subdivide import STRATEGIES, cone_operator
 
 
 @dataclass(frozen=True)
@@ -134,25 +133,16 @@ def expansion(
         if codim > n_max:
             continue
         tcone = transverse_cone(poly, face, qmat)
-        unimodular = (
-            len(tcone.gens) == tcone.dim
-            and hnf_lattice_basis(list(tcone.gens))[1] == 1
-        )
+        ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy)
         if delzant:
-            assert unimodular, "Delzant transverse cones must be unimodular"
+            assert ops.unimodular, "Delzant transverse cones must be unimodular"
+        valuation_used = valuation_used or not ops.unimodular
         images = [
             MultiPoly.linear_form([Fraction(c) for c in b])
             for b in tcone.basis
         ]
-        ucone = UniCone(tcone.gens, qmat=tcone.qmat) if unimodular else None
         for n in range(codim, n_max + 1):
-            if unimodular:
-                op = vertex_op(ucone, n)
-            else:
-                valuation_used = True
-                op = bv_op_pointed(
-                    tcone.gens, n, qmat=tcone.qmat, strategy=strategy
-                )
+            op = ops(n)
             if op.symbol.is_zero():
                 per_face[(n, face.index)] = Fraction(0)
                 continue
@@ -197,14 +187,6 @@ def closed_form_A0_A1(poly: LatticePolytope, phi: MultiPoly, qmat=None):
     return a0, Fraction(1, 2) * a1
 
 
-def _directional(phi: MultiPoly, direction) -> MultiPoly:
-    out = MultiPoly.zero(phi.nvars)
-    for i, c in enumerate(as_vector(direction)):
-        if c:
-            out = out + phi.partial(i) * c
-    return out
-
-
 def closed_form_A2(poly: LatticePolytope, phi: MultiPoly, qmat=None):
     """A_2 for Delzant P in the standard inner product: a facet term with
     the primitive inward normals and a codimension-two term from the
@@ -221,7 +203,7 @@ def closed_form_A2(poly: LatticePolytope, phi: MultiPoly, qmat=None):
     total = Fraction(0)
     for facet in poly.faces_of_dim(poly.dim - 1):
         alpha = as_vector(poly.facets[facet.facet_ids[0]][0])
-        val = integrate_poly_over_face(poly, facet, _directional(phi, alpha))
+        val = integrate_poly_over_face(poly, facet, phi.directional_deriv(alpha))
         total -= Fraction(1, 12) * val / vdot(alpha, alpha)
     for ridge in poly.faces_of_dim(poly.dim - 2):
         assert len(ridge.facet_ids) == 2, (

@@ -769,13 +769,7 @@ def series_coeffs_todd(n_max: int) -> list:
     return [math.factorial(n) * inv.coeff(n) for n in range(n_max + 1)]
 
 
-def series_coeffs_twisted_todd(q: int, omega, n_max: int) -> list:
-    """Coefficients of the twisted Todd series tau_omega(s) = s/(1 - omega e^{-s})
-    for omega a primitive q-th root of unity (as CycloElem), q >= 2.
-
-    Returns [b^omega_1, ..., b^omega_{n_max}] where b^omega_n is the
-    coefficient of s^n.  In particular b^omega_1 = 1/(1 - omega).
-    """
+def _check_twist(q: int, omega) -> CycloElem:
     if not 2 <= q <= CYCLO_MAX_ORDER:
         raise ValueError(f"cyclotomic order must be between 2 and {CYCLO_MAX_ORDER}")
     if omega is None:
@@ -786,6 +780,17 @@ def series_coeffs_twisted_todd(q: int, omega, n_max: int) -> list:
         raise ValueError("twisted Todd undefined at omega = 1 (pole)")
     if not omega.is_primitive_root():
         raise ValueError("omega must be a primitive q-th root of unity")
+    return omega
+
+
+def series_coeffs_twisted_todd(q: int, omega, n_max: int) -> list:
+    """Coefficients of the twisted Todd series tau_omega(s) = s/(1 - omega e^{-s})
+    for omega a primitive q-th root of unity (as CycloElem), q >= 2.
+
+    Returns [b^omega_1, ..., b^omega_{n_max}] where b^omega_n is the
+    coefficient of s^n.  In particular b^omega_1 = 1/(1 - omega).
+    """
+    omega = _check_twist(q, omega)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     one = CycloElem.one(q)

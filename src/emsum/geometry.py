@@ -20,6 +20,7 @@ from .exactcore import (
     MultiPoly,
     as_matrix,
     as_vector,
+    det,
     identity_matrix,
     lattice_basis_rational,
     mat_vec,
@@ -458,8 +459,6 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
 
 def is_delzant(poly: LatticePolytope) -> bool:
     """True when every vertex cone is unimodular (smooth/Delzant)."""
-    from .exactcore import det
-
     m = poly.ambient_dim
     for i, v in enumerate(poly.vertices):
         dirs = _edges_at_vertex(poly, i)
@@ -474,11 +473,13 @@ def is_delzant(poly: LatticePolytope) -> bool:
 # pulling triangulations and exact integration
 
 
-def _pulling_triangulation(poly: LatticePolytope, pull_rule: str = "min") -> list:
-    """Pulling triangulation of the polytope into simplices, as tuples of
-    vertex ids.  The pull vertex of every face is its lex-min vertex (or
-    lex-max under pull_rule="max"), which makes the simplices of different
-    faces compatible.
+def _pulling_triangulation(
+    poly: LatticePolytope, face: Face, pull_rule: str = "min"
+) -> list:
+    """Pulling triangulation of a face of the polytope into simplices, as
+    tuples of vertex ids.  The pull vertex of every face is its lex-min
+    vertex (or lex-max under pull_rule="max"), which makes the simplices
+    of different faces compatible.
     """
     cache: dict = {}
     choose = min if pull_rule == "min" else max
@@ -500,7 +501,7 @@ def _pulling_triangulation(poly: LatticePolytope, pull_rule: str = "min") -> lis
         cache[face.index] = out
         return out
 
-    return tri(poly.polytope_face)
+    return tri(face)
 
 
 def _simplex_integral(vertices: list, phi: MultiPoly) -> Fraction:
@@ -508,8 +509,6 @@ def _simplex_integral(vertices: list, phi: MultiPoly) -> Fraction:
     k = phi.nvars
     v0 = as_vector(vertices[0])
     cols = [vsub(as_vector(v), v0) for v in vertices[1:]]
-    from .exactcore import det
-
     mat = as_matrix(transpose(cols))
     volume_factor = abs(det(mat))
     if volume_factor == 0:
@@ -537,8 +536,9 @@ def _simplex_integral(vertices: list, phi: MultiPoly) -> Fraction:
 def integrate_poly_over_face(poly: LatticePolytope, face: Face, phi: MultiPoly) -> Fraction:
     """Integral of phi over a face against the lattice measure of the face.
 
-    The face is rewritten in coordinates of a saturated basis of its
-    direction space, where the induced lattice becomes Z^k; the measure is
+    The face is triangulated through the polytope's own face lattice and
+    rewritten in coordinates of a saturated basis of its direction space,
+    where the induced lattice becomes Z^k; the measure is
     the Lebesgue measure of those coordinates (faces of dimension 0 just
     evaluate phi).
     """
@@ -550,13 +550,13 @@ def integrate_poly_over_face(poly: LatticePolytope, face: Face, phi: MultiPoly) 
     basis = [as_vector(b) for b in face.lineality_basis]
     bmat = as_matrix(transpose(basis))
     k = face.dim
-    face_vertices = []
+    face_vertices = {}
     for i in face.vertex_ids:
         y = solve_unique(bmat, vsub(as_vector(poly.vertices[i]), v0))
         assert y is not None and all(c.denominator == 1 for c in y), (
             "face vertices must be lattice points of the face lattice basis"
         )
-        face_vertices.append(tuple(int(c) for c in y))
+        face_vertices[i] = tuple(int(c) for c in y)
     # phi restricted to the face in y-coordinates
     images = []
     for i in range(poly.ambient_dim):
@@ -567,10 +567,9 @@ def integrate_poly_over_face(poly: LatticePolytope, face: Face, phi: MultiPoly) 
                 terms[e] = terms.get(e, F(0)) + basis[j][i]
         images.append(MultiPoly(k, terms))
     phi_y = phi.compose(images)
-    sub = build_polytope(face_vertices)
     total = F(0)
-    for simplex in _pulling_triangulation(sub):
-        total += _simplex_integral([sub.vertices[i] for i in simplex], phi_y)
+    for simplex in _pulling_triangulation(poly, face):
+        total += _simplex_integral([face_vertices[i] for i in simplex], phi_y)
     return total
 
 

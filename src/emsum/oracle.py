@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combinat import stirling2
-from .exactcore import CycloElem, MultiPoly, as_vector, solve_unique
+from .exactcore import CycloElem, MultiPoly, _check_twist, as_vector, solve_unique
 from .geometry import LatticePolytope
 
 F = Fraction
@@ -236,8 +236,6 @@ def twisted_riemann_1d(q: int, omega, phi: MultiPoly, n: int) -> CycloElem:
     twisted Euler-Maclaurin expansion terminate exactly; the result is an
     exact cyclotomic number.
     """
-    from .combinat import _check_twist
-
     omega = _check_twist(q, omega)
     if phi.nvars != 1:
         raise ValueError("twisted sums are one-dimensional")

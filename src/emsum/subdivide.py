@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .conecalc import DiffOp, UniCone, bv_op_unimodular, vertex_op
+from .conecalc import DiffOp, UniCone, vertex_op
 from .exactcore import (
     MultiPoly,
     as_matrix,
@@ -154,7 +154,9 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
         by_point[pt] = g
     pull_rule = "min" if strategy == "default" else "max"
     cells = []
-    for simplex in _pulling_triangulation(poly, pull_rule=pull_rule):
+    for simplex in _pulling_triangulation(
+        poly, poly.polytope_face, pull_rule=pull_rule
+    ):
         cell = []
         for vid in simplex:
             y = poly.vertices[vid]
@@ -325,50 +327,67 @@ def signed_coefficients(cells) -> list:
 # vertex operator of a pointed cone
 
 
+def cone_operator(gens, qmat=None, strategy: str = "default"):
+    """Berline-Vergne vertex operators D_n(C; 0) of a pointed rational cone.
+
+    The signed decomposition of the cone is built once: a unimodular
+    cone is its own single cell with coefficient 1; any other cone is
+    triangulated and refined to a unimodular fan.  Returns a callable
+    n -> D_n(C; 0) = sum of r_sigma * D_{n - d + dim sigma}(sigma; 0)
+    over the nonzero signed cells, where d = dim C.  The callable
+    requires n >= d; its result is homogeneous of order n - d and only
+    pairs with the span of C.  Its `unimodular` attribute tells whether
+    the cone was its own single cell.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy")
+    rays = _ray_list(gens)
+    if not cone_is_pointed(rays):
+        raise ValueError("cone is not pointed")
+    d = matrix_rank([as_vector(g) for g in rays])
+    unimodular = len(rays) == d and _cell_index(tuple(rays)) == 1
+    if unimodular:
+        signed = [SignedCell(gens=tuple(rays), coeff=1)]
+    else:
+        fan = unimodularize(triangulate_cone(rays, strategy=strategy), strategy)
+        signed = signed_coefficients(fan)
+    cells = [
+        (Fraction(c.coeff), UniCone(list(c.gens), qmat=qmat) if c.dim else None)
+        for c in signed
+        if c.coeff
+    ]
+    m = len(rays[0])
+    directions = tuple(
+        tuple(Fraction(c) for c in b) for b in saturation_basis(rays)
+    )
+
+    def operator(n: int) -> DiffOp:
+        if n < 0:
+            raise ValueError("order must be non-negative")
+        if n < d:
+            raise ValueError(
+                "operator requires order at least the dimension of the cone"
+            )
+        total = MultiPoly.zero(m)
+        for coeff, cone in cells:
+            if cone is None:
+                if n == d:
+                    total = total + MultiPoly.const(m, coeff)
+                continue
+            part = vertex_op(cone, n - d + cone.dim)
+            total = total + part.symbol * coeff
+        return DiffOp(m, n - d, total, directions)
+
+    operator.unimodular = unimodular
+    return operator
+
+
 def bv_op_pointed(
     gens,
     n: int,
     qmat=None,
     strategy: str = "default",
 ) -> DiffOp:
-    """Berline-Vergne vertex operator D_n(C; 0) for a pointed rational cone.
-
-    Unimodular cones delegate to the direct construction.  Otherwise the
-    cone is triangulated and refined to a unimodular fan, and the
-    operator is assembled as sum of r_sigma * D_{n - d + dim sigma}(sigma; 0)
-    over the signed cells, where d = dim C.  Requires n >= d; the result
-    is homogeneous of order n - d and only pairs with the span of C.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError("unknown strategy")
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    rays = _ray_list(gens)
-    if not cone_is_pointed(rays):
-        raise ValueError("cone is not pointed")
-    d = matrix_rank([as_vector(g) for g in rays])
-    if n < d:
-        raise ValueError(
-            "operator requires order at least the dimension of the cone"
-        )
-    if len(rays) == d and _cell_index(tuple(rays)) == 1:
-        cone = UniCone(rays, qmat=qmat)
-        return bv_op_unimodular(cone, cone.labels(), n)
-
-    m = len(rays[0])
-    fan = unimodularize(triangulate_cone(rays, strategy=strategy), strategy)
-    total = MultiPoly.zero(m)
-    for cell in signed_coefficients(fan):
-        if cell.coeff == 0:
-            continue
-        if cell.dim == 0:
-            if n == d:
-                total = total + MultiPoly.const(m, Fraction(cell.coeff))
-            continue
-        order = n - d + cell.dim
-        part = vertex_op(UniCone(list(cell.gens), qmat=qmat), order)
-        total = total + part.symbol * Fraction(cell.coeff)
-    directions = tuple(
-        tuple(Fraction(c) for c in b) for b in saturation_basis(rays)
-    )
-    return DiffOp(m, n - d, total, directions)
+    """Berline-Vergne vertex operator D_n(C; 0) for a pointed rational cone:
+    the order-n operator of `cone_operator`."""
+    return cone_operator(gens, qmat=qmat, strategy=strategy)(n)

@@ -92,6 +92,19 @@ def test_expand_rejects_malformed_phi(capsys):
     assert "coeff" in err
 
 
+def test_expand_rejects_boolean_exponents(capsys):
+    code, out, err = run(
+        capsys,
+        [
+            "expand", "--vertices", SQUARE,
+            "--phi", '[{"coeff": 1, "exps": [true, false]}]',
+        ],
+    )
+    assert code == 2
+    assert out == ""
+    assert "exponents" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, ["verify", "--vertices", SQUARE])
     assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from emsum import geometry, subdivide
 from emsum.engine import (
     ExpansionResult,
     closed_form_2d,
@@ -108,6 +109,32 @@ def test_octahedron_matches_oracle():
         OCTAHEDRON, ONE3
     )
     assert res.valuation_used
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_octahedron_triangulates_each_cone_once(monkeypatch):
+    # 12 edges and 6 vertices, each with a non-unimodular transverse cone;
+    # the decomposition serves every order.
+    calls = _count_calls(monkeypatch, subdivide, "triangulate_cone")
+    expansion(OCTAHEDRON, ONE3)
+    assert len(calls) == 18
+
+
+def test_face_integrals_build_no_hull(monkeypatch):
+    calls = _count_calls(monkeypatch, geometry, "build_polytope")
+    expansion(CUBE, ONE3)
+    assert calls == []
 
 
 def test_q_independence_of_totals():

@@ -9,8 +9,10 @@ from emsum.exactcore import MultiPoly, mat_vec, transpose
 from emsum.geometry import point_in_cone
 from emsum.subdivide import (
     SignedCell,
+    STRATEGIES,
     _cell_index,
     bv_op_pointed,
+    cone_operator,
     signed_coefficients,
     triangulate_cone,
     unimodularize,
@@ -188,11 +190,31 @@ def test_bv_pointed_delegates_to_unimodular():
         ([(1, 0), (0, 1)], ((2, 1), (1, 2))),
     ]:
         cone = UniCone(gens, qmat=qmat)
+        ops = cone_operator(gens, qmat=qmat)
+        assert ops.unimodular
         for n in range(len(gens), len(gens) + 3):
             direct = bv_op_unimodular(cone, cone.labels(), n)
             routed = bv_op_pointed(gens, n, qmat=qmat)
             assert routed.symbol == direct.symbol
             assert routed.order == direct.order
+            assert ops(n).symbol == routed.symbol
+            assert ops(n).order == routed.order
+
+
+def test_cone_operator_matches_bv_op_pointed():
+    for gens, unimodular in [
+        ([(1, 0), (1, 1)], True),
+        ([(1, 0), (1, 2)], False),
+        (PENTAGON_CONE, False),
+    ]:
+        d = len(gens[0])
+        for strategy in STRATEGIES:
+            ops = cone_operator(gens, strategy=strategy)
+            assert ops.unimodular is unimodular
+            for n in range(d, d + 3):
+                routed = bv_op_pointed(gens, n, strategy=strategy)
+                assert ops(n).symbol == routed.symbol
+                assert ops(n).order == routed.order
 
 
 def test_bv_pointed_redundant_generators():
