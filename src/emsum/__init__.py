@@ -65,6 +65,7 @@ from .geometry import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     WeightedEhrhart,
     coefficients_from_oracle,
     riemann_sum,
@@ -83,6 +84,7 @@ from .subdivide import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BudgetExceeded",
     "CycloElem",
     "DEFAULT_BUDGET",
     "DiffOp",

@@ -5,8 +5,8 @@ Inputs are JSON: polytopes as {"vertices": [[int, ...], ...]}, cones as
 [{"coeff": "p/q", "exps": [a_1, ..., a_m]}, ...].  All rational output is
 rendered as "p/q" strings, never floats, in both table and json formats.
 
-Exit codes: 0 success (and verify PASS), 1 verify FAIL, 2 invalid input,
-3 oracle enumeration budget exceeded.
+Exit codes: 0 success (and verify PASS), 1 verify FAIL, 2 invalid input
+(including a non-positive --budget), 3 oracle enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .exactcore import MultiPoly, series_coeffs_twisted_todd
 from .geometry import LatticePolytope, build_polytope
 from .oracle import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     coefficients_from_oracle,
     riemann_sum,
     weighted_ehrhart,
@@ -86,10 +87,7 @@ def _parse_vertices(text: str) -> LatticePolytope:
     for p in data:
         if not isinstance(p, list) or not all(_is_int(c) for c in p):
             raise InputError("vertices must be integers")
-    try:
-        return build_polytope(data)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return build_polytope(data)
 
 
 def _parse_generators(text: str) -> list:
@@ -246,10 +244,7 @@ def cmd_twisted_todd(spec: JobSpec) -> int:
     n_max = 6 if spec.n_max is None else spec.n_max
     if n_max < 1:
         raise InputError("nmax must be at least 1")
-    try:
-        bs = series_coeffs_twisted_todd(spec.q_order, None, n_max)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    bs = series_coeffs_twisted_todd(spec.q_order, None, n_max)
     lines = [f"q = {spec.q_order} (values as coefficient vectors mod Phi_q)"]
     rows = []
     for n, b in enumerate(bs, start=1):
@@ -288,14 +283,11 @@ def cmd_riemann_sum(spec: JobSpec) -> int:
 
 
 def cmd_subdivide_cone(spec: JobSpec) -> int:
-    try:
-        fan = unimodularize(
-            triangulate_cone(spec.gens, strategy=spec.strategy),
-            strategy=spec.strategy,
-        )
-        signed = signed_coefficients(fan)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    fan = unimodularize(
+        triangulate_cone(spec.gens, strategy=spec.strategy),
+        strategy=spec.strategy,
+    )
+    signed = signed_coefficients(fan)
     lines = [f"unimodular cells: {len(fan)}"]
     for cell in fan:
         lines.append("cell: " + ", ".join(str(g) for g in cell))
@@ -423,6 +415,8 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
             setattr(spec, field, getattr(args, field))
     if spec.n_max is not None and spec.n_max < 0:
         raise InputError("nmax must be non-negative")
+    if spec.budget < 1:
+        raise InputError("budget must be positive")
     return spec
 
 
@@ -443,15 +437,9 @@ def main(argv: Optional[list] = None) -> int:
     try:
         spec = _spec_from_args(args)
         return _DISPATCH[args.command](spec)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        if "desk-scale exceeded" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetExceeded) else 2
 
 
 if __name__ == "__main__":

@@ -198,23 +198,14 @@ def c_seq(n_max: int) -> list:
 
         R_N([0,inf); phi) ~ int_0^inf phi + sum_n c_n phi^{(n-1)}(0) / N^n,
         c_n = sum_{alpha=n}^{2n} ((alpha-n)!/alpha!) (-1)^{alpha-n+1}
-                  p(alpha, alpha-n).
+                  p(alpha, alpha-n) = (-1)^{n+1} p(n).
 
     Computed from the p(n,k) sum, independently of the Todd series; the
     identity c_n = -b_n/n! is a theorem checked in the tests.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    out = []
-    for n in range(1, n_max + 1):
-        total = Fraction(0)
-        for alpha in range(n, 2 * n + 1):
-            weight = Fraction(math.factorial(alpha - n), math.factorial(alpha))
-            total += (-1) ** (alpha - n + 1) * weight * p_scalar(
-                alpha, alpha - n, Fraction(1)
-            )
-        out.append(total)
-    return out
+    return [(-1) ** (n + 1) * p_of_n(n) for n in range(1, n_max + 1)]
 
 
 def c_seq_twisted(q: int, omega, n_max: int) -> list:

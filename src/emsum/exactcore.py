@@ -50,10 +50,6 @@ def as_matrix(rows: Iterable[Iterable[ScalarLike]]) -> tuple:
     return mat
 
 
-def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 

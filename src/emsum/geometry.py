@@ -1,6 +1,7 @@
 """Lattice polytopes: exact convex hulls, face lattices, tangent and
 transverse cones, Delzant tests, and exact integration of polynomials over
-faces.
+faces against their lattice measure, through one pulling triangulation per
+face that each polytope builds once and keeps.
 
 Everything is computed in exact rational arithmetic over Z^m / Q^m with
 m small (desk scale; the facet enumeration is a brute-force scan over
@@ -21,6 +22,7 @@ from .exactcore import (
     as_matrix,
     as_vector,
     det,
+    hnf_lattice_basis,
     identity_matrix,
     lattice_basis_rational,
     mat_vec,
@@ -201,6 +203,7 @@ class LatticePolytope:
         self.facets = facets
         self.faces = faces
         self.affine_data = affine_data
+        self._simplices: dict = {}
 
     def contains(self, point: Sequence[Fraction], dilation: int = 1) -> bool:
         """Membership of a rational point in dilation * P."""
@@ -223,6 +226,23 @@ class LatticePolytope:
     @property
     def polytope_face(self) -> Face:
         return self.faces[-1]
+
+    def face_simplices(self, face: Face) -> tuple:
+        """The pulling triangulation of a face as ambient simplices
+        (base vertex, edge vectors, lattice volume), built once per face.
+
+        The lattice volume is the index of the lattice the edges generate
+        in the face's saturated lattice: k! times the simplex's volume in
+        the face's lattice measure.
+        """
+        if face.index not in self._simplices:
+            out = []
+            for simplex in _pulling_triangulation(self, face):
+                base, *rest = (self.vertices[i] for i in simplex)
+                edges = tuple(tuple(x - b for x, b in zip(v, base)) for v in rest)
+                out.append((base, edges, hnf_lattice_basis(edges)[1]))
+            self._simplices[face.index] = tuple(out)
+        return self._simplices[face.index]
 
     def __repr__(self) -> str:
         return (
@@ -291,6 +311,8 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
             seen.append(tup)
     if not seen:
         raise ValueError("empty vertex set")
+    if len({len(p) for p in seen}) != 1:
+        raise ValueError("polytope vertices must all have the same length")
     pts = sorted(seen)
     m = len(pts[0])
     rank = _affine_rank(pts)
@@ -504,72 +526,32 @@ def _pulling_triangulation(
     return tri(face)
 
 
-def _simplex_integral(vertices: list, phi: MultiPoly) -> Fraction:
-    """Exact integral of phi over the simplex conv(vertices) in R^k."""
-    k = phi.nvars
-    v0 = as_vector(vertices[0])
-    cols = [vsub(as_vector(v), v0) for v in vertices[1:]]
-    mat = as_matrix(transpose(cols))
-    volume_factor = abs(det(mat))
-    if volume_factor == 0:
-        return F(0)
-    # substitute y = v0 + M z and integrate monomials over the standard simplex
-    images = []
-    for i in range(k):
-        terms = {(0,) * k: v0[i]}
-        for j in range(k):
-            e = tuple(1 if t == j else 0 for t in range(k))
-            coeff = mat[i][j]
-            if coeff:
-                terms[e] = terms.get(e, F(0)) + coeff
-        images.append(MultiPoly(k, terms))
-    composed = phi.compose(images)
-    total = F(0)
-    for exps, coeff in composed.terms.items():
-        num = 1
-        for e in exps:
-            num *= math.factorial(e)
-        total += coeff * F(num, math.factorial(sum(exps) + k))
-    return volume_factor * total
-
-
 def integrate_poly_over_face(poly: LatticePolytope, face: Face, phi: MultiPoly) -> Fraction:
     """Integral of phi over a face against the lattice measure of the face.
 
-    The face is triangulated through the polytope's own face lattice and
-    rewritten in coordinates of a saturated basis of its direction space,
-    where the induced lattice becomes Z^k; the measure is
-    the Lebesgue measure of those coordinates (faces of dimension 0 just
-    evaluate phi).
+    The lattice measure is the Lebesgue measure on the face's affine hull
+    that gives a fundamental domain of its saturated lattice volume 1 (faces
+    of dimension 0 just evaluate phi).  Each simplex x = base + E z of the
+    face's triangulation, built once per polytope by `face_simplices`,
+    contributes its lattice volume times the integral of phi(base + E z)
+    over the standard simplex, where int z^a = a! / (|a| + k)!.
     """
     if phi.nvars != poly.ambient_dim:
         raise ValueError("dimension mismatch")
     if face.dim == 0:
         return phi.eval(as_vector(face.ref_vertex))
-    v0 = as_vector(face.ref_vertex)
-    basis = [as_vector(b) for b in face.lineality_basis]
-    bmat = as_matrix(transpose(basis))
     k = face.dim
-    face_vertices = {}
-    for i in face.vertex_ids:
-        y = solve_unique(bmat, vsub(as_vector(poly.vertices[i]), v0))
-        assert y is not None and all(c.denominator == 1 for c in y), (
-            "face vertices must be lattice points of the face lattice basis"
-        )
-        face_vertices[i] = tuple(int(c) for c in y)
-    # phi restricted to the face in y-coordinates
-    images = []
-    for i in range(poly.ambient_dim):
-        terms = {(0,) * k: v0[i]}
-        for j in range(k):
-            e = tuple(1 if t == j else 0 for t in range(k))
-            if basis[j][i]:
-                terms[e] = terms.get(e, F(0)) + basis[j][i]
-        images.append(MultiPoly(k, terms))
-    phi_y = phi.compose(images)
     total = F(0)
-    for simplex in _pulling_triangulation(poly, face):
-        total += _simplex_integral([face_vertices[i] for i in simplex], phi_y)
+    for base, edges, volume in poly.face_simplices(face):
+        images = [
+            MultiPoly.linear_form([e[i] for e in edges]) + base[i]
+            for i in range(poly.ambient_dim)
+        ]
+        part = F(0)
+        for exps, coeff in phi.compose(images).terms.items():
+            num = math.prod(math.factorial(e) for e in exps)
+            part += coeff * F(num, math.factorial(sum(exps) + k))
+        total += volume * part
     return total
 
 

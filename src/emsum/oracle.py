@@ -24,6 +24,10 @@ F = Fraction
 DEFAULT_BUDGET = 10_000_000
 
 
+class BudgetExceeded(ValueError):
+    """An enumeration would visit more points than its work budget allows."""
+
+
 def riemann_sum(
     poly: LatticePolytope,
     phi: MultiPoly,
@@ -33,8 +37,8 @@ def riemann_sum(
     """The exact Riemann sum R_N(P;phi) = N^{-dim P} sum_{g in NP cap Z^m}
     phi(g/N), by enumerating the integer points of a bounding box of N*P.
 
-    Raises ValueError("desk-scale exceeded") when the box holds more than
-    `budget` points.
+    Raises BudgetExceeded("desk-scale exceeded") when the box holds more
+    than `budget` points.
     """
     if n < 1:
         raise ValueError("the dilation factor must be a positive integer")
@@ -47,7 +51,7 @@ def riemann_sum(
     for a, b in zip(lo, hi):
         count *= b - a + 1
     if count > budget:
-        raise ValueError("desk-scale exceeded")
+        raise BudgetExceeded("desk-scale exceeded")
     total = F(0)
     for gamma in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
         if poly.contains(gamma, dilation=n):

@@ -142,6 +142,41 @@ def test_verify_budget_exceeded(capsys):
     assert "desk-scale exceeded" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ehrhart", "--vertices", SQUARE, "--budget", "3"],
+        ["riemann-sum", "--vertices", SQUARE, "--N", "2", "--budget", "3"],
+    ],
+)
+def test_oracle_commands_over_budget_exit_3(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "desk-scale exceeded" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "ehrhart", "riemann-sum"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_is_invalid_input(capsys, command, budget):
+    code, out, err = run(
+        capsys, [command, "--vertices", SQUARE, "--budget", budget]
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+    assert "desk-scale exceeded" not in err
+
+
+def test_expand_rejects_ragged_vertices(capsys):
+    code, out, err = run(capsys, ["expand", "--vertices", "[[0,0],[1]]"])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        "error: polytope vertices must all have the same length"
+    )
+
+
 def test_todd_table_and_json(capsys):
     code, out, _ = run(capsys, ["todd", "--nmax", "4"])
     assert code == 0

@@ -137,6 +137,19 @@ def test_face_integrals_build_no_hull(monkeypatch):
     assert calls == []
 
 
+def test_face_triangulations_built_once_per_polytope(monkeypatch):
+    cube = build_polytope(
+        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    )
+    phi = MultiPoly.variable(3, 0) ** 3
+    calls = _count_calls(monkeypatch, geometry, "_pulling_triangulation")
+    first = expansion(cube, phi)
+    assert len(calls) <= len([f for f in cube.faces if f.dim > 0]) == 19
+    calls.clear()
+    assert expansion(cube, phi) == first
+    assert calls == []
+
+
 def test_q_independence_of_totals():
     qmat = ((2, 1), (1, 2))
     for poly, phi in [(SQUARE, X * Y), (TRIANGLE_NON_DELZANT, ONE2)]:

@@ -32,6 +32,8 @@ CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 OCTAHEDRON = [
     (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
 ]
+SIMPLEX3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+PRISM = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +113,13 @@ def test_not_full_dimensional():
         build_polytope([(0, 0), (1, 0)])
     with pytest.raises(ValueError, match="not full-dimensional"):
         build_polytope([(1, 1)], affine_hull=True)
+
+
+def test_ragged_points_rejected():
+    with pytest.raises(
+        ValueError, match="polytope vertices must all have the same length"
+    ):
+        build_polytope([[0, 0], [1]])
 
 
 def test_affine_hull_reduction():
@@ -275,6 +284,36 @@ def test_integrate_octahedron_volume():
     p = build_polytope(OCTAHEDRON)
     one = MultiPoly.const(3, F(1))
     assert integrate_poly_over_face(p, p.polytope_face, one) == F(4, 3)
+
+
+@pytest.mark.parametrize(
+    "points", [CUBE, PRISM, OCTAHEDRON, TRAPEZOID, SIMPLEX3]
+)
+def test_face_integral_matches_its_affine_hull_polytope(points):
+    # The face, rebuilt as a full-dimensional polytope over a saturated
+    # basis of its affine hull, carries the face's lattice measure as its
+    # Lebesgue measure; this covers faces such as the octahedron's
+    # triangles, whose lattice is not a coordinate sublattice.
+    p = build_polytope(points)
+    m = p.ambient_dim
+    x = [MultiPoly.variable(m, i) for i in range(m)]
+    phi = x[0] ** 3 - 2 * x[0] * x[-1] + F(1, 3) * x[1] * x[1] + 5
+    for face in p.faces:
+        if face.dim == 0:
+            continue
+        sub = build_polytope(
+            [p.vertices[i] for i in face.vertex_ids], affine_hull=True
+        )
+        pulled = phi
+        if sub.affine_data is not None:
+            origin, basis = sub.affine_data
+            pulled = phi.compose([
+                MultiPoly.linear_form([b[i] for b in basis]) + origin[i]
+                for i in range(m)
+            ])
+        assert integrate_poly_over_face(p, face, phi) == (
+            integrate_poly_over_face(sub, sub.polytope_face, pulled)
+        )
 
 
 # ---------------------------------------------------------------------------
