@@ -16,7 +16,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactcore import (
     CycloElem,
@@ -95,10 +95,6 @@ class MultiIndex(Mapping):
 
     def __hash__(self) -> int:
         return hash(frozenset(self._entries.items()))
-
-    def restrict(self, labels: Iterable) -> "MultiIndex":
-        labels = set(labels)
-        return MultiIndex({k: v for k, v in self._entries.items() if k in labels})
 
     def __repr__(self) -> str:
         return f"MultiIndex({dict(sorted(self._entries.items()))})"
@@ -274,26 +270,6 @@ def J_mu(mu, labels: Optional[Sequence] = None) -> MultiPoly:
         "J_mu must have degree at most [|mu|/2]"
     )
     return out
-
-
-def J_mu_twisted(q: int, omega, mu: int) -> tuple:
-    """Twisted one-dimensional moment function J^omega_mu.
-
-    J^omega_mu(x) = e^{-(1-omega)x} * sum_{k=0}^{mu} p(mu,k;omega) x^k;
-    returns (polynomial part as a univariate MultiPoly with cyclotomic
-    coefficients, exponential rate 1-omega).
-    """
-    omega = _check_twist(q, omega)
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    terms = {}
-    for k in range(mu + 1):
-        val = p_scalar(mu, k, omega)
-        if val:
-            terms[(k,)] = val
-    poly = MultiPoly(1, terms)
-    rate = CycloElem.one(q) - omega
-    return poly, rate
 
 
 def todd_coefficients(n_max: int) -> list:

@@ -15,6 +15,7 @@ Closed-form fast paths cover A_0 and A_1 (any Delzant polytope), A_2
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,7 +99,8 @@ def expansion(
     R_N(P; phi) = sum_n A_n N^{-n} for every integer N >= 1.  Each face
     of codimension <= n contributes the integral over the face of its
     lifted transverse-cone operator applied to phi; the polytope itself
-    contributes int_P phi to A_0.
+    contributes int_P phi to A_0.  Each face's operator is built once per
+    polytope, Q and strategy and lives as long as the polytope object.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -119,7 +121,6 @@ def expansion(
             )
     qused = identity_matrix(m) if qmat is None else qmat
 
-    delzant = is_delzant(poly)
     totals = [Fraction(0)] * (n_max + 1)
     per_face = {}
     valuation_used = False
@@ -132,23 +133,10 @@ def expansion(
             continue
         if codim > n_max:
             continue
-        tcone = transverse_cone(poly, face, qmat)
-        ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy)
-        if delzant:
-            assert ops.unimodular, "Delzant transverse cones must be unimodular"
+        ops = _face_operator(poly, face, qused, strategy)
         valuation_used = valuation_used or not ops.unimodular
-        images = [
-            MultiPoly.linear_form([Fraction(c) for c in b])
-            for b in tcone.basis
-        ]
         for n in range(codim, n_max + 1):
-            op = ops(n)
-            if op.symbol.is_zero():
-                per_face[(n, face.index)] = Fraction(0)
-                continue
-            lifted = DiffOp(m, op.order, op.symbol.compose(images),
-                            tcone.basis)
-            val = integrate_poly_over_face(poly, face, lifted.apply(phi))
+            val = integrate_poly_over_face(poly, face, ops(n).apply(phi))
             per_face[(n, face.index)] = val
             totals[n] += val
     complete = n_max >= poly.dim + phi.degree()
@@ -160,6 +148,33 @@ def expansion(
         complete=complete,
         valuation_used=valuation_used,
     )
+
+
+def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
+    """n -> the face's transverse-cone operator D_n(C_F; Q) lifted to the
+    ambient space, memoized per order and kept in `poly.face_operators`.
+    Its `unimodular` attribute tells whether the transverse cone was."""
+    key = (face.index, qmat, strategy)
+    if key not in poly.face_operators:
+        tcone = transverse_cone(poly, face, qmat)
+        ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy)
+        assert ops.unimodular or not is_delzant(poly), (
+            "Delzant transverse cones must be unimodular"
+        )
+        images = [
+            MultiPoly.linear_form([Fraction(c) for c in b])
+            for b in tcone.basis
+        ]
+        m = poly.ambient_dim
+
+        @functools.cache
+        def lifted(n: int) -> DiffOp:
+            op = ops(n)
+            return DiffOp(m, op.order, op.symbol.compose(images), tcone.basis)
+
+        lifted.unimodular = ops.unimodular
+        poly.face_operators[key] = lifted
+    return poly.face_operators[key]
 
 
 # ---------------------------------------------------------------------------

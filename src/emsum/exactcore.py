@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Fraction
 ScalarLike = Union[int, Fraction, str]
@@ -663,9 +663,6 @@ class MultiPoly:
                     term = term * img_power(i, e)
             out = out + term
         return out
-
-    def map_coeffs(self, fn: Callable) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
 
     def iter_terms(self):
         """Terms in graded lexicographic order (degree, then exponents)."""

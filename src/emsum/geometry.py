@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .exactcore import (
     MultiPoly,
@@ -175,7 +175,6 @@ class PointedConeT:
     gens: tuple
     basis: tuple
     qmat: tuple
-    face_index: Optional[int] = None
 
     def ambient_gen(self, i: int) -> tuple:
         g = self.gens[i]
@@ -193,7 +192,9 @@ class LatticePolytope:
     Facets are stored as pairs (alpha, c) of a primitive integer inward
     normal and integer offset, so P = {x : <alpha, x> >= c for all facets}.
     Faces are sorted by (dim, vertex_ids); the polytope itself is the last
-    face.
+    face.  `face_operators` keeps the lifted transverse-cone operators that
+    `engine.expansion` builds, keyed by (face index, Q, strategy), for as
+    long as the polytope lives.
     """
 
     def __init__(self, vertices, facets, faces, affine_data=None):
@@ -204,6 +205,7 @@ class LatticePolytope:
         self.faces = faces
         self.affine_data = affine_data
         self._simplices: dict = {}
+        self.face_operators: dict = {}
 
     def contains(self, point: Sequence[Fraction], dilation: int = 1) -> bool:
         """Membership of a rational point in dilation * P."""
@@ -444,8 +446,7 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     m = poly.ambient_dim
     qmat = identity_matrix(m) if qmat is None else as_matrix(qmat)
     if face.dim == poly.dim:
-        return PointedConeT(dim=0, gens=(), basis=(), qmat=(),
-                            face_index=face.index)
+        return PointedConeT(dim=0, gens=(), basis=(), qmat=())
     proj = orth_project(qmat, [as_vector(b) for b in face.lineality_basis])
     images = [mat_vec(proj, as_vector(e)) for e in identity_matrix(m)]
     basis = lattice_basis_rational([v for v in images if any(v)])
@@ -475,7 +476,6 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
         gens=tuple(coord_gens),
         basis=tuple(basis),
         qmat=qd,
-        face_index=face.index,
     )
 
 

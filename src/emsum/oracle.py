@@ -38,10 +38,13 @@ def riemann_sum(
     phi(g/N), by enumerating the integer points of a bounding box of N*P.
 
     Raises BudgetExceeded("desk-scale exceeded") when the box holds more
-    than `budget` points.
+    than `budget` points, and a plain ValueError when `budget` is not
+    positive.
     """
     if n < 1:
         raise ValueError("the dilation factor must be a positive integer")
+    if budget < 1:
+        raise ValueError("budget must be positive")
     if phi.nvars != poly.ambient_dim:
         raise ValueError("dimension mismatch")
     m = poly.ambient_dim

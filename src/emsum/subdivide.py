@@ -58,9 +58,6 @@ class SignedCell:
     def dim(self) -> int:
         return len(self.gens)
 
-    def __repr__(self) -> str:
-        return f"SignedCell(gens={self.gens!r}, coeff={self.coeff})"
-
 
 def _ray_list(gens) -> list:
     """Primitivized, deduplicated integer generators (order preserved)."""

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from emsum.combinat import (
     J_mu,
-    J_mu_twisted,
     MultiIndex,
     c_seq,
     c_seq_twisted,
@@ -258,16 +257,3 @@ def test_J_mu_degree_bound(mu):
     j = J_mu(mu, labels=labels)
     total = sum(mu.values())
     assert j.is_zero() or j.degree() <= total // 2
-
-
-def test_J_mu_twisted_values():
-    omega = CycloElem.omega(2)
-    poly, rate = J_mu_twisted(2, omega, 0)
-    assert rate == CycloElem.one(2) - omega
-    assert poly == MultiPoly.const(1, F(1)).map_coeffs(
-        lambda c: CycloElem.from_rational(2, c)
-    )
-    poly1, _ = J_mu_twisted(2, omega, 1)
-    # J^omega_1 polynomial part: p(1,0;omega) + p(1,1;omega) x = (omega-1) x
-    assert poly1.coefficient((0,)) == F(0)
-    assert poly1.coefficient((1,)) == omega - CycloElem.one(2)

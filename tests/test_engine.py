@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from emsum import geometry, subdivide
+from emsum import engine, geometry, subdivide
 from emsum.engine import (
     ExpansionResult,
     closed_form_2d,
@@ -125,10 +125,14 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_octahedron_triangulates_each_cone_once(monkeypatch):
     # 12 edges and 6 vertices, each with a non-unimodular transverse cone;
-    # the decomposition serves every order.
+    # the decomposition serves every order, and the polytope keeps it.
+    octahedron = build_polytope(OCTAHEDRON.vertices)
     calls = _count_calls(monkeypatch, subdivide, "triangulate_cone")
-    expansion(OCTAHEDRON, ONE3)
+    expansion(octahedron, ONE3)
     assert len(calls) == 18
+    calls.clear()
+    expansion(octahedron, ONE3)
+    assert calls == []
 
 
 def test_face_integrals_build_no_hull(monkeypatch):
@@ -247,3 +251,46 @@ def test_expansion_result_repr():
     res = expansion(SQUARE, ONE2)
     assert "complete=True" in repr(res)
     assert isinstance(res, ExpansionResult)
+
+
+TRIDIAGONAL3 = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+
+
+def test_face_operators_built_once_per_polytope_and_inner_product(monkeypatch):
+    cube = build_polytope(CUBE.vertices)
+    phi = MultiPoly.variable(3, 0) ** 3
+    tcones = _count_calls(monkeypatch, engine, "transverse_cone")
+    operators = _count_calls(monkeypatch, engine, "cone_operator")
+    for qmat, built in ((None, 26), (None, 0), (TRIDIAGONAL3, 26),
+                        (TRIDIAGONAL3, 0)):
+        tcones.clear()
+        operators.clear()
+        expansion(cube, phi, qmat=qmat)
+        assert (len(tcones), len(operators)) == (built, built)
+
+
+def test_expansion_of_delzant_polytope_skips_delzant_test(monkeypatch):
+    calls = _count_calls(monkeypatch, engine, "is_delzant")
+    expansion(build_polytope(CUBE.vertices), ONE3)
+    assert calls == []
+
+
+def test_kept_operators_match_fresh_polytope_under_every_key(monkeypatch):
+    phi = MultiPoly.variable(3, 0) ** 2 * MultiPoly.variable(3, 1)
+    keys = [(q, s) for q in (None, TRIDIAGONAL3)
+            for s in ("default", "alternate")]
+    fresh = [
+        expansion(build_polytope(OCTAHEDRON.vertices), phi, qmat=q, strategy=s)
+        for q, s in keys
+    ]
+    kept = build_polytope(OCTAHEDRON.vertices)
+    operators = _count_calls(monkeypatch, engine, "cone_operator")
+    seen = set()
+    for i in (0, 3, 1, 2, 3, 0, 2, 1):
+        q, s = keys[i]
+        operators.clear()
+        res = expansion(kept, phi, qmat=q, strategy=s)
+        assert len(operators) == (0 if i in seen else 26)
+        seen.add(i)
+        assert res.coefficients == fresh[i].coefficients
+        assert res.per_face == fresh[i].per_face

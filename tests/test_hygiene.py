@@ -1,5 +1,6 @@
-"""Repository hygiene: every module-level function and class in the package
-is used somewhere, so dead helpers cannot accumulate unnoticed."""
+"""Repository hygiene: every module-level function and class in the package,
+and every non-dunder method and property of its classes, is used somewhere,
+so dead helpers cannot accumulate unnoticed."""
 
 import ast
 import re
@@ -8,20 +9,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "emsum"
 SEARCHED = ("src", "tests", "demos")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _top_level_names(path: Path) -> list:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _top_level_names(tree: ast.Module) -> list:
     return [
         node.name
         for node in tree.body
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        )
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,))
     ]
 
 
-def test_every_top_level_definition_is_named_elsewhere():
+def _method_names(tree: ast.Module) -> list:
+    return [
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, FUNCTIONS) and not item.name.startswith("__")
+    ]
+
+
+def _unnamed(definitions) -> list:
+    """The qualified names whose last part appears nowhere but in its own
+    definition lines."""
     texts = [
         path.read_text(encoding="utf-8")
         for folder in SEARCHED
@@ -30,10 +41,12 @@ def test_every_top_level_definition_is_named_elsewhere():
     ]
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
-        for name in _top_level_names(module):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for qualname in definitions(tree):
+            name = qualname.rpartition(".")[2]
             word = re.compile(rf"\b{re.escape(name)}\b")
             definition = re.compile(
-                rf"^(?:async\s+def|def|class)\s+{re.escape(name)}\b",
+                rf"^[ \t]*(?:async\s+def|def|class)\s+{re.escape(name)}\b",
                 re.MULTILINE,
             )
             uses = sum(
@@ -41,5 +54,15 @@ def test_every_top_level_definition_is_named_elsewhere():
                 for t in texts
             )
             if uses == 0:
-                unused.append(f"{module.name}:{name}")
+                unused.append(f"{module.name}:{qualname}")
+    return unused
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    unused = _unnamed(_top_level_names)
+    assert unused == [], f"defined but never named elsewhere: {unused}"
+
+
+def test_every_method_and_property_is_named_elsewhere():
+    unused = _unnamed(_method_names)
     assert unused == [], f"defined but never named elsewhere: {unused}"

@@ -10,6 +10,7 @@ from emsum.combinat import c_seq_twisted
 from emsum.exactcore import CycloElem, MultiPoly
 from emsum.geometry import build_polytope
 from emsum.oracle import (
+    BudgetExceeded,
     coefficients_from_oracle,
     exp_rational,
     riemann_sum,
@@ -46,6 +47,23 @@ def test_riemann_sum_budget():
     one = MultiPoly.const(1, F(1))
     with pytest.raises(ValueError, match="desk-scale exceeded"):
         riemann_sum(p, one, 5, budget=100)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda p, phi, budget: riemann_sum(p, phi, 1, budget=budget),
+        lambda p, phi, budget: weighted_ehrhart(p, phi, budget=budget),
+        lambda p, phi, budget: coefficients_from_oracle(p, phi, budget=budget),
+    ],
+    ids=["riemann_sum", "weighted_ehrhart", "coefficients_from_oracle"],
+)
+def test_non_positive_budget_is_invalid_not_exceeded(oracle, budget):
+    p = build_polytope(SIMPLEX2)
+    with pytest.raises(ValueError, match="budget must be positive") as err:
+        oracle(p, MultiPoly.const(2, F(1)), budget)
+    assert not isinstance(err.value, BudgetExceeded)
 
 
 def test_ehrhart_cube():
