@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .combinat import todd_coefficients
-from .engine import ExpansionResult, expansion
+from .engine import expansion
 from .exactcore import MultiPoly, series_coeffs_twisted_todd
 from .geometry import LatticePolytope, build_polytope
 from .oracle import (

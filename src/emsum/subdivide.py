@@ -4,7 +4,10 @@ A pointed cone that is not unimodular is handled in three steps: a
 pulling triangulation on its own extreme rays, a stellar refinement of
 the resulting fan until every maximal cell is unimodular, and an
 inclusion-exclusion pass that turns the closed cover by cells into a
-signed decomposition of the indicator function.  The Berline-Vergne
+signed decomposition of the indicator function.  Every simplicial cell
+is inverted once, exactly and over the integers (`_cell_inverse`), so
+the stellar refinement and the fan self-check of the inclusion-exclusion
+pass test membership by integer dot products.  The Berline-Vergne
 vertex operator of the cone is then the signed sum of the vertex
 operators of the cells, each taken at the order matching its dimension
 drop.  The final result must not depend on any of the choices made on
@@ -25,14 +28,13 @@ from .exactcore import (
     MultiPoly,
     as_matrix,
     as_vector,
+    det,
     hnf_lattice_basis,
-    mat_vec,
     matrix_inverse,
     matrix_rank,
     primitive_vector,
+    rref,
     saturation_basis,
-    solve_unique,
-    transpose,
     vdot,
 )
 from .geometry import (
@@ -86,6 +88,32 @@ def _cell_index(cell: Sequence[tuple]) -> int:
     return hnf_lattice_basis(list(cell))[1]
 
 
+def _cell_inverse(cell: Sequence[tuple]) -> tuple:
+    """Exact integer inverse of a simplicial cell, built once.
+
+    Returns (D, coords).  D > 0 is the absolute determinant of a maximal
+    nonsingular minor of the generator matrix G (columns = rays), and
+    coords(p) is the integer vector D*t for the coordinates t of the
+    integer point p over the rays, or None when p is off the cell's
+    span.  The minor's rows satisfy G t = p by construction, so only
+    the other rows are checked.
+    """
+    _, rows = rref(as_matrix(cell))
+    minor = as_matrix([[g[r] for g in cell] for r in rows])
+    scale = int(abs(det(minor)))
+    adj = [[int(scale * x) for x in row] for row in matrix_inverse(minor)]
+    others = [j for j in range(len(cell[0])) if j not in rows]
+
+    def coords(p) -> Optional[tuple]:
+        t = tuple(sum(a * p[r] for a, r in zip(row, rows)) for row in adj)
+        for j in others:
+            if sum(ti * g[j] for ti, g in zip(t, cell)) != scale * p[j]:
+                return None
+        return t
+
+    return scale, coords
+
+
 def _simplicial_cells(data) -> list:
     """Normalize unimodularize input: one cone or a list of cells."""
     items = list(data)
@@ -133,7 +161,8 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
 
     # Slice by a positive functional and triangulate the section.
     xi = positive_functional(extreme)
-    assert xi is not None, "pointed cone must admit a positive functional"
+    if xi is None:
+        raise AssertionError("pointed cone must admit a positive functional")
     heights = [vdot(as_vector(xi), as_vector(g)) for g in extreme]
     scaled = [
         tuple(Fraction(gc, 1) / h for gc in g)
@@ -142,9 +171,8 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
     scale = math.lcm(*[c.denominator for p in scaled for c in p])
     section = [tuple(int(c * scale) for c in p) for p in scaled]
     poly = build_polytope(section, affine_hull=True)
-    assert len(poly.vertices) == len(extreme), (
-        "extreme rays must slice to polytope vertices"
-    )
+    if len(poly.vertices) != len(extreme):
+        raise AssertionError("extreme rays must slice to polytope vertices")
     origin, basis = poly.affine_data
     by_point = {}
     for g, pt in zip(extreme, section):
@@ -175,14 +203,16 @@ def _stellar_point(cell: tuple, strategy: str) -> tuple:
     of the cell minimizing the largest barycentric coordinate."""
     d = len(cell)
     basis = saturation_basis(list(cell))
-    bmat = as_matrix(transpose(basis))  # columns span the saturated lattice
+    basis_det, basis_coords = _cell_inverse(basis)
     coord_rows = []
     for g in cell:
-        y = solve_unique(bmat, as_vector(g))
-        assert y is not None and all(c.denominator == 1 for c in y)
-        coord_rows.append([int(c) for c in y])
-    # x = M^T t for barycentric t, with M rows = generator coordinates.
-    minv = matrix_inverse(as_matrix(transpose(coord_rows)))
+        y = basis_coords(g)
+        if y is None or any(c % basis_det for c in y):
+            raise AssertionError("integral generator coordinates")
+        coord_rows.append([c // basis_det for c in y])
+    # x = M^T t for barycentric t, with M rows = generator coordinates;
+    # the box loop compares the integer vectors D*t.
+    scale, barycentric = _cell_inverse(coord_rows)
     ranges = []
     for j in range(d):
         lo = sum(min(0, coord_rows[i][j]) for i in range(d))
@@ -190,10 +220,8 @@ def _stellar_point(cell: tuple, strategy: str) -> tuple:
         ranges.append(range(lo, hi + 1))
     best = None
     for x in itertools.product(*ranges):
-        t = mat_vec(minv, as_vector(x))
-        if not all(0 <= ti < 1 for ti in t):
-            continue
-        if all(ti == 0 for ti in t):
+        t = barycentric(x)
+        if not all(0 <= ti < scale for ti in t) or not any(t):
             continue
         w = tuple(
             sum(x[j] * basis[j][i] for j in range(d))
@@ -202,18 +230,10 @@ def _stellar_point(cell: tuple, strategy: str) -> tuple:
         order_key = w if strategy == "default" else tuple(-c for c in w)
         key = (max(t), order_key)
         if best is None or key < best[0]:
-            best = (key, w, tuple(t))
-    assert best is not None, "cell of index > 1 must contain a stellar point"
-    return best[1], best[2]
-
-
-def _barycentric(cell: tuple, point) -> Optional[tuple]:
-    """Coordinates of point over the cell's rays if it lies in the cell."""
-    cols = as_matrix(transpose([as_vector(g) for g in cell]))
-    t = solve_unique(cols, as_vector(point))
-    if t is None or any(ti < 0 for ti in t):
-        return None
-    return tuple(t)
+            best = (key, w)
+    if best is None:
+        raise AssertionError("cell of index > 1 must contain a stellar point")
+    return best[1]
 
 
 def unimodularize(cone_or_cells, strategy: str = "default") -> list:
@@ -226,36 +246,37 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
     the largest barycentric coordinate, ties broken by vector order),
     and stops when every cell is unimodular.  Each stellar step strictly
     decreases the index of every cell it touches, which bounds the
-    number of steps.
+    number of steps.  Every cell's index and exact inverse are computed
+    once and kept for the rest of the call.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     work = set(_simplicial_cells(cone_or_cells))
+    index = {cell: _cell_index(cell) for cell in work}
+    coords = {}
     while True:
-        worst = None
-        worst_index = 1
-        for cell in sorted(work):
-            idx = _cell_index(cell)
-            if idx > worst_index:
-                worst = cell
-                worst_index = idx
-        if worst is None:
+        worst = max(sorted(work), key=index.get)
+        if index[worst] == 1:
             return sorted(work)
-        w, _ = _stellar_point(worst, strategy)
+        w = _stellar_point(worst, strategy)
         refined = set()
         for cell in work:
-            t = _barycentric(cell, w)
-            if t is None:
+            if cell not in coords:
+                coords[cell] = _cell_inverse(cell)[1]
+            t = coords[cell](w)
+            if t is None or min(t) < 0:
                 refined.add(cell)
                 continue
-            old_index = _cell_index(cell)
             for i, ti in enumerate(t):
                 if ti == 0:
                     continue
                 piece = _cell_key(cell[:i] + cell[i + 1:] + (w,))
-                assert _cell_index(piece) < old_index, (
-                    "stellar subdivision must decrease the index"
-                )
+                if piece not in index:
+                    index[piece] = _cell_index(piece)
+                if index[piece] >= index[cell]:
+                    raise AssertionError(
+                        "stellar subdivision must decrease the index"
+                    )
                 refined.add(piece)
         work = refined
 
@@ -264,19 +285,12 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
 # inclusion-exclusion over the closed cells
 
 
-def _face_cells(maximal: Sequence[tuple]) -> list:
-    faces = set()
-    for cell in maximal:
-        for r in range(len(cell) + 1):
-            for sub in itertools.combinations(cell, r):
-                faces.add(tuple(sorted(sub)))
-    return sorted(faces, key=lambda c: (-len(c), c))
-
-
-def _member(cell: tuple, point) -> bool:
-    if not cell:
-        return all(x == 0 for x in as_vector(point))
-    return _barycentric(cell, point) is not None
+def _subsets(cell: tuple):
+    """Every face of a simplicial cell, as sorted sub-tuples of its sorted
+    generators, the empty face included."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(cell, r) for r in range(len(cell) + 1)
+    )
 
 
 def signed_coefficients(cells) -> list:
@@ -286,36 +300,50 @@ def signed_coefficients(cells) -> list:
     The input cells must be the maximal cones of a fan (any two cells
     meet in a common face); otherwise ValueError("non-complex input").
     Returns SignedCell entries for every face, maximal cells first.
+
+    Every interval of the face poset is boolean, so one pass over it
+    gives r_tau = sum of (-1)^(dim sigma - dim tau) over the faces sigma
+    containing tau.  The self-check inverts each maximal cell once
+    (`_cell_inverse`): a sample p lies in exactly the faces tau with
+    supp(t) <= tau <= sigma, over the maximal cells sigma where p's
+    coordinates t are non-negative, because a cell's rays are
+    independent.
     """
     maximal = _simplicial_cells(cells)
-    faces = _face_cells(maximal)
-    coeff = {}
-    for tau in faces:
-        tau_set = set(tau)
-        above = sum(
-            coeff[sigma]
-            for sigma in faces
-            if len(sigma) > len(tau) and tau_set <= set(sigma)
-        )
-        coeff[tau] = 1 - above
+    faces = sorted(
+        {tau for sigma in maximal for tau in _subsets(sigma)},
+        key=lambda c: (-len(c), c),
+    )
+    coeff = dict.fromkeys(faces, 0)
+    for sigma in faces:
+        for tau in _subsets(sigma):
+            coeff[tau] += (-1) ** (len(sigma) - len(tau))
 
     # A wrong face poset (overlapping, non-facially glued cells) shows up
     # as a point covered with total weight != 1.  Check the relative
     # interior of every face and a midpoint sample inside each maximal
-    # cell.
-    samples = []
-    for tau in faces:
-        if tau:
-            samples.append(tuple(sum(col) for col in zip(*tau)))
-    for sigma in maximal:
-        samples.append(tuple(
-            sum(Fraction(i + 1, len(sigma) + 1) * Fraction(g[k])
-                for i, g in enumerate(sigma))
+    # cell, scaled by dim + 1 to an integer point of the same ray.
+    samples = [tuple(map(sum, zip(*tau))) for tau in faces if tau]
+    samples += [
+        tuple(
+            sum((i + 1) * g[k] for i, g in enumerate(sigma))
             for k in range(len(sigma[0]))
-        ))
+        )
+        for sigma in maximal
+    ]
+    inverses = [(sigma, _cell_inverse(sigma)[1]) for sigma in maximal]
     for p in samples:
-        total = sum(coeff[c] for c in faces if _member(c, p))
-        if total != 1:
+        covering = set()
+        for sigma, coords in inverses:
+            t = coords(p)
+            if t is None or min(t) < 0:
+                continue
+            support = tuple(g for g, ti in zip(sigma, t) if ti)
+            free = tuple(g for g, ti in zip(sigma, t) if not ti)
+            covering.update(
+                tuple(sorted(support + extra)) for extra in _subsets(free)
+            )
+        if sum(coeff[tau] for tau in covering) != 1:
             raise ValueError("non-complex input")
     return [SignedCell(gens=c, coeff=coeff[c]) for c in faces]
 

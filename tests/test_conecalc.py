@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from _helpers import random_spd, unimodular_matrix
 from emsum.combinat import MultiIndex, todd_coefficients
 from emsum.conecalc import (
-    DiffOp,
     UniCone,
     bv_op_unimodular,
     deco,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emsum.exactcore import MultiPoly, as_matrix, as_vector, det, identity_matrix
+from emsum.exactcore import MultiPoly, as_matrix, as_vector, identity_matrix
 from emsum.geometry import (
     build_polytope,
     cone_is_pointed,

@@ -1,6 +1,7 @@
 """Repository hygiene: every module-level function and class in the package,
 and every non-dunder method and property of its classes, is used somewhere,
-so dead helpers cannot accumulate unnoticed."""
+and every module of the package and the tests uses what it imports, so dead
+helpers and leftover imports cannot accumulate unnoticed."""
 
 import ast
 import re
@@ -66,3 +67,38 @@ def test_every_top_level_definition_is_named_elsewhere():
 def test_every_method_and_property_is_named_elsewhere():
     unused = _unnamed(_method_names)
     assert unused == [], f"defined but never named elsewhere: {unused}"
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports but never reads; names listed in its
+    `__all__` count as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(
+                (alias.asname or alias.name).partition(".")[0]
+                for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports are the package's public re-exports.
+    unused = [
+        f"{path.relative_to(ROOT)}:{name}"
+        for folder in (PACKAGE, ROOT / "tests")
+        for path in sorted(folder.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(path)
+    ]
+    assert unused == [], f"imported but never used: {unused}"

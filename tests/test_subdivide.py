@@ -1,11 +1,16 @@
 """Tests for signed unimodular subdivisions and pointed-cone operators."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from emsum.conecalc import UniCone, bv_op_unimodular, vertex_op
-from emsum.exactcore import MultiPoly, mat_vec, transpose
+from emsum import exactcore, subdivide
+from emsum.conecalc import UniCone, bv_op_unimodular
+from emsum.exactcore import MultiPoly
 from emsum.geometry import point_in_cone
 from emsum.subdivide import (
     SignedCell,
@@ -18,7 +23,15 @@ from emsum.subdivide import (
     unimodularize,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+
 SQUARE_CONE = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+
+
+def index_cone(k):
+    """Cone of lattice index k; its unimodular fan has 2k - 1 cells."""
+    return [(1, 0, 0), (0, 1, 0), (1, 1, k)]
+
 
 # Cone over an integral pentagon at height one.  Its two pulling
 # triangulations genuinely differ, and several cells need stellar
@@ -183,6 +196,110 @@ def test_signed_coefficients_non_complex():
         signed_coefficients([[(1, 0), (0, 1)], [(0, 1), (1, 1)]])
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [
+        # the 2D overlap lifted into R^3: samples leave some cells' spans
+        [[(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (1, 1, 0)]],
+        # (1,1,1) is interior to the orthant
+        [[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1, 1), (0, 1, 0), (0, 0, 1)]],
+    ],
+    ids=["lifted-2d-overlap", "3d-overlap"],
+)
+def test_signed_coefficients_non_complex_beyond_2d(cells):
+    with pytest.raises(ValueError, match="non-complex input"):
+        signed_coefficients(cells)
+
+
+@pytest.mark.parametrize(
+    "cells, expected",
+    [
+        (
+            [[(1, 0, 0), (1, 1, 0)], [(1, 1, 0), (0, 1, 0)]],
+            {
+                ((0, 1, 0), (1, 1, 0)): 1,
+                ((1, 0, 0), (1, 1, 0)): 1,
+                ((0, 1, 0),): 0,
+                ((1, 0, 0),): 0,
+                ((1, 1, 0),): -1,
+                (): 0,
+            },
+        ),
+        (
+            [[(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 0, 1)]],
+            {
+                ((0, 0, 1), (0, 1, 0)): 1,
+                ((0, 1, 0), (1, 0, 0)): 1,
+                ((0, 0, 1),): 0,
+                ((0, 1, 0),): -1,
+                ((1, 0, 0),): 0,
+                (): 0,
+            },
+        ),
+    ],
+    ids=["flat-fan-in-3d", "planes-sharing-a-ray"],
+)
+def test_signed_coefficients_lower_dimensional_fans(cells, expected):
+    out = signed_coefficients(cells)
+    assert {cell.gens: cell.coeff for cell in out} == expected
+
+
+def test_signed_coefficients_inverts_each_cell_once(monkeypatch):
+    fan = unimodularize(triangulate_cone(index_cone(15)))
+    assert len(fan) == 29
+    calls = []
+    real_rref = exactcore.rref
+
+    def counting_rref(mat):
+        calls.append(mat)
+        return real_rref(mat)
+
+    monkeypatch.setattr(exactcore, "rref", counting_rref)
+    monkeypatch.setattr(subdivide, "rref", counting_rref, raising=False)
+    signed_coefficients(fan)
+    # one rank check and one inverse per maximal cell
+    assert 0 < len(calls) <= 3 * len(fan)
+
+
+INVARIANT_SCRIPT = """
+import sys
+from emsum import subdivide
+
+if not sys.flags.optimize:
+    raise SystemExit("expected to run under python -O")
+subdivide._cell_index = lambda cell: 2
+try:
+    subdivide.unimodularize({gens!r})
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        ([(1, 0), (1, 2)], "stellar subdivision must decrease the index"),
+        ([(1, 0), (0, 1)], "cell of index > 1 must contain a stellar point"),
+    ],
+    ids=["index-never-drops", "unimodular-cell-reported-as-index-2"],
+)
+def test_stellar_invariants_fire_under_optimize(gens, message):
+    # with every index reported as 2, the refinement cannot make progress
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_SCRIPT.format(gens=gens)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == message
+
+
 def test_bv_pointed_delegates_to_unimodular():
     for gens, qmat in [
         ([(1, 0), (0, 1)], None),
@@ -264,6 +381,14 @@ def test_bv_pointed_strategy_independence():
         assert op_a.symbol == op_b.symbol
         assert op_a.order == n - 3
         assert not op_a.symbol.is_zero()
+
+
+def test_index_31_cone_strategy_independence():
+    op_a = bv_op_pointed(index_cone(31), 4)
+    op_b = bv_op_pointed(index_cone(31), 4, strategy="alternate")
+    assert op_a.symbol == op_b.symbol
+    assert op_a.order == 1
+    assert not op_a.symbol.is_zero()
 
 
 def test_bv_pointed_strategy_independence_with_inner_product():
