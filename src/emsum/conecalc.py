@@ -35,7 +35,6 @@ from .exactcore import (
     as_vector,
     identity_matrix,
     is_spd,
-    is_symmetric,
     mat_vec,
     matrix_inverse,
     matrix_rank,
@@ -59,16 +58,12 @@ class DiffOp:
     The symbol is a polynomial in the ambient dual coordinates; the
     monomial xi^beta stands for the mixed partial derivative of
     multi-order beta.  Our operators are homogeneous, so every symbol
-    term has total degree `order`.  The `directions` tuple spans the
-    subspace along which the operator differentiates: the symbol is
-    unchanged under the dual projection that forgets everything
-    perpendicular to that span.
+    term has total degree `order`.
     """
 
     dim: int
     order: int
     symbol: MultiPoly
-    directions: Tuple[Vector, ...]
 
     @property
     def is_zero(self) -> bool:
@@ -92,7 +87,6 @@ class Deco:
     decomposition is trivial: u[e] = g_e.
     """
 
-    subset: Tuple[int, ...]
     u: Mapping[int, Vector]
     coeff: Mapping[Tuple[int, int], Fraction]
 
@@ -123,7 +117,7 @@ class UniCone:
             q = identity_matrix(m)
         else:
             q = as_matrix(qmat)
-            if len(q) != m or not is_symmetric(q) or not is_spd(q):
+            if len(q) != m or not is_spd(q):
                 raise ValueError("inner product matrix must be symmetric positive definite")
         self.gens = tuple(glist)
         self.qmat = q
@@ -172,7 +166,7 @@ def deco(cone: UniCone, labels: Iterable[int]) -> Deco:
             u[e] = vec
         else:
             u[e] = cone.gens[e]
-    result = Deco(subset, u, coeff)
+    result = Deco(u, coeff)
     cone._deco_cache[subset] = result
     return result
 
@@ -195,17 +189,6 @@ def _check_ibp_args(cone: UniCone, inner, outer, alpha):
     if len(J) > a.total() + len(I):
         raise ValueError("operator undefined: need |outer| <= |alpha| + |inner|")
     return I, J, a
-
-
-def _direction_basis(cone: UniCone, outer: tuple) -> Tuple[Vector, ...]:
-    if not outer:
-        return ()
-    d = deco(cone, outer)
-    return tuple(d.u[e] for e in outer)
-
-
-def _wrap(cone: UniCone, outer: tuple, order: int, symbol: MultiPoly) -> DiffOp:
-    return DiffOp(cone.ambient_dim, order, symbol, _direction_basis(cone, outer))
 
 
 def _alpha_key(alpha: MultiIndex) -> tuple:
@@ -259,7 +242,7 @@ def ibp_op(cone: UniCone, inner, outer, alpha, pivot_rule: str = "min") -> DiffO
         raise ValueError("pivot_rule must be 'min' or 'max'")
     I, J, a = _check_ibp_args(cone, inner, outer, alpha)
     sym = _ibp_rec(cone, I, J, a, pivot_rule)
-    return _wrap(cone, J, a.total() - len(J) + len(I), sym)
+    return DiffOp(cone.ambient_dim, a.total() - len(J) + len(I), sym)
 
 
 def divide_by_linear_form(poly: MultiPoly, coeffs: Sequence) -> MultiPoly:
@@ -364,7 +347,7 @@ def ibp_symbol(cone: UniCone, inner, outer, alpha) -> DiffOp:
     """
     I, J, a = _check_ibp_args(cone, inner, outer, alpha)
     sym = _symbol_rec(cone, I, J, a)
-    return _wrap(cone, J, a.total() - len(J) + len(I), sym)
+    return DiffOp(cone.ambient_dim, a.total() - len(J) + len(I), sym)
 
 
 def dual_projection(cone: UniCone, outer) -> tuple:
@@ -396,10 +379,9 @@ def ln_op(cone: UniCone, labels, n: int) -> DiffOp:
     m = cone.ambient_dim
     if not I:
         sym = MultiPoly.const(m, Fraction(1)) if n == 0 else MultiPoly.zero(m)
-        return DiffOp(m, 0, sym, ())
-    dirs = tuple(cone.gens[e] for e in I)
+        return DiffOp(m, 0, sym)
     if len(I) > n:
-        return DiffOp(m, 0, MultiPoly.zero(m), dirs)
+        return DiffOp(m, 0, MultiPoly.zero(m))
     sign = Fraction(-1) ** n
     sym = MultiPoly.zero(m)
     for nu in positive_compositions(n, I):
@@ -410,7 +392,7 @@ def ln_op(cone: UniCone, labels, n: int) -> DiffOp:
         for e in I:
             term = term * MultiPoly.linear_form(cone.gens[e]) ** (nu[e] - 1)
         sym = sym + term
-    return DiffOp(m, n - len(I), sym, dirs)
+    return DiffOp(m, n - len(I), sym)
 
 
 def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
@@ -429,7 +411,7 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
     m = cone.ambient_dim
     if not out:
         sym = MultiPoly.const(m, Fraction(1)) if n == 0 else MultiPoly.zero(m)
-        return DiffOp(m, 0, sym, ())
+        return DiffOp(m, 0, sym)
     if n < len(out):
         raise ValueError("operator requires order at least the codimension of the face")
     sign = Fraction(-1) ** (n - len(out))
@@ -442,7 +424,7 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
                     continue
                 alpha = nu - MultiIndex({e: 1 for e in picked})
                 total = total + _ibp_rec(cone, picked, out, alpha, "min") * c
-    return _wrap(cone, out, n - len(out), total)
+    return DiffOp(m, n - len(out), total)
 
 
 def vertex_op(cone: UniCone, n: int) -> DiffOp:

@@ -29,7 +29,6 @@ from .exactcore import (
     as_vector,
     identity_matrix,
     is_spd,
-    is_symmetric,
     mat_vec,
     nullspace_basis,
     primitive_vector,
@@ -115,7 +114,7 @@ def expansion(
         raise ValueError("n_max must be non-negative")
     if qmat is not None:
         qmat = as_matrix(qmat)
-        if not is_symmetric(qmat) or not is_spd(qmat):
+        if not is_spd(qmat):
             raise ValueError(
                 "inner product matrix must be symmetric positive definite"
             )
@@ -170,7 +169,7 @@ def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
         @functools.cache
         def lifted(n: int) -> DiffOp:
             op = ops(n)
-            return DiffOp(m, op.order, op.symbol.compose(images), tcone.basis)
+            return DiffOp(m, op.order, op.symbol.compose(images))
 
         lifted.unimodular = ops.unimodular
         poly.face_operators[key] = lifted
@@ -254,7 +253,7 @@ def closed_form_2d(
     if n < 2:
         raise ValueError("closed form applies to order two and higher")
     qmat = identity_matrix(2) if qmat is None else as_matrix(qmat)
-    if not is_symmetric(qmat) or not is_spd(qmat):
+    if not is_spd(qmat):
         raise ValueError(
             "inner product matrix must be symmetric positive definite"
         )
@@ -280,7 +279,7 @@ def closed_form_2d(
             )
             coeff = -bern[n] / Fraction(math.factorial(n))
             sym = MultiPoly.linear_form(u_f) ** (n - 1) * coeff
-            integrand = DiffOp(2, n - 1, sym, (tuple(u_f),)).apply(phi)
+            integrand = DiffOp(2, n - 1, sym).apply(phi)
             total += integrate_poly_over_face(poly, edge, integrand)
 
     # Vertex terms, evaluated at the vertex itself.
@@ -310,7 +309,7 @@ def closed_form_2d(
             for s in range(n - 1):
                 sym = sym + lf["u1"] ** s * lf["e1"] ** (n - 2 - s) * (bn * c1)
                 sym = sym + lf["u2"] ** s * lf["e2"] ** (n - 2 - s) * (bn * c2)
-        value = DiffOp(2, n - 2, sym, (tuple(e1), tuple(e2))).apply(phi)
+        value = DiffOp(2, n - 2, sym).apply(phi)
         total += value.eval(as_vector(vert.ref_vertex))
     return total
 

@@ -63,9 +63,11 @@ class SignedCell:
 
 def _ray_list(gens) -> list:
     """Primitivized, deduplicated integer generators (order preserved)."""
+    vecs = [as_vector(g) for g in gens]
+    if any(len(vec) != len(vecs[0]) for vec in vecs):
+        raise ValueError("generators must all have the same length")
     rays = []
-    for g in gens:
-        vec = as_vector(g)
+    for vec in vecs:
         if any(x.denominator != 1 for x in vec):
             raise ValueError("generators must be integer vectors")
         if all(x == 0 for x in vec):
@@ -130,6 +132,8 @@ def _simplicial_cells(data) -> list:
         if matrix_rank([as_vector(r) for r in rays]) != len(rays):
             raise ValueError("cells must be simplicial cones")
         cells.append(_cell_key(rays))
+    if len({len(cell[0]) for cell in cells}) > 1:
+        raise ValueError("generators must all have the same length")
     return cells
 
 
@@ -362,13 +366,13 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     over the nonzero signed cells, where d = dim C.  The callable
     requires n >= d; its result is homogeneous of order n - d and only
     pairs with the span of C.  Its `unimodular` attribute tells whether
-    the cone was its own single cell.
+    the cone was its own single cell.  Independent rays always span a
+    pointed cone; any other cone that is not pointed is rejected by
+    `triangulate_cone`.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
-    if not cone_is_pointed(rays):
-        raise ValueError("cone is not pointed")
     d = matrix_rank([as_vector(g) for g in rays])
     unimodular = len(rays) == d and _cell_index(tuple(rays)) == 1
     if unimodular:
@@ -382,9 +386,6 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
         if c.coeff
     ]
     m = len(rays[0])
-    directions = tuple(
-        tuple(Fraction(c) for c in b) for b in saturation_basis(rays)
-    )
 
     def operator(n: int) -> DiffOp:
         if n < 0:
@@ -401,7 +402,7 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
                 continue
             part = vertex_op(cone, n - d + cone.dim)
             total = total + part.symbol * coeff
-        return DiffOp(m, n - d, total, directions)
+        return DiffOp(m, n - d, total)
 
     operator.unimodular = unimodular
     return operator

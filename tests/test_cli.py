@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from emsum import cli
+from emsum.subdivide import STRATEGIES
 
 SQUARE = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
 OCTAHEDRON = '[[1,0,0],[-1,0,0],[0,1,0],[0,-1,0],[0,0,1],[0,0,-1]]'
@@ -298,3 +299,68 @@ def test_deterministic_json_output(capsys):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+HELP_OPTIONS = {
+    "expand": ["--format", "--tolerance", "--vertices", "--polytope-file",
+               "--phi", "--Q", "--nmax", "--per-face", "--strategy"],
+    "verify": ["--format", "--tolerance", "--vertices", "--polytope-file",
+               "--phi", "--Q", "--nmax", "--strategy", "--budget"],
+    "todd": ["--format", "--tolerance", "--nmax"],
+    "twisted-todd": ["--format", "--tolerance", "--q", "--nmax"],
+    "ehrhart": ["--format", "--tolerance", "--vertices", "--polytope-file",
+                "--phi", "--budget"],
+    "riemann-sum": ["--format", "--tolerance", "--vertices",
+                    "--polytope-file", "--phi", "--N", "--budget"],
+    "subdivide-cone": ["--format", "--tolerance", "--generators",
+                       "--strategy"],
+}
+
+
+def help_text(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_lists_options_in_order(capsys, command):
+    listed = [
+        line.split()[0].rstrip(",")
+        for line in help_text(capsys, command).split("options:")[1].splitlines()
+        if line.startswith("  -")
+    ]
+    assert listed == ["-h"] + HELP_OPTIONS[command]
+
+
+@pytest.mark.parametrize("command", ["expand", "verify", "subdivide-cone"])
+def test_strategy_choices_are_the_subdivision_strategies(capsys, command):
+    choices = "{" + ",".join(STRATEGIES) + "}"
+    assert f"--strategy {choices}" in help_text(capsys, command)
+
+
+def test_todd_rejects_negative_nmax(capsys):
+    code, out, err = run(capsys, ["todd", "--nmax", "-2"])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: nmax must be non-negative"
+
+
+def test_ragged_vertices_reported_before_budget(capsys):
+    code, _, err = run(
+        capsys, ["verify", "--vertices", "[[0,0],[1]]", "--budget", "0"]
+    )
+    assert code == 2
+    assert err.strip() == (
+        "error: polytope vertices must all have the same length"
+    )
+
+
+def test_subdivide_cone_rejects_ragged_generators(capsys):
+    code, out, err = run(
+        capsys, ["subdivide-cone", "--generators", "[[1,0],[0,1,2]]"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: generators must all have the same length"

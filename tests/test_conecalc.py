@@ -270,7 +270,6 @@ def test_bv_orthant_values():
     assert vertex_op(orthant, 3).symbol == lf((1, 1)) * F(-1, 24)
     edge = bv_op_unimodular(orthant, [0], 1)
     assert edge.symbol == MultiPoly.const(2, F(1, 2))
-    assert edge.directions == ((F(1), F(0)),)
 
 
 def test_bv_skew_vertex_value():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from emsum import engine, geometry, subdivide
+from emsum.conecalc import UniCone
 from emsum.engine import (
     ExpansionResult,
     closed_form_2d,
@@ -245,6 +246,17 @@ def test_closed_form_2d_guards():
         closed_form_2d(TRIANGLE_NON_DELZANT, ONE2, 2)
     with pytest.raises(ValueError, match="order two"):
         closed_form_2d(SQUARE, ONE2, 1)
+
+
+def test_asymmetric_inner_product_with_positive_minors_rejected():
+    # leading principal minors 2 and 4 are positive; only symmetry fails
+    qmat = ((2, 1), (0, 2))
+    with pytest.raises(ValueError, match="positive definite"):
+        expansion(SQUARE, ONE2, qmat=qmat)
+    with pytest.raises(ValueError, match="positive definite"):
+        closed_form_2d(SQUARE, ONE2, 2, qmat=qmat)
+    with pytest.raises(ValueError, match="positive definite"):
+        UniCone([(1, 0), (0, 1)], qmat=qmat)
 
 
 def test_expansion_result_repr():

@@ -1,7 +1,8 @@
 """Repository hygiene: every module-level function and class in the package,
 and every non-dunder method and property of its classes, is used somewhere,
+every dataclass field and `__slots__` name of its classes is read somewhere,
 and every module of the package and the tests uses what it imports, so dead
-helpers and leftover imports cannot accumulate unnoticed."""
+helpers, fields and leftover imports cannot accumulate unnoticed."""
 
 import ast
 import re
@@ -67,6 +68,50 @@ def test_every_top_level_definition_is_named_elsewhere():
 def test_every_method_and_property_is_named_elsewhere():
     unused = _unnamed(_method_names)
     assert unused == [], f"defined but never named elsewhere: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+        == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _declared_fields(node: ast.ClassDef) -> list:
+    """The dataclass fields and `__slots__` names a class body declares."""
+    names = []
+    for item in node.body:
+        if (
+            isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and _is_dataclass(node)
+        ):
+            names.append(item.target.id)
+        elif isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+        ):
+            names.extend(ast.literal_eval(item.value))
+    return names
+
+
+def test_every_field_is_read():
+    read = {
+        node.attr
+        for folder in SEARCHED
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module.stem}.{node.name}.{name}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(module.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+        for name in _declared_fields(node)
+        if name not in read
+    ]
+    assert unread == [], f"declared but never read: {unread}"
 
 
 def _unused_imports(path: Path) -> list:

@@ -261,6 +261,39 @@ def test_signed_coefficients_inverts_each_cell_once(monkeypatch):
     assert 0 < len(calls) <= 3 * len(fan)
 
 
+def test_unimodular_cone_operator_runs_no_pointedness_lp(monkeypatch):
+    calls = []
+    real = subdivide.cone_is_pointed
+
+    def counting(rays):
+        calls.append(rays)
+        return real(rays)
+
+    monkeypatch.setattr(subdivide, "cone_is_pointed", counting)
+    op = cone_operator([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert op.unimodular
+    assert op(3).symbol == MultiPoly.const(3, F(1, 8))
+    assert calls == []
+
+
+RAGGED = "generators must all have the same length"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: triangulate_cone([(1, 0), (0, 1, 2)]),
+        lambda: signed_coefficients([[(1, 0), (0, 1, 2)]]),
+        lambda: unimodularize([[(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0)]]),
+        lambda: cone_operator([(1, 0), (0, 1, 2)]),
+    ],
+    ids=["triangulate", "signed", "unimodularize-mixed-cells", "operator"],
+)
+def test_ragged_generators_rejected(call):
+    with pytest.raises(ValueError, match=RAGGED):
+        call()
+
+
 INVARIANT_SCRIPT = """
 import sys
 from emsum import subdivide
