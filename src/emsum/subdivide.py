@@ -5,14 +5,15 @@ pulling triangulation on its own extreme rays, a stellar refinement of
 the resulting fan until every maximal cell is unimodular, and an
 inclusion-exclusion pass that turns the closed cover by cells into a
 signed decomposition of the indicator function.  Every simplicial cell
-is inverted once, exactly and over the integers (`_cell_inverse`), so
-the stellar refinement and the fan self-check of the inclusion-exclusion
-pass test membership by integer dot products.  The Berline-Vergne
-vertex operator of the cone is then the signed sum of the vertex
-operators of the cells, each taken at the order matching its dimension
-drop.  The final result must not depend on any of the choices made on
-the way; callers are expected to exercise both built-in strategies when
-they want that checked.
+gets one Smith normal form (`_cell_lattice`), which gives its index, its
+integer coordinates and the lattice points of its fundamental box: the
+stellar refinement picks its points from that box, and both passes test
+membership by integer dot products.  The Berline-Vergne vertex operator
+of the cone is then the signed sum of the vertex operators of the
+cells, each taken at the order matching its dimension drop.  The final
+result must not depend on any of the choices made on the way; callers
+are expected to exercise both built-in strategies when they want that
+checked.
 """
 
 from __future__ import annotations
@@ -21,20 +22,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .conecalc import DiffOp, UniCone, vertex_op
 from .exactcore import (
     MultiPoly,
-    as_matrix,
     as_vector,
-    det,
-    hnf_lattice_basis,
-    matrix_inverse,
     matrix_rank,
     primitive_vector,
-    rref,
-    saturation_basis,
+    smith_normal_form,
     vdot,
 )
 from .geometry import (
@@ -84,36 +80,55 @@ def _cell_key(gens) -> tuple:
     return tuple(sorted(gens))
 
 
-def _cell_index(cell: Sequence[tuple]) -> int:
-    """Index of the lattice generated by the cell's rays inside the
-    saturated lattice of its span."""
-    return hnf_lattice_basis(list(cell))[1]
+class _Lattice(NamedTuple):
+    """Lattice data of a simplicial cell, from `_cell_lattice`."""
+
+    index: int
+    scale: int
+    coords: Callable
+    box: Callable
 
 
-def _cell_inverse(cell: Sequence[tuple]) -> tuple:
-    """Exact integer inverse of a simplicial cell, built once.
+def _cell_lattice(cell: Sequence[tuple]) -> _Lattice:
+    """Index, integer coordinates and box of a simplicial cell, all from
+    one Smith normal form U G V = D of its generator matrix G (columns =
+    rays, k of them, diagonal d_1 | ... | d_k of D).
 
-    Returns (D, coords).  D > 0 is the absolute determinant of a maximal
-    nonsingular minor of the generator matrix G (columns = rays), and
-    coords(p) is the integer vector D*t for the coordinates t of the
-    integer point p over the rays, or None when p is off the cell's
-    span.  The minor's rows satisfy G t = p by construction, so only
-    the other rows are checked.
+    The saturated lattice L = Z^m cap span(cell) is U^-1 (Z^k x 0) and
+    the rays generate U^-1 (D Z^k), so the index of the cell in L is the
+    product of the d_i, and the box L / (sum of Z g_i) is the group of
+    residues r_i mod d_i.  With scale = d_k:
+
+    - coords(p) is the integer vector scale * t of the coordinates t of
+      the integer point p over the rays, V diag(scale / d_i) (Up)[:k], or
+      None when (Up)[k:] != 0, that is when p is off the cell's span;
+    - box() yields index-many pairs (scale * t, p), one per residue r:
+      V diag(scale / d_i) r reduced mod scale gives the lattice point
+      p = sum t_i g_i of the half-open parallelepiped 0 <= t_i < 1.
     """
-    _, rows = rref(as_matrix(cell))
-    minor = as_matrix([[g[r] for g in cell] for r in rows])
-    scale = int(abs(det(minor)))
-    adj = [[int(scale * x) for x in row] for row in matrix_inverse(minor)]
-    others = [j for j in range(len(cell[0])) if j not in rows]
+    k, m = len(cell), len(cell[0])
+    u, dmat, v = smith_normal_form(list(zip(*cell)))
+    d = [dmat[i][i] for i in range(k)]
+    scale = d[-1]
+    mult = [scale // di for di in d]
 
-    def coords(p) -> Optional[tuple]:
-        t = tuple(sum(a * p[r] for a, r in zip(row, rows)) for row in adj)
-        for j in others:
-            if sum(ti * g[j] for ti, g in zip(t, cell)) != scale * p[j]:
-                return None
-        return t
+    def lift(s) -> list:
+        return [sum(a * c * x for a, c, x in zip(row, mult, s)) for row in v]
 
-    return scale, coords
+    def coords(p):
+        up = [sum(a * x for a, x in zip(row, p)) for row in u]
+        return None if any(up[k:]) else tuple(lift(up))
+
+    def box():
+        for r in itertools.product(*map(range, d)):
+            t = tuple(x % scale for x in lift(r))
+            p = tuple(
+                sum(ti * g[j] for ti, g in zip(t, cell)) // scale
+                for j in range(m)
+            )
+            yield t, p
+
+    return _Lattice(math.prod(d), scale, coords, box)
 
 
 def _simplicial_cells(data) -> list:
@@ -202,42 +217,18 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
 # stellar refinement to a unimodular fan
 
 
-def _stellar_point(cell: tuple, strategy: str) -> tuple:
+def _stellar_point(lattice: _Lattice, strategy: str) -> tuple:
     """Primitive lattice point in the half-open fundamental parallelepiped
     of the cell minimizing the largest barycentric coordinate."""
-    d = len(cell)
-    basis = saturation_basis(list(cell))
-    basis_det, basis_coords = _cell_inverse(basis)
-    coord_rows = []
-    for g in cell:
-        y = basis_coords(g)
-        if y is None or any(c % basis_det for c in y):
-            raise AssertionError("integral generator coordinates")
-        coord_rows.append([c // basis_det for c in y])
-    # x = M^T t for barycentric t, with M rows = generator coordinates;
-    # the box loop compares the integer vectors D*t.
-    scale, barycentric = _cell_inverse(coord_rows)
-    ranges = []
-    for j in range(d):
-        lo = sum(min(0, coord_rows[i][j]) for i in range(d))
-        hi = sum(max(0, coord_rows[i][j]) for i in range(d))
-        ranges.append(range(lo, hi + 1))
-    best = None
-    for x in itertools.product(*ranges):
-        t = barycentric(x)
-        if not all(0 <= ti < scale for ti in t) or not any(t):
-            continue
-        w = tuple(
-            sum(x[j] * basis[j][i] for j in range(d))
-            for i in range(len(cell[0]))
-        )
-        order_key = w if strategy == "default" else tuple(-c for c in w)
-        key = (max(t), order_key)
-        if best is None or key < best[0]:
-            best = (key, w)
-    if best is None:
+    sign = 1 if strategy == "default" else -1
+    candidates = [
+        (max(t), tuple(sign * c for c in p), p)
+        for t, p in lattice.box()
+        if any(t)
+    ]
+    if not candidates:
         raise AssertionError("cell of index > 1 must contain a stellar point")
-    return best[1]
+    return min(candidates)[2]
 
 
 def unimodularize(cone_or_cells, strategy: str = "default") -> list:
@@ -250,24 +241,22 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
     the largest barycentric coordinate, ties broken by vector order),
     and stops when every cell is unimodular.  Each stellar step strictly
     decreases the index of every cell it touches, which bounds the
-    number of steps.  Every cell's index and exact inverse are computed
-    once and kept for the rest of the call.
+    number of steps.  Every cell's lattice data (`_cell_lattice`: index,
+    coordinates and box from one Smith normal form) is computed once and
+    kept for the rest of the call.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     work = set(_simplicial_cells(cone_or_cells))
-    index = {cell: _cell_index(cell) for cell in work}
-    coords = {}
+    lattice = {cell: _cell_lattice(cell) for cell in work}
     while True:
-        worst = max(sorted(work), key=index.get)
-        if index[worst] == 1:
+        worst = max(sorted(work), key=lambda cell: lattice[cell].index)
+        if lattice[worst].index == 1:
             return sorted(work)
-        w = _stellar_point(worst, strategy)
+        w = _stellar_point(lattice[worst], strategy)
         refined = set()
         for cell in work:
-            if cell not in coords:
-                coords[cell] = _cell_inverse(cell)[1]
-            t = coords[cell](w)
+            t = lattice[cell].coords(w)
             if t is None or min(t) < 0:
                 refined.add(cell)
                 continue
@@ -275,9 +264,9 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
                 if ti == 0:
                     continue
                 piece = _cell_key(cell[:i] + cell[i + 1:] + (w,))
-                if piece not in index:
-                    index[piece] = _cell_index(piece)
-                if index[piece] >= index[cell]:
+                if piece not in lattice:
+                    lattice[piece] = _cell_lattice(piece)
+                if lattice[piece].index >= lattice[cell].index:
                     raise AssertionError(
                         "stellar subdivision must decrease the index"
                     )
@@ -307,13 +296,18 @@ def signed_coefficients(cells) -> list:
 
     Every interval of the face poset is boolean, so one pass over it
     gives r_tau = sum of (-1)^(dim sigma - dim tau) over the faces sigma
-    containing tau.  The self-check inverts each maximal cell once
-    (`_cell_inverse`): a sample p lies in exactly the faces tau with
-    supp(t) <= tau <= sigma, over the maximal cells sigma where p's
-    coordinates t are non-negative, because a cell's rays are
+    containing tau.  The self-check takes each maximal cell's integer
+    coordinates once (`_cell_lattice`): a sample p lies in exactly the
+    faces tau with supp(t) <= tau <= sigma, over the maximal cells sigma
+    where p's coordinates t are non-negative, because a cell's rays are
     independent.
     """
-    maximal = _simplicial_cells(cells)
+    return _signed_faces(_simplicial_cells(cells))
+
+
+def _signed_faces(maximal: list) -> list:
+    """`signed_coefficients` on cells already normalized by
+    `_simplicial_cells` or built by `unimodularize`."""
     faces = sorted(
         {tau for sigma in maximal for tau in _subsets(sigma)},
         key=lambda c: (-len(c), c),
@@ -335,10 +329,10 @@ def signed_coefficients(cells) -> list:
         )
         for sigma in maximal
     ]
-    inverses = [(sigma, _cell_inverse(sigma)[1]) for sigma in maximal]
+    charts = [(sigma, _cell_lattice(sigma).coords) for sigma in maximal]
     for p in samples:
         covering = set()
-        for sigma, coords in inverses:
+        for sigma, coords in charts:
             t = coords(p)
             if t is None or min(t) < 0:
                 continue
@@ -374,12 +368,12 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
     d = matrix_rank([as_vector(g) for g in rays])
-    unimodular = len(rays) == d and _cell_index(tuple(rays)) == 1
+    unimodular = len(rays) == d and _cell_lattice(tuple(rays)).index == 1
     if unimodular:
         signed = [SignedCell(gens=tuple(rays), coeff=1)]
     else:
         fan = unimodularize(triangulate_cone(rays, strategy=strategy), strategy)
-        signed = signed_coefficients(fan)
+        signed = _signed_faces(fan)
     cells = [
         (Fraction(c.coeff), UniCone(list(c.gens), qmat=qmat) if c.dim else None)
         for c in signed

@@ -1,21 +1,34 @@
 """Tests for signed unimodular subdivisions and pointed-cone operators."""
 
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from emsum import exactcore, subdivide
 from emsum.conecalc import UniCone, bv_op_unimodular
-from emsum.exactcore import MultiPoly
+from emsum.exactcore import (
+    MultiPoly,
+    as_matrix,
+    det,
+    mat_mul,
+    matrix_inverse,
+    matrix_rank,
+    transpose,
+)
 from emsum.geometry import point_in_cone
 from emsum.subdivide import (
     SignedCell,
     STRATEGIES,
-    _cell_index,
+    _cell_lattice,
     bv_op_pointed,
     cone_operator,
     signed_coefficients,
@@ -93,7 +106,7 @@ def test_unimodularize_hirzebruch_jung_pairs():
         ((1, 1), (2, 3)),
     ]
     for cell in unimodularize([(1, 0), (2, 3)]):
-        assert _cell_index(cell) == 1
+        assert _cell_lattice(cell).index == 1
 
 
 def test_unimodularize_already_unimodular():
@@ -121,7 +134,7 @@ def test_unimodularize_fan_input_shared_face():
     fan = unimodularize(triangulate_cone(SQUARE_CONE))
     assert len(fan) == 4
     for cell in fan:
-        assert _cell_index(cell) == 1
+        assert _cell_lattice(cell).index == 1
         assert (0, 0, 1) in cell
     signed_coefficients(fan)
 
@@ -130,8 +143,68 @@ def test_unimodularize_interior_stellar_point():
     fan = unimodularize([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
     assert len(fan) == 3
     for cell in fan:
-        assert _cell_index(cell) == 1
+        assert _cell_lattice(cell).index == 1
         assert (1, 1, 1) in cell
+
+
+def test_unimodularize_one_smith_form_per_cell(monkeypatch):
+    calls = []
+    real = subdivide.smith_normal_form
+
+    def counting(mat):
+        calls.append(tuple(map(tuple, mat)))
+        return real(mat)
+
+    monkeypatch.setattr(subdivide, "smith_normal_form", counting)
+    fan = unimodularize(triangulate_cone(index_cone(15)))
+    assert len(fan) == 29
+    assert len(calls) == len(set(calls)) >= len(fan)
+
+
+@st.composite
+def simplicial_cells(draw):
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, m))
+    row = st.tuples(*[st.integers(-4, 4)] * m)
+    cell = draw(st.lists(row, min_size=k, max_size=k))
+    assume(matrix_rank(as_matrix(cell)) == k)
+    return cell
+
+
+@settings(max_examples=80, deadline=None)
+@given(simplicial_cells(), st.data())
+def test_cell_lattice_matches_exact_algebra(cell, data):
+    k, m = len(cell), len(cell[0])
+    lattice = _cell_lattice(cell)
+    scale = lattice.scale
+
+    def combine(t):
+        return tuple(
+            sum(ti * g[j] for ti, g in zip(t, cell)) for j in range(m)
+        )
+
+    # the index is the gcd of the maximal minors (|det| when k == m)
+    minors = [
+        int(det(as_matrix([[g[r] for g in cell] for r in rows])))
+        for rows in combinations(range(m), k)
+    ]
+    assert lattice.index == math.gcd(*minors)
+
+    box = list(lattice.box())
+    assert len(box) == len({p for _, p in box}) == lattice.index
+    for t, p in box:
+        assert all(0 <= ti < scale for ti in t)
+        assert combine(t) == tuple(scale * x for x in p)
+        assert lattice.coords(p) == t
+
+    c = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    assert lattice.coords(combine(c)) == tuple(scale * ci for ci in c)
+
+    q = data.draw(st.tuples(*[st.integers(-4, 4)] * m))
+    t = lattice.coords(q)
+    assert (t is None) == (matrix_rank(as_matrix(cell + [q])) > k)
+    if t is not None:
+        assert combine(t) == tuple(scale * x for x in q)
 
 
 def test_unimodularize_validation():
@@ -257,8 +330,21 @@ def test_signed_coefficients_inverts_each_cell_once(monkeypatch):
     monkeypatch.setattr(exactcore, "rref", counting_rref)
     monkeypatch.setattr(subdivide, "rref", counting_rref, raising=False)
     signed_coefficients(fan)
-    # one rank check and one inverse per maximal cell
-    assert 0 < len(calls) <= 3 * len(fan)
+    # one rank check per maximal cell and no rational inverse
+    assert len(calls) == len(fan)
+
+
+def test_cone_operator_validates_its_fan_once(monkeypatch):
+    calls = []
+    real = subdivide._simplicial_cells
+
+    def counting(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(subdivide, "_simplicial_cells", counting)
+    cone_operator(index_cone(7))
+    assert len(calls) == 1
 
 
 def test_unimodular_cone_operator_runs_no_pointedness_lp(monkeypatch):
@@ -300,7 +386,8 @@ from emsum import subdivide
 
 if not sys.flags.optimize:
     raise SystemExit("expected to run under python -O")
-subdivide._cell_index = lambda cell: 2
+real = subdivide._cell_lattice
+subdivide._cell_lattice = lambda cell: real(cell)._replace(index=2)
 try:
     subdivide.unimodularize({gens!r})
 except AssertionError as exc:
@@ -422,6 +509,33 @@ def test_index_31_cone_strategy_independence():
     assert op_a.symbol == op_b.symbol
     assert op_a.order == 1
     assert not op_a.symbol.is_zero()
+
+
+# A in GL_3(Z); A * index_cone(15) = [(13,11,2), (17,21,5), (75,92,22)]
+SHEAR = [[13, 17, 3], [11, 21, 4], [2, 5, 1]]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_sheared_index_15_cone_transports(strategy):
+    # D_n(AC; A^-T Q A^-1)(xi) = D_n(C; Q)(A^T xi), here with Q = I
+    amat = as_matrix(SHEAR)
+    inv = matrix_inverse(amat)
+    gens = [
+        tuple(sum(a * x for a, x in zip(row, g)) for row in SHEAR)
+        for g in index_cone(15)
+    ]
+    assert gens == [(13, 11, 2), (17, 21, 5), (75, 92, 22)]
+    started = time.perf_counter()
+    op = bv_op_pointed(gens, 4, qmat=mat_mul(transpose(inv), inv),
+                       strategy=strategy)
+    elapsed = time.perf_counter() - started
+    ref = bv_op_pointed(index_cone(15), 4, strategy=strategy)
+    images = [MultiPoly.linear_form([row[i] for row in SHEAR])
+              for i in range(3)]
+    assert op.order == ref.order == 1
+    assert op.symbol == ref.symbol.compose(images)
+    # the stellar box has index-many points however sheared the cell is
+    assert elapsed < 2, f"sheared cone took {elapsed:.2f} s"
 
 
 def test_bv_pointed_strategy_independence_with_inner_product():
