@@ -1,7 +1,8 @@
 """The brute-force oracle, and the valuation path on non-Delzant input.
 
-The oracle knows nothing about cones or operators.  It enumerates lattice
-points of dilates N*P for N = 1, ..., D+1, interpolates the weighted
+The oracle knows nothing about cones or operators.  It sums phi over the
+lattice points of dilates N*P, one lattice line at a time with exact power
+sums, for N = 1, ..., D+1, interpolates the weighted
 Ehrhart polynomial of degree D = dim P + deg phi, verifies the result at
 two extra dilations, and reads the A_n off the coefficients.  Agreement
 with expansion() is therefore a genuine two-route check.

@@ -1,7 +1,14 @@
 """Shared constructions for the test suite."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def unimodular_matrix(rng: random.Random, dim: int, steps: int = 8) -> list:
@@ -33,3 +40,33 @@ def random_spd(rng: random.Random, dim: int) -> list:
             row.append(s)
         out.append(row)
     return out
+
+
+def box_riemann_sum(poly, phi, n: int) -> Fraction:
+    """R_N(P;phi) by testing every integer point of the bounding box of N*P
+    against every facet and adding phi(g/N) for the points inside: the
+    reference that the line-sweep oracle must match exactly."""
+    m = poly.ambient_dim
+    lo = [n * min(v[i] for v in poly.vertices) for i in range(m)]
+    hi = [n * max(v[i] for v in poly.vertices) for i in range(m)]
+    total = Fraction(0)
+    for gamma in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        if poly.contains(gamma, dilation=n):
+            total += phi.eval(tuple(Fraction(g, n) for g in gamma))
+    return total / Fraction(n) ** poly.dim
+
+
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run `script` under `python -O`, which strips `assert` statements,
+    with this checkout's package first on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )

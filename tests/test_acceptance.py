@@ -13,6 +13,8 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
+
 from emsum.combinat import (
     J_mu,
     c_seq,
@@ -57,6 +59,13 @@ TRIANGLE_ND = build_polytope([(0, 0), (1, 0), (1, 2)])
 OCTAHEDRON = build_polytope(
     [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 )
+
+# the 4D oracle tier: criteria 5 and 6 one dimension up and on dilated cubes
+CUBE4 = list(itertools.product((0, 1), repeat=4))
+SIMPLEX4 = [(0,) * 4] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
+CROSS4 = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+CUBE3_TIMES_3 = list(itertools.product((0, 3), repeat=3))
+CUBE3_TIMES_4 = list(itertools.product((0, 4), repeat=3))
 
 DELZANT_SUITE = [
     (INTERVAL, 3),
@@ -203,6 +212,34 @@ def test_criterion_05_engine_matches_oracle_on_delzant_suite():
                "monomials", started, 120.0)
 
 
+def _one_and_a_quadratic(m: int) -> tuple:
+    """phi = 1 and phi = x_1 x_m."""
+    return (MultiPoly.const(m, F(1)),
+            MultiPoly.monomial((1,) + (0,) * (m - 2) + (1,)))
+
+
+@pytest.mark.parametrize(
+    "name, points, valuation, budget",
+    [
+        ("[0,1]^4", CUBE4, False, 20.0),
+        ("4-simplex", SIMPLEX4, False, 20.0),
+        ("4D cross-polytope", CROSS4, True, 60.0),
+        ("3[0,1]^3", CUBE3_TIMES_3, False, 10.0),
+        ("4[0,1]^3", CUBE3_TIMES_4, False, 10.0),
+    ],
+    ids=["cube4", "simplex4", "cross4", "3cube3", "4cube3"],
+)
+def test_oracle_tier_4d_engine_matches_oracle(name, points, valuation, budget):
+    started = time.perf_counter()
+    poly = build_polytope(points)
+    for phi in _one_and_a_quadratic(poly.ambient_dim):
+        res = expansion(poly, phi)
+        assert res.valuation_used == valuation
+        assert list(res.coefficients) == coefficients_from_oracle(poly, phi)
+    _report(5, f"4D tier: expansion() = oracle on {name}, phi = 1 and "
+               "x_1 x_m", started, budget)
+
+
 def test_criterion_06_closed_forms_a0_a1_a2():
     started = time.perf_counter()
     one2 = MultiPoly.const(2, F(1))
@@ -217,6 +254,22 @@ def test_criterion_06_closed_forms_a0_a1_a2():
             assert closed_form_A2(poly, phi) == res.coefficient(2)
     _report(6, "A_0/A_1 and A_2 closed forms = expansion(), cube A_2 = 3, "
                "2-simplex A_2 = 1", started, 10.0)
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [("[0,1]^4", CUBE4), ("4-simplex", SIMPLEX4), ("4[0,1]^3", CUBE3_TIMES_4)],
+    ids=["cube4", "simplex4", "4cube3"],
+)
+def test_oracle_tier_4d_closed_forms_match_oracle(name, points):
+    started = time.perf_counter()
+    poly = build_polytope(points)
+    for phi in _one_and_a_quadratic(poly.ambient_dim):
+        a = coefficients_from_oracle(poly, phi)
+        assert closed_form_A0_A1(poly, phi) == (a[0], a[1])
+        assert closed_form_A2(poly, phi) == a[2]
+    _report(6, f"4D tier: A_0/A_1 and A_2 closed forms = oracle on {name}",
+            started, 10.0)
 
 
 def test_criterion_07_two_dimensional_closed_form():

@@ -147,3 +147,51 @@ def test_no_unused_imports():
         for name in _unused_imports(path)
     ]
     assert unused == [], f"imported but never used: {unused}"
+
+
+ENGINE_MODULES = ("combinat", "conecalc", "subdivide", "engine")
+
+
+def _engine_imports(nodes) -> set:
+    """The names that import statements among `nodes` bind to the engine
+    modules or to anything defined in them."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names.update(
+                alias.asname or alias.name.partition(".")[0]
+                for alias in node.names
+                if alias.name.rpartition(".")[2] in ENGINE_MODULES
+            )
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
+            names.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if source in ENGINE_MODULES or alias.name in ENGINE_MODULES
+            )
+    return names
+
+
+def test_riemann_sum_shares_no_code_with_the_engine():
+    # the oracle is ground truth for the engine only while it stays
+    # independent of the engine's Bernoulli, Todd and operator code
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, FUNCTIONS)
+    }
+    forbidden = _engine_imports(ast.walk(tree))
+    reached, todo, named = set(), ["riemann_sum"], []
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        nodes = list(ast.walk(functions[name]))
+        named += sorted(_engine_imports(nodes))
+        for node in nodes:
+            if isinstance(node, ast.Name):
+                if node.id in forbidden:
+                    named.append(f"{name}:{node.id}")
+                elif node.id in functions and node.id not in reached:
+                    todo.append(node.id)
+    assert "_power_sum" in reached
+    assert named == [], f"riemann_sum reaches engine code: {named}"

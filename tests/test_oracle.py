@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from emsum.combinat import c_seq_twisted
 from emsum.exactcore import CycloElem, MultiPoly
@@ -18,6 +20,8 @@ from emsum.oracle import (
     twisted_riemann_1d,
     weighted_ehrhart,
 )
+
+from _helpers import box_riemann_sum, run_optimized
 
 F = Fraction
 
@@ -42,6 +46,60 @@ def test_riemann_sum_square_linear():
     assert riemann_sum(p, x, 2) == F(9, 8)
 
 
+# coordinate range of the random hull points per ambient dimension, so that
+# the box loop stays quick on the 4D boxes of 4*P
+COORDS = {1: 3, 2: 3, 3: 2, 4: 1}
+
+
+@st.composite
+def hulls_and_weights(draw):
+    m = draw(st.integers(1, 4))
+    r = COORDS[m]
+    coord = st.integers(-r, r)
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=m + 1,
+                           max_size=m + 3))
+    try:
+        poly = build_polytope(points)
+    except ValueError:
+        assume(False)
+    exps = st.tuples(*[st.integers(0, 2)] * m).filter(lambda e: sum(e) <= 3)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = draw(st.dictionaries(exps, coeff, max_size=4))
+    terms[(0,) * m] = draw(coeff)
+    return poly, MultiPoly(m, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hulls_and_weights())
+def test_line_sweep_matches_box_loop(case):
+    poly, phi = case
+    for n in range(1, 5):
+        assert riemann_sum(poly, phi, n) == box_riemann_sum(poly, phi, n)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        # hulls with facet normals whose last entry is positive, negative
+        # and zero
+        [(0, 0), (2, 0), (2, 1), (0, 1), (1, 2)],
+        [(0, 0, 0), (2, 1, 0), (1, 3, 1), (0, 1, 2), (-1, 0, 1), (1, 1, -1),
+         (0, 0, 2)],
+        [(0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+         (0, 0, 0, 1), (0, 0, 1, 1), (-1, 1, 0, -1)],
+    ],
+    ids=["pentagon", "hull-3d", "hull-4d"],
+)
+def test_line_sweep_handles_every_sign_of_the_last_normal_entry(points):
+    poly = build_polytope(points)
+    assert {(a[-1] > 0) - (a[-1] < 0) for a, _ in poly.facets} == {-1, 0, 1}
+    m = poly.ambient_dim
+    phi = MultiPoly(m, {(0,) * m: F(-2, 3), (1,) + (0,) * (m - 2) + (2,): F(5, 4),
+                        (0,) * (m - 1) + (1,): F(-7)})
+    for n in range(1, 5):
+        assert riemann_sum(poly, phi, n) == box_riemann_sum(poly, phi, n)
+
+
 def test_riemann_sum_budget():
     p = build_polytope([(0,), (100,)])
     one = MultiPoly.const(1, F(1))
@@ -64,6 +122,30 @@ def test_non_positive_budget_is_invalid_not_exceeded(oracle, budget):
     with pytest.raises(ValueError, match="budget must be positive") as err:
         oracle(p, MultiPoly.const(2, F(1)), budget)
     assert not isinstance(err.value, BudgetExceeded)
+
+
+INVARIANT_SCRIPT = """
+import sys
+from fractions import Fraction
+from emsum import oracle
+from emsum.exactcore import MultiPoly
+from emsum.geometry import build_polytope
+
+if not sys.flags.optimize:
+    raise SystemExit("expected to run under python -O")
+oracle.solve_unique = lambda matrix, rhs: None
+try:
+    oracle.weighted_ehrhart(build_polytope([(0,), (1,)]),
+                            MultiPoly.const(1, Fraction(1)))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_vandermonde_invariant_fires_under_optimize():
+    proc = run_optimized(INVARIANT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "Vandermonde systems are invertible"
 
 
 def test_ehrhart_cube():

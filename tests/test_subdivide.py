@@ -1,13 +1,9 @@
 """Tests for signed unimodular subdivisions and pointed-cone operators."""
 
 import math
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction as F
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,7 +32,8 @@ from emsum.subdivide import (
     unimodularize,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
+from _helpers import run_optimized
+
 
 SQUARE_CONE = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
 
@@ -405,17 +402,7 @@ except AssertionError as exc:
 )
 def test_stellar_invariants_fire_under_optimize(gens, message):
     # with every index reported as 2, the refinement cannot make progress
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", INVARIANT_SCRIPT.format(gens=gens)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_optimized(INVARIANT_SCRIPT.format(gens=gens))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == message
 
