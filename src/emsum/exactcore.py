@@ -422,22 +422,6 @@ def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
     return _hnf_columns(int_cols)
 
 
-def lattice_basis_rational(vectors: Sequence[Sequence[Fraction]]) -> list:
-    """Basis of the (rank-d) subgroup of Q^m generated by rational vectors.
-
-    Scales to integers, takes the Hermite basis, and scales back, so the
-    result generates exactly the same group.
-    """
-    vecs = [as_vector(v) for v in vectors]
-    vecs = [v for v in vecs if not vec_is_zero(v)]
-    if not vecs:
-        raise ValueError("empty generating set")
-    denom = math.lcm(*[x.denominator for v in vecs for x in v])
-    int_vecs = [[int(x * denom) for x in v] for v in vecs]
-    basis = _hnf_columns(int_vecs)
-    return [tuple(Fraction(x, denom) for x in b) for b in basis]
-
-
 def primitive_vector(v: Sequence[ScalarLike]) -> tuple:
     """The primitive integer vector on the ray through v (v must be rational
     and nonzero)."""

@@ -1,7 +1,7 @@
-"""Lattice polytopes: exact convex hulls, face lattices, tangent and
-transverse cones, Delzant tests, and exact integration of polynomials over
-faces against their lattice measure, through one pulling triangulation per
-face that each polytope builds once and keeps.
+"""Lattice polytopes: exact hulls, face lattices, tangent cones, transverse
+cones in integer quotient coordinates, Delzant tests, and exact integration
+of polynomials over faces against their lattice measure, through one
+pulling triangulation per face that each polytope builds once and keeps.
 
 Everything is computed in exact rational arithmetic over Z^m / Q^m with
 m small (desk scale; the facet enumeration is a brute-force scan over
@@ -24,13 +24,15 @@ from .exactcore import (
     det,
     hnf_lattice_basis,
     identity_matrix,
-    lattice_basis_rational,
+    is_spd,
+    mat_mul,
     mat_vec,
+    matrix_inverse,
     matrix_rank,
     nullspace_basis,
-    orth_project,
     primitive_vector,
     saturation_basis,
+    smith_normal_form,
     solve_unique,
     transpose,
     vdot,
@@ -164,11 +166,11 @@ class Face:
 
 @dataclass(frozen=True)
 class PointedConeT:
-    """A transverse cone, written in coordinates of its own lattice.
+    """A transverse cone, in integer coordinates of its quotient lattice.
 
-    `basis` holds rational ambient vectors B_1..B_d generating the projected
-    lattice; `gens` are the primitive generator coordinate vectors in that
-    basis (integers); `qmat` is the induced inner product B^T Q B.
+    `basis` holds rational vectors B_1..B_d of the Q-orthocomplement of
+    L(f) generating the projected lattice; `gens` are the primitive integer
+    generator coordinate vectors in that basis; `qmat` is B^T Q B.
     """
 
     dim: int
@@ -328,9 +330,8 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
         reduced = []
         for p in pts:
             y = solve_unique(bmat, vsub(as_vector(p), as_vector(origin)))
-            assert y is not None and all(c.denominator == 1 for c in y), (
-                "saturated basis must give integer coordinates"
-            )
+            if y is None or any(c.denominator != 1 for c in y):
+                raise AssertionError("saturated basis must give integer coordinates")
             reduced.append(tuple(int(c) for c in y))
         inner = build_polytope(reduced)
         return LatticePolytope(
@@ -398,8 +399,8 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
         for i, (d, vids, ref, lin, fid) in enumerate(faces)
     )
 
-    euler = sum((-1) ** f.dim for f in face_objs)
-    assert euler == 1, "face lattice must satisfy the Euler relation"
+    if sum((-1) ** f.dim for f in face_objs) != 1:
+        raise AssertionError("face lattice must satisfy the Euler relation")
 
     return LatticePolytope(vertices, tuple(facets), face_objs)
 
@@ -436,46 +437,38 @@ def tangent_cone(poly: LatticePolytope, face: Face) -> tuple:
 
 def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedConeT:
     """The transverse cone of a face: the tangent cone modulo the face
-    direction space, realized on the Q-orthocomplement of L(f) with the
-    projected lattice.
+    direction space L(f), in integer coordinates of the quotient lattice
+    Z^m / (Z^m cap L(f)).
 
-    The projected lattice is the image of Z^m under the Q-orthogonal
-    projection (in general finer than the intersection with Z^m); the
-    generators are returned as primitive integer vectors in its basis.
+    One Smith normal form U L V = D of the saturated m x k lineality
+    matrix L gives them: the last d = m - k rows R of U map Z^m onto Z^d
+    with kernel Z^m cap L(f), so the generators are the primitive
+    nonzero vectors R g over the tangent generators g.  The induced inner
+    product is G = (R Q^-1 R^T)^-1, and B = Q^-1 R^T G is the unique
+    basis of the Q-orthocomplement of L(f) with R B = I; it spans the
+    image of Z^m under the Q-orthogonal projection, and B^T Q B = G.  A
+    vertex gets R = I, hence its ambient coordinates and Q itself.
     """
     m = poly.ambient_dim
     qmat = identity_matrix(m) if qmat is None else as_matrix(qmat)
     if face.dim == poly.dim:
         return PointedConeT(dim=0, gens=(), basis=(), qmat=())
-    proj = orth_project(qmat, [as_vector(b) for b in face.lineality_basis])
-    images = [mat_vec(proj, as_vector(e)) for e in identity_matrix(m)]
-    basis = lattice_basis_rational([v for v in images if any(v)])
-    d = poly.dim - face.dim
-    assert len(basis) == d, "projected lattice rank must be the codimension"
-    bmat = as_matrix(transpose(basis))
-    gens, lineality = tangent_cone(poly, face)
-    coord_gens = []
-    for g in gens:
-        img = mat_vec(proj, as_vector(g))
-        if not any(img):
-            continue
-        y = solve_unique(bmat, img)
-        assert y is not None and all(c.denominator == 1 for c in y), (
-            "projected generators must be lattice points"
-        )
-        cg = primitive_vector(y)
-        if cg not in coord_gens:
-            coord_gens.append(cg)
-    coord_gens.sort()
-    assert cone_is_pointed(coord_gens), "transverse cones are pointed"
-    qd = tuple(
-        tuple(vdot(bi, mat_vec(qmat, bj)) for bj in basis) for bi in basis
-    )
+    if not is_spd(qmat):
+        raise ValueError("inner product matrix must be symmetric positive definite")
+    lin = face.lineality_basis
+    u, _, _ = smith_normal_form([[b[i] for b in lin] for i in range(m)])
+    rows = u[len(lin):]
+    gens, _ = tangent_cone(poly, face)
+    images = (mat_vec(rows, g) for g in gens)
+    coord_gens = sorted({primitive_vector(y) for y in images if any(y)})
+    qinv = matrix_inverse(qmat)
+    qinv_rt = [mat_vec(qinv, r) for r in rows]  # the columns of Q^-1 R^T
+    gram = matrix_inverse([[vdot(r, c) for c in qinv_rt] for r in rows])
     return PointedConeT(
-        dim=d,
+        dim=len(rows),
         gens=tuple(coord_gens),
-        basis=tuple(basis),
-        qmat=qd,
+        basis=mat_mul(gram, qinv_rt),  # rows B_j, as G is symmetric
+        qmat=gram,
     )
 
 

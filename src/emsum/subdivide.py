@@ -167,6 +167,9 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
+    if matrix_rank([as_vector(g) for g in rays]) == len(rays):
+        # independent rays are pointed and every one of them is extreme
+        return [_cell_key(rays)]
     if not cone_is_pointed(rays):
         raise ValueError("cone is not pointed")
     extreme = [

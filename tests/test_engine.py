@@ -1,5 +1,6 @@
 """Tests for the expansion engine and its closed-form fast paths."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -306,3 +307,71 @@ def test_kept_operators_match_fresh_polytope_under_every_key(monkeypatch):
         seen.add(i)
         assert res.coefficients == fresh[i].coefficients
         assert res.per_face == fresh[i].per_face
+
+
+@pytest.mark.parametrize(
+    "poly, qmat",
+    [
+        (CUBE, None),
+        (SQUARE, [[2, 1], [1, 3]]),
+        (TRIANGLE_NON_DELZANT, None),
+    ],
+    ids=["cube", "square-skew-q", "non-delzant-triangle"],
+)
+def test_expansion_runs_no_linear_program(monkeypatch, poly, qmat):
+    # transverse cones come from a Smith normal form, and simplicial
+    # cones skip the pointedness and extreme-ray programs; a fresh
+    # polytope, because operators kept on a shared one would build nothing
+    calls = _count_calls(monkeypatch, geometry, "simplex_feasible_point")
+    fresh = build_polytope(poly.vertices)
+    expansion(fresh, MultiPoly.const(poly.ambient_dim, F(1)), qmat=qmat)
+    assert calls == []
+
+
+# The totals A_n do not depend on Q, so a transverse cone realized with a
+# wrong induced inner product can still pass every test of totals.  This
+# digest pins every per-face value of the criterion-5 Delzant corpus, the
+# octahedron and the non-Delzant triangle under two inner products, two
+# polynomials and (on the two non-Delzant polytopes) both strategies.
+PER_FACE_CORPUS = {
+    "interval": [(0,), (1,)],
+    "square": SQUARE.vertices,
+    "simplex2": SIMPLEX2.vertices,
+    "trapezoid": TRAPEZOID.vertices,
+    "cube": CUBE.vertices,
+    "simplex3": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    "prism": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1),
+              (0, 1, 1)],
+    "octahedron": OCTAHEDRON.vertices,
+    "triangle": TRIANGLE_NON_DELZANT.vertices,
+}
+PER_FACE_SHA256 = (
+    "fdbc3e67f2cde882b01b09324af5b95a23c1df2829771271b6d232bfc1e1cadb"
+)
+
+
+def test_per_face_values_match_pinned_digest():
+    lines = []
+    for name, vertices in PER_FACE_CORPUS.items():
+        poly = build_polytope(vertices)
+        m = poly.ambient_dim
+        skew = [[2 if i == j else int(abs(i - j) == 1) for j in range(m)]
+                for i in range(m)]
+        phis = {
+            "1": MultiPoly.const(m, F(1)),
+            "x0*x_last": MultiPoly.variable(m, 0) * MultiPoly.variable(m, m - 1),
+        }
+        strategies = (
+            ("default",) if geometry.is_delzant(poly) else subdivide.STRATEGIES
+        )
+        for qname, qmat in (("I", None), ("tridiagonal", skew)):
+            for strategy in strategies:
+                for phiname, phi in phis.items():
+                    res = expansion(poly, phi, qmat=qmat, strategy=strategy)
+                    lines += [
+                        f"{name} {qname} {strategy} {phiname} {n} "
+                        f"{poly.faces[i].vertex_ids} {value}"
+                        for (n, i), value in res.per_face.items()
+                    ]
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    assert digest == PER_FACE_SHA256

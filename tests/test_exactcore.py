@@ -18,7 +18,6 @@ from emsum.exactcore import (
     det,
     hnf_lattice_basis,
     identity_matrix,
-    lattice_basis_rational,
     mat_mul,
     mat_vec,
     matrix_inverse,
@@ -141,11 +140,6 @@ def test_hnf_generates_same_lattice(gens):
             tuple(tuple(row) + (Fraction(x),) for row, x in zip(gmat, b))
         )
         assert len(gens) not in pivots
-
-
-def test_lattice_basis_rational_scales():
-    basis = lattice_basis_rational([(F(1, 2), F(1, 2))])
-    assert basis == [(F(1, 2), F(1, 2))]
 
 
 def test_primitive_vector():

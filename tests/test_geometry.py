@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from emsum.exactcore import MultiPoly, as_matrix, as_vector, identity_matrix
+from emsum.exactcore import (
+    MultiPoly,
+    as_matrix,
+    as_vector,
+    hnf_lattice_basis,
+    identity_matrix,
+    mat_vec,
+    orth_project,
+    primitive_vector,
+    qform,
+    solve_unique,
+    transpose,
+)
 from emsum.geometry import (
     build_polytope,
     cone_is_pointed,
@@ -21,6 +34,8 @@ from emsum.geometry import (
     tangent_cone,
     transverse_cone,
 )
+
+from _helpers import random_spd, run_optimized
 
 F = Fraction
 
@@ -208,6 +223,66 @@ def test_transverse_cone_of_whole_polytope():
     assert t.gens == ()
 
 
+def test_transverse_cone_rejects_non_spd_q():
+    p = build_polytope(SQUARE)
+    edge = p.face_by_vertex_ids(
+        [p.vertices.index((0, 0)), p.vertices.index((1, 0))]
+    )
+    for q in ([[1, 2], [2, 1]], [[2, 1], [0, 2]]):
+        with pytest.raises(
+            ValueError,
+            match="inner product matrix must be symmetric positive definite",
+        ):
+            transverse_cone(p, edge, q)
+
+
+@st.composite
+def hulls_and_inner_products(draw):
+    m = draw(st.integers(2, 3))
+    coord = st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=m + 1,
+                           max_size=m + 3))
+    try:
+        poly = build_polytope(points)
+    except ValueError:
+        assume(False)
+    return poly, random_spd(random.Random(draw(st.integers(0, 10**6))), m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(hulls_and_inner_products())
+def test_transverse_cone_matches_projection_definition(case):
+    # the transverse lattice is the image of Z^m under the Q-orthogonal
+    # projection P onto the complement of L(f), and the generators are the
+    # primitive coordinate vectors of the nonzero projected edge directions
+    poly, q = case
+    for face in poly.faces[:-1]:
+        t = transverse_cone(poly, face, q)
+        d = poly.dim - face.dim
+        lin = [as_vector(b) for b in face.lineality_basis]
+        proj = orth_project(q, lin)
+        bmat = transpose(t.basis)
+
+        def coords(v):
+            y = solve_unique(bmat, mat_vec(proj, as_vector(v)))
+            assert y is not None and all(c.denominator == 1 for c in y)
+            return y
+
+        basis, index = hnf_lattice_basis(
+            [coords(e) for e in identity_matrix(poly.dim)]
+        )
+        assert (t.dim, len(basis), index) == (d, d, 1)
+        assert all(qform(q, b, v) == 0 for b in t.basis for v in lin)
+        assert t.qmat == tuple(
+            tuple(qform(q, bi, bj) for bj in t.basis) for bi in t.basis
+        )
+        gens, _ = tangent_cone(poly, face)
+        projected = (coords(g) for g in gens)
+        assert list(t.gens) == sorted(
+            {primitive_vector(y) for y in projected if any(y)}
+        )
+
+
 def test_transverse_cone_respects_q():
     p = build_polytope(SQUARE)
     edge = p.face_by_vertex_ids(
@@ -366,3 +441,49 @@ def test_random_2d_hulls(pts):
     # total area equals the triangulated area and is positive
     one = MultiPoly.const(2, F(1))
     assert integrate_poly_over_face(p, p.polytope_face, one) > 0
+
+
+# ---------------------------------------------------------------------------
+# hull invariants under python -O
+
+
+INVARIANT_SCRIPT = """
+import sys
+from fractions import Fraction
+from emsum import geometry
+
+if not sys.flags.optimize:
+    raise SystemExit("expected to run under python -O")
+{patch}
+try:
+    geometry.build_polytope({points!r}, affine_hull=True)
+except AssertionError as exc:
+    print(exc)
+"""
+
+# every solve reports half-integer coordinates
+HALF_COORDINATES = (
+    "geometry.solve_unique = lambda mat, rhs: (Fraction(1, 2),) * len(mat[0])"
+)
+# every vertex reported as an edge
+VERTICES_AS_EDGES = """
+real = geometry.Face
+geometry.Face = lambda **kw: real(**dict(kw, dim=kw["dim"] or 1))
+"""
+
+
+@pytest.mark.parametrize(
+    "patch, points, message",
+    [
+        (HALF_COORDINATES, [(0, 0), (1, 1)],
+         "saturated basis must give integer coordinates"),
+        (VERTICES_AS_EDGES, SQUARE,
+         "face lattice must satisfy the Euler relation"),
+    ],
+    ids=["affine-hull-integrality", "euler-relation"],
+)
+def test_hull_invariants_fire_under_optimize(patch, points, message):
+    script = INVARIANT_SCRIPT.format(patch=patch, points=points)
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == message
