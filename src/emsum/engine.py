@@ -5,8 +5,11 @@ N^{-m} sum_{x in P cap Z^m/N} phi(x) has a terminating expansion in 1/N
 whose coefficient A_n is a sum of integrals over the faces of P of
 codimension at most n: each face contributes its transverse cone's
 Berline-Vergne operator, lifted back to the ambient space and applied
-to phi.  The totals are independent of the inner product used to
-realize the quotient spaces; the per-face pieces are not.
+to phi.  No D_n phi is built: each integral is read off the operator's
+symbol, phi's terms and the face's moment table
+(`LatticePolytope.face_moment`), which depends on neither phi, Q nor n.
+The totals are independent of the inner product used to realize the
+quotient spaces; the per-face pieces are not.
 
 Closed-form fast paths cover A_0 and A_1 (any Delzant polytope), A_2
 (Delzant, standard inner product), and every order in dimension two
@@ -99,7 +102,8 @@ def expansion(
     of codimension <= n contributes the integral over the face of its
     lifted transverse-cone operator applied to phi; the polytope itself
     contributes int_P phi to A_0.  Each face's operator is built once per
-    polytope, Q and strategy and lives as long as the polytope object.
+    polytope, Q and strategy, and each face moment once per polytope; both
+    live as long as the polytope object.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -135,7 +139,7 @@ def expansion(
         ops = _face_operator(poly, face, qused, strategy)
         valuation_used = valuation_used or not ops.unimodular
         for n in range(codim, n_max + 1):
-            val = integrate_poly_over_face(poly, face, ops(n).apply(phi))
+            val = _integrate_operator(poly, face, ops(n).symbol, phi)
             per_face[(n, face.index)] = val
             totals[n] += val
     complete = n_max >= poly.dim + phi.degree()
@@ -149,6 +153,20 @@ def expansion(
     )
 
 
+def _integrate_operator(poly: LatticePolytope, face, symbol, phi) -> Fraction:
+    """int_F D phi for the operator D = sum_b s_b d^b: the sum of
+    s_b c_a (a)_b int_F x^(a - b) over phi's terms c_a x^a with a >= b,
+    where (a)_b = prod a_i! / (a_i - b_i)!, off the face's moment table."""
+    total = Fraction(0)
+    for beta, s in symbol.terms.items():
+        for alpha, c in phi.terms.items():
+            rest = tuple(a - b for a, b in zip(alpha, beta))
+            if min(rest) >= 0:
+                falling = math.prod(map(math.perm, alpha, beta))
+                total += s * c * falling * poly.face_moment(face, rest)
+    return total
+
+
 def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
     """n -> the face's transverse-cone operator D_n(C_F; Q) lifted to the
     ambient space, memoized per order and kept in `poly.face_operators`.
@@ -157,9 +175,8 @@ def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
     if key not in poly.face_operators:
         tcone = transverse_cone(poly, face, qmat)
         ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy)
-        assert ops.unimodular or not is_delzant(poly), (
-            "Delzant transverse cones must be unimodular"
-        )
+        if not ops.unimodular and is_delzant(poly):
+            raise AssertionError("Delzant transverse cones must be unimodular")
         images = [
             MultiPoly.linear_form([Fraction(c) for c in b])
             for b in tcone.basis
@@ -180,20 +197,20 @@ def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
 # closed-form fast paths
 
 
-def _require_delzant(poly: LatticePolytope) -> None:
+def _check_closed_form(poly: LatticePolytope, phi: MultiPoly) -> None:
     if not is_delzant(poly):
         raise ValueError("closed form requires a Delzant polytope")
+    if phi.nvars != poly.ambient_dim:
+        raise ValueError(
+            "polynomial must have one variable per ambient coordinate"
+        )
 
 
 def closed_form_A0_A1(poly: LatticePolytope, phi: MultiPoly, qmat=None):
     """(A_0, A_1) for Delzant P: the integral over P and half the sum of
     the lattice-normalized facet integrals.  Both values are independent
     of the inner product."""
-    _require_delzant(poly)
-    if phi.nvars != poly.ambient_dim:
-        raise ValueError(
-            "polynomial must have one variable per ambient coordinate"
-        )
+    _check_closed_form(poly, phi)
     a0 = integrate_poly_over_face(poly, poly.polytope_face, phi)
     a1 = Fraction(0)
     for facet in poly.faces_of_dim(poly.dim - 1):
@@ -205,11 +222,7 @@ def closed_form_A2(poly: LatticePolytope, phi: MultiPoly, qmat=None):
     """A_2 for Delzant P in the standard inner product: a facet term with
     the primitive inward normals and a codimension-two term from the
     two-dimensional transverse operators."""
-    _require_delzant(poly)
-    if phi.nvars != poly.ambient_dim:
-        raise ValueError(
-            "polynomial must have one variable per ambient coordinate"
-        )
+    _check_closed_form(poly, phi)
     if qmat is not None:
         q = as_matrix(qmat)
         if q != identity_matrix(poly.ambient_dim):
@@ -220,9 +233,8 @@ def closed_form_A2(poly: LatticePolytope, phi: MultiPoly, qmat=None):
         val = integrate_poly_over_face(poly, facet, phi.directional_deriv(alpha))
         total -= Fraction(1, 12) * val / vdot(alpha, alpha)
     for ridge in poly.faces_of_dim(poly.dim - 2):
-        assert len(ridge.facet_ids) == 2, (
-            "Delzant polytopes are simple"
-        )
+        if len(ridge.facet_ids) != 2:
+            raise AssertionError("Delzant polytopes are simple")
         a1 = as_vector(poly.facets[ridge.facet_ids[0]][0])
         a2 = as_vector(poly.facets[ridge.facet_ids[1]][0])
         cross = vdot(a1, a2)
@@ -245,11 +257,7 @@ def closed_form_2d(
     two-dimensional vertex operators."""
     if poly.dim != 2:
         raise ValueError("closed form requires a two-dimensional polytope")
-    _require_delzant(poly)
-    if phi.nvars != 2:
-        raise ValueError(
-            "polynomial must have one variable per ambient coordinate"
-        )
+    _check_closed_form(poly, phi)
     if n < 2:
         raise ValueError("closed form applies to order two and higher")
     qmat = identity_matrix(2) if qmat is None else as_matrix(qmat)
@@ -267,10 +275,12 @@ def closed_form_2d(
             e1 = as_vector(edge.lineality_basis[0])
             dirs, _ = tangent_cone(poly, edge)
             trans = [d for d in dirs if not _is_parallel(d, e1)]
-            assert len(trans) == 1, "an edge of a polygon has one inward edge"
+            if len(trans) != 1:
+                raise AssertionError("an edge of a polygon has one inward edge")
             e2 = as_vector(trans[0])
             normal = nullspace_basis([mat_vec(qmat, e1)])
-            assert len(normal) == 1
+            if len(normal) != 1:
+                raise AssertionError
             alpha = as_vector(primitive_vector(normal[0]))
             if _inner(qmat, alpha, e2) < 0:
                 alpha = vscale(Fraction(-1), alpha)
@@ -285,30 +295,26 @@ def closed_form_2d(
     # Vertex terms, evaluated at the vertex itself.
     for vert in poly.faces_of_dim(0):
         dirs, _ = tangent_cone(poly, vert)
-        assert len(dirs) == 2
+        if len(dirs) != 2:
+            raise AssertionError
         e1, e2 = as_vector(dirs[0]), as_vector(dirs[1])
         c1 = _inner(qmat, e1, e2) / _inner(qmat, e2, e2)
         c2 = _inner(qmat, e1, e2) / _inner(qmat, e1, e1)
         u1 = vsub(e1, vscale(c1, e2))
         u2 = vsub(e2, vscale(c2, e1))
-        lf = {
-            "e1": MultiPoly.linear_form(e1),
-            "e2": MultiPoly.linear_form(e2),
-            "u1": MultiPoly.linear_form(u1),
-            "u2": MultiPoly.linear_form(u2),
-        }
+        l1, l2, m1, m2 = map(MultiPoly.linear_form, (e1, e2, u1, u2))
         sym = MultiPoly.zero(2)
         for k in range(1, n):
             c = bern[k] * bern[n - k] / Fraction(
                 math.factorial(k) * math.factorial(n - k)
             )
             if c:
-                sym = sym + lf["e1"] ** (k - 1) * lf["e2"] ** (n - 1 - k) * c
+                sym = sym + l1 ** (k - 1) * l2 ** (n - 1 - k) * c
         if bern[n]:
             bn = bern[n] / Fraction(math.factorial(n))
             for s in range(n - 1):
-                sym = sym + lf["u1"] ** s * lf["e1"] ** (n - 2 - s) * (bn * c1)
-                sym = sym + lf["u2"] ** s * lf["e2"] ** (n - 2 - s) * (bn * c2)
+                sym = sym + m1 ** s * l1 ** (n - 2 - s) * (bn * c1)
+                sym = sym + m2 ** s * l2 ** (n - 2 - s) * (bn * c2)
         value = DiffOp(2, n - 2, sym).apply(phi)
         total += value.eval(as_vector(vert.ref_vertex))
     return total

@@ -195,8 +195,9 @@ class LatticePolytope:
     normal and integer offset, so P = {x : <alpha, x> >= c for all facets}.
     Faces are sorted by (dim, vertex_ids); the polytope itself is the last
     face.  `face_operators` keeps the lifted transverse-cone operators that
-    `engine.expansion` builds, keyed by (face index, Q, strategy), for as
-    long as the polytope lives.
+    `engine.expansion` builds, keyed by (face index, Q, strategy), and
+    `face_moment` keeps the moments int_F x^e of each face, keyed by (face
+    index, e), for as long as the polytope lives.
     """
 
     def __init__(self, vertices, facets, faces, affine_data=None):
@@ -207,6 +208,7 @@ class LatticePolytope:
         self.faces = faces
         self.affine_data = affine_data
         self._simplices: dict = {}
+        self._moments: dict = {}
         self.face_operators: dict = {}
 
     def contains(self, point: Sequence[Fraction], dilation: int = 1) -> bool:
@@ -247,6 +249,32 @@ class LatticePolytope:
                 out.append((base, edges, hnf_lattice_basis(edges)[1]))
             self._simplices[face.index] = tuple(out)
         return self._simplices[face.index]
+
+    def face_moment(self, face: Face, exps: tuple) -> Fraction:
+        """The moment int_F x^exps against the face's lattice measure,
+        computed once per (face, exponent tuple): each simplex
+        x = base + E z of `face_simplices` contributes its lattice volume
+        times the integral of (base + E z)^exps over the standard k-simplex,
+        where int z^a = a! / (|a| + k)!.  A vertex v is its own simplex,
+        with no edges and volume 1, so it gives v^exps.
+        """
+        key = (face.index, exps)
+        if key not in self._moments:
+            value = F(0)
+            simplices = (
+                self.face_simplices(face) if face.dim else ((face.ref_vertex, (), 1),)
+            )
+            for base, edges, volume in simplices:
+                images = [
+                    MultiPoly.linear_form([e[i] for e in edges]) + base[i]
+                    for i in range(self.ambient_dim)
+                ]
+                image = MultiPoly.monomial(exps).compose(images)
+                for a, coeff in image.terms.items():
+                    num = volume * math.prod(map(math.factorial, a))
+                    value += coeff * F(num, math.factorial(sum(a) + face.dim))
+            self._moments[key] = value
+        return self._moments[key]
 
     def __repr__(self) -> str:
         return (
@@ -523,29 +551,16 @@ def integrate_poly_over_face(poly: LatticePolytope, face: Face, phi: MultiPoly) 
     """Integral of phi over a face against the lattice measure of the face.
 
     The lattice measure is the Lebesgue measure on the face's affine hull
-    that gives a fundamental domain of its saturated lattice volume 1 (faces
-    of dimension 0 just evaluate phi).  Each simplex x = base + E z of the
-    face's triangulation, built once per polytope by `face_simplices`,
-    contributes its lattice volume times the integral of phi(base + E z)
-    over the standard simplex, where int z^a = a! / (|a| + k)!.
+    that gives a fundamental domain of its saturated lattice volume 1 (a
+    vertex carries the unit point mass).  The integral is
+    sum_a c_a int_F x^a over the terms c_a x^a of phi, each moment read
+    from the polytope's table (`LatticePolytope.face_moment`).
     """
     if phi.nvars != poly.ambient_dim:
         raise ValueError("dimension mismatch")
-    if face.dim == 0:
-        return phi.eval(as_vector(face.ref_vertex))
-    k = face.dim
-    total = F(0)
-    for base, edges, volume in poly.face_simplices(face):
-        images = [
-            MultiPoly.linear_form([e[i] for e in edges]) + base[i]
-            for i in range(poly.ambient_dim)
-        ]
-        part = F(0)
-        for exps, coeff in phi.compose(images).terms.items():
-            num = math.prod(math.factorial(e) for e in exps)
-            part += coeff * F(num, math.factorial(sum(exps) + k))
-        total += volume * part
-    return total
+    return sum(
+        (c * poly.face_moment(face, a) for a, c in phi.terms.items()), F(0)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -246,16 +246,23 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
     decreases the index of every cell it touches, which bounds the
     number of steps.  Every cell's lattice data (`_cell_lattice`: index,
     coordinates and box from one Smith normal form) is computed once and
-    kept for the rest of the call.
+    kept for the rest of the call; `cone_operator` hands the final cells'
+    data on to the inclusion-exclusion pass.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
+    return list(_unimodular_fan(cone_or_cells, strategy))
+
+
+def _unimodular_fan(cone_or_cells, strategy: str) -> dict:
+    """`unimodularize`'s maximal cells in sorted order, each mapped to its
+    `_cell_lattice`."""
     work = set(_simplicial_cells(cone_or_cells))
     lattice = {cell: _cell_lattice(cell) for cell in work}
     while True:
         worst = max(sorted(work), key=lambda cell: lattice[cell].index)
         if lattice[worst].index == 1:
-            return sorted(work)
+            return {cell: lattice[cell] for cell in sorted(work)}
         w = _stellar_point(lattice[worst], strategy)
         refined = set()
         for cell in work:
@@ -305,12 +312,14 @@ def signed_coefficients(cells) -> list:
     where p's coordinates t are non-negative, because a cell's rays are
     independent.
     """
-    return _signed_faces(_simplicial_cells(cells))
+    maximal = _simplicial_cells(cells)
+    return _signed_faces({cell: _cell_lattice(cell) for cell in maximal})
 
 
-def _signed_faces(maximal: list) -> list:
+def _signed_faces(maximal: dict) -> list:
     """`signed_coefficients` on cells already normalized by
-    `_simplicial_cells` or built by `unimodularize`."""
+    `_simplicial_cells` or built by `_unimodular_fan`, each mapped to its
+    `_cell_lattice`."""
     faces = sorted(
         {tau for sigma in maximal for tau in _subsets(sigma)},
         key=lambda c: (-len(c), c),
@@ -332,11 +341,10 @@ def _signed_faces(maximal: list) -> list:
         )
         for sigma in maximal
     ]
-    charts = [(sigma, _cell_lattice(sigma).coords) for sigma in maximal]
     for p in samples:
         covering = set()
-        for sigma, coords in charts:
-            t = coords(p)
+        for sigma, lattice in maximal.items():
+            t = lattice.coords(p)
             if t is None or min(t) < 0:
                 continue
             support = tuple(g for g, ti in zip(sigma, t) if ti)
@@ -375,7 +383,7 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     if unimodular:
         signed = [SignedCell(gens=tuple(rays), coeff=1)]
     else:
-        fan = unimodularize(triangulate_cone(rays, strategy=strategy), strategy)
+        fan = _unimodular_fan(triangulate_cone(rays, strategy=strategy), strategy)
         signed = _signed_faces(fan)
     cells = [
         (Fraction(c.coeff), UniCone(list(c.gens), qmat=qmat) if c.dim else None)

@@ -1,12 +1,15 @@
 """Shared constructions for the test suite."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+from emsum.exactcore import MultiPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -54,6 +57,26 @@ def box_riemann_sum(poly, phi, n: int) -> Fraction:
         if poly.contains(gamma, dilation=n):
             total += phi.eval(tuple(Fraction(g, n) for g in gamma))
     return total / Fraction(n) ** poly.dim
+
+
+def compose_integral(poly, face, phi) -> Fraction:
+    """int_F phi by composing all of phi with the affine map x = base + E z
+    of each simplex of the face's triangulation and integrating over the
+    standard k-simplex, int z^a = a! / (|a| + k)!, times the simplex's
+    lattice volume; a vertex evaluates phi.  The reference that
+    integration through the polytope's moment table must match exactly."""
+    if face.dim == 0:
+        return phi.eval(face.ref_vertex)
+    total = Fraction(0)
+    for base, edges, volume in poly.face_simplices(face):
+        images = [
+            MultiPoly.linear_form([e[i] for e in edges]) + base[i]
+            for i in range(poly.ambient_dim)
+        ]
+        for exps, coeff in phi.compose(images).terms.items():
+            num = volume * math.prod(map(math.factorial, exps))
+            total += coeff * Fraction(num, math.factorial(sum(exps) + face.dim))
+    return total
 
 
 def run_optimized(script: str) -> subprocess.CompletedProcess:

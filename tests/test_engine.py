@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from emsum import engine, geometry, subdivide
-from emsum.conecalc import UniCone
+from emsum.conecalc import DiffOp, UniCone
 from emsum.engine import (
     ExpansionResult,
     closed_form_2d,
@@ -15,8 +15,10 @@ from emsum.engine import (
     expansion,
 )
 from emsum.exactcore import MultiPoly
-from emsum.geometry import build_polytope
+from emsum.geometry import build_polytope, integrate_poly_over_face
 from emsum.oracle import coefficients_from_oracle, riemann_sum
+
+from _helpers import run_optimized
 
 ONE2 = MultiPoly.const(2, F(1))
 ONE3 = MultiPoly.const(3, F(1))
@@ -375,3 +377,79 @@ def test_per_face_values_match_pinned_digest():
                     ]
     digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
     assert digest == PER_FACE_SHA256
+
+
+def _mixed_phi(m: int) -> MultiPoly:
+    x = [MultiPoly.variable(m, i) for i in range(m)]
+    return F(-3, 2) * x[0] ** 2 * x[-1] + F(5, 7) * x[1] - x[0] + F(1, 3)
+
+
+@pytest.mark.parametrize("strategy", subdivide.STRATEGIES)
+@pytest.mark.parametrize(
+    "vertices", [OCTAHEDRON.vertices, CUBE.vertices], ids=["octahedron", "cube"]
+)
+def test_per_face_values_equal_integrals_of_applied_operators(vertices, strategy):
+    # reading int_F D_n phi off the moment table gives the integral of the
+    # polynomial D_n phi, face by face and order by order
+    poly = build_polytope(vertices)
+    phi = _mixed_phi(3)
+    res = expansion(poly, phi, qmat=TRIDIAGONAL3, strategy=strategy)
+    assert len(res.per_face) == 1 + sum(
+        res.n_max + 1 - (poly.dim - f.dim) for f in poly.faces[:-1]
+    )
+    for (n, i), value in res.per_face.items():
+        face = poly.faces[i]
+        if face.dim == poly.dim:
+            integrand = phi
+        else:
+            ops = engine._face_operator(poly, face, res.qmat, strategy)
+            integrand = ops(n).apply(phi)
+        assert value == integrate_poly_over_face(poly, face, integrand)
+
+
+def test_repeat_expansion_composes_no_polynomial(monkeypatch):
+    # operators and face moments live on the polytope, so asking again,
+    # or for a multiple of phi, needs no moment that is not in the table
+    octahedron = build_polytope(OCTAHEDRON.vertices)
+    phi = _mixed_phi(3)
+    composes = _count_calls(monkeypatch, MultiPoly, "compose")
+    applies = _count_calls(monkeypatch, DiffOp, "apply")
+    first = expansion(octahedron, phi, qmat=TRIDIAGONAL3)
+    assert composes and not applies
+    for again in (phi, phi * F(-2, 9)):
+        composes.clear()
+        res = expansion(octahedron, again, qmat=TRIDIAGONAL3)
+        assert composes == [] and applies == []
+    assert res.coefficients == tuple(c * F(-2, 9) for c in first.coefficients)
+
+
+FACE_OPERATOR_INVARIANT_SCRIPT = """
+import sys
+from emsum import engine
+from emsum.exactcore import MultiPoly
+from emsum.geometry import build_polytope
+
+if not sys.flags.optimize:
+    raise SystemExit("expected to run under python -O")
+real = engine.cone_operator
+
+
+def reported_non_unimodular(*args, **kwargs):
+    ops = real(*args, **kwargs)
+    ops.unimodular = False
+    return ops
+
+
+engine.cone_operator = reported_non_unimodular
+square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+try:
+    engine.expansion(square, MultiPoly.const(2, 1))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+def test_face_operator_invariant_fires_under_optimize():
+    proc = run_optimized(FACE_OPERATOR_INVARIANT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "Delzant transverse cones must be unimodular"

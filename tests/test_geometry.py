@@ -35,7 +35,7 @@ from emsum.geometry import (
     transverse_cone,
 )
 
-from _helpers import random_spd, run_optimized
+from _helpers import compose_integral, random_spd, run_optimized
 
 F = Fraction
 
@@ -389,6 +389,38 @@ def test_face_integral_matches_its_affine_hull_polytope(points):
         assert integrate_poly_over_face(p, face, phi) == (
             integrate_poly_over_face(sub, sub.polytope_face, pulled)
         )
+
+
+@st.composite
+def hulls_and_polynomials(draw):
+    m = draw(st.integers(1, 3))
+    coord = st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=m + 1,
+                           max_size=m + 3))
+    try:
+        poly = build_polytope(points)
+    except ValueError:
+        assume(False)
+    coeff = st.builds(
+        Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5)
+    )
+    exps = st.tuples(*[st.integers(0, 3)] * m).filter(lambda e: sum(e) <= 3)
+    terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=5))
+    return poly, MultiPoly(m, terms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hulls_and_polynomials())
+def test_moment_table_integration_matches_compose_reference(case):
+    # integration through the polytope's moment table equals composing
+    # all of phi with each simplex's parametrization, on every face, and
+    # asking again reads the same values back from the table
+    poly, phi = case
+    expected = [compose_integral(poly, face, phi) for face in poly.faces]
+    for _ in range(2):
+        assert [
+            integrate_poly_over_face(poly, face, phi) for face in poly.faces
+        ] == expected
 
 
 # ---------------------------------------------------------------------------

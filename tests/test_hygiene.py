@@ -195,3 +195,17 @@ def test_riemann_sum_shares_no_code_with_the_engine():
                     todo.append(node.id)
     assert "_power_sum" in reached
     assert named == [], f"riemann_sum reaches engine code: {named}"
+
+
+def test_invariant_modules_have_no_assert_statement():
+    # python -O strips assert statements, so invariants in these modules
+    # raise explicitly instead
+    found = [
+        f"{name}.py:{node.lineno}"
+        for name in ("geometry", "oracle", "subdivide", "engine")
+        for node in ast.walk(
+            ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        )
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], f"assert statements that python -O strips: {found}"

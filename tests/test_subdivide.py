@@ -158,6 +158,22 @@ def test_unimodularize_one_smith_form_per_cell(monkeypatch):
     assert len(calls) == len(set(calls)) >= len(fan)
 
 
+def test_cone_operator_one_smith_form_per_fan_cell(monkeypatch):
+    # one for the unimodularity check and one per cell that the stellar
+    # refinement meets; the inclusion-exclusion pass reuses the final
+    # cells' data instead of recomputing it
+    calls = []
+    real = subdivide.smith_normal_form
+
+    def counting(mat):
+        calls.append(tuple(map(tuple, mat)))
+        return real(mat)
+
+    monkeypatch.setattr(subdivide, "smith_normal_form", counting)
+    cone_operator(index_cone(15))
+    assert len(calls) <= 55
+
+
 @st.composite
 def simplicial_cells(draw):
     m = draw(st.integers(1, 4))
