@@ -266,9 +266,8 @@ def J_mu(mu, labels: Optional[Sequence] = None) -> MultiPoly:
             },
         )
         out = out * factor
-    assert out.is_zero() or out.degree() <= mu.total() // 2, (
-        "J_mu must have degree at most [|mu|/2]"
-    )
+    if not out.is_zero() and out.degree() > mu.total() // 2:
+        raise AssertionError("J_mu must have degree at most [|mu|/2]")
     return out
 
 

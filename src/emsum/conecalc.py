@@ -158,7 +158,8 @@ def deco(cone: UniCone, labels: Iterable[int]) -> Deco:
         if comp:
             rhs = [qform(cone.qmat, cone.gens[e], cone.gens[w]) for w in comp]
             sol = solve_unique(gram, rhs)
-            assert sol is not None
+            if sol is None:
+                raise AssertionError
             vec = cone.gens[e]
             for c, v in zip(sol, comp):
                 coeff[(e, v)] = c

@@ -127,6 +127,7 @@ def expansion(
     totals = [Fraction(0)] * (n_max + 1)
     per_face = {}
     valuation_used = False
+    operators = poly.face_operators.setdefault((qused, strategy), {})
     for face in poly.faces:
         codim = poly.dim - face.dim
         if codim == 0:
@@ -136,7 +137,9 @@ def expansion(
             continue
         if codim > n_max:
             continue
-        ops = _face_operator(poly, face, qused, strategy)
+        if face.index not in operators:
+            operators[face.index] = _face_operator(poly, face, qused, strategy)
+        ops = operators[face.index]
         valuation_used = valuation_used or not ops.unimodular
         for n in range(codim, n_max + 1):
             val = _integrate_operator(poly, face, ops(n).symbol, phi)
@@ -169,28 +172,24 @@ def _integrate_operator(poly: LatticePolytope, face, symbol, phi) -> Fraction:
 
 def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
     """n -> the face's transverse-cone operator D_n(C_F; Q) lifted to the
-    ambient space, memoized per order and kept in `poly.face_operators`.
-    Its `unimodular` attribute tells whether the transverse cone was."""
-    key = (face.index, qmat, strategy)
-    if key not in poly.face_operators:
-        tcone = transverse_cone(poly, face, qmat)
-        ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy)
-        if not ops.unimodular and is_delzant(poly):
-            raise AssertionError("Delzant transverse cones must be unimodular")
-        images = [
-            MultiPoly.linear_form([Fraction(c) for c in b])
-            for b in tcone.basis
-        ]
-        m = poly.ambient_dim
+    ambient space, memoized per order.  Its `unimodular` attribute tells
+    whether the transverse cone was."""
+    tcone = transverse_cone(poly, face, qmat)
+    ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy)
+    if not ops.unimodular and is_delzant(poly):
+        raise AssertionError("Delzant transverse cones must be unimodular")
+    images = [
+        MultiPoly.linear_form([Fraction(c) for c in b]) for b in tcone.basis
+    ]
+    m = poly.ambient_dim
 
-        @functools.cache
-        def lifted(n: int) -> DiffOp:
-            op = ops(n)
-            return DiffOp(m, op.order, op.symbol.compose(images))
+    @functools.cache
+    def lifted(n: int) -> DiffOp:
+        op = ops(n)
+        return DiffOp(m, op.order, op.symbol.compose(images))
 
-        lifted.unimodular = ops.unimodular
-        poly.face_operators[key] = lifted
-    return poly.face_operators[key]
+    lifted.unimodular = ops.unimodular
+    return lifted
 
 
 # ---------------------------------------------------------------------------

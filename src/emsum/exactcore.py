@@ -243,7 +243,8 @@ def orth_project(qmat: Sequence[Sequence[Fraction]], basis: Sequence[Sequence[Fr
         tuple(identity_matrix(m)[i][j] - correction[i][j] for j in range(m))
         for i in range(m)
     )
-    assert mat_mul(proj, proj) == proj, "projector must be idempotent"
+    if mat_mul(proj, proj) != proj:
+        raise AssertionError("projector must be idempotent")
     return proj
 
 
@@ -300,7 +301,8 @@ def _hnf_columns(cols: list) -> list:
                     cols[j] = [a - f * b for a, b in zip(cols[j], cols[lead])]
             lead += 1
     for j in range(lead, len(cols)):
-        assert all(a == 0 for a in cols[j]), "non-pivot columns must vanish"
+        if any(cols[j]):
+            raise AssertionError("non-pivot columns must vanish")
     return [tuple(c) for c in cols[:lead]]
 
 
@@ -418,7 +420,8 @@ def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
     uinv = matrix_inverse(as_matrix(u))
     cols = [tuple(uinv[i][j] for i in range(len(uinv))) for j in range(r)]
     int_cols = [[int(x) for x in c] for c in cols]
-    assert all(x.denominator == 1 for c in cols for x in c), "U is unimodular"
+    if any(x.denominator != 1 for c in cols for x in c):
+        raise AssertionError("U is unimodular")
     return _hnf_columns(int_cols)
 
 
@@ -837,7 +840,10 @@ def cyclotomic_polynomial(q: int) -> tuple:
         if q % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     quot, rem = _poly_divmod(num, den)
-    assert not rem, "x^q - 1 is divisible by the product of lower cyclotomics"
+    if rem:
+        raise AssertionError(
+            "x^q - 1 is divisible by the product of lower cyclotomics"
+        )
     return tuple(quot)
 
 

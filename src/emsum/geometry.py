@@ -3,10 +3,10 @@ cones in integer quotient coordinates, Delzant tests, and exact integration
 of polynomials over faces against their lattice measure, through one
 pulling triangulation per face that each polytope builds once and keeps.
 
-Everything is computed in exact rational arithmetic over Z^m / Q^m with
-m small (desk scale; the facet enumeration is a brute-force scan over
-m-subsets of the input points, which is fine for the handful-of-vertices
-polytopes this package targets).
+Everything is computed in exact rational arithmetic over Z^m / Q^m.  The
+facets of a hull are those of the cone over {(1, p)}, found by one integer
+double-description routine (`_cone_facets`) that also gives
+`subdivide.triangulate_cone` the facets of the cones it slices.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .exactcore import (
     mat_vec,
     matrix_inverse,
     matrix_rank,
-    nullspace_basis,
     primitive_vector,
     saturation_basis,
     smith_normal_form,
@@ -40,112 +39,6 @@ from .exactcore import (
 )
 
 F = Fraction
-
-
-# ---------------------------------------------------------------------------
-# exact linear programming (phase-1 simplex, Bland's rule)
-
-
-def simplex_feasible_point(amat: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
-    """Find x >= 0 with amat @ x = b, or None if the system is infeasible.
-
-    Phase-1 simplex with Bland's pivoting rule, which cannot cycle, over
-    exact rationals.
-    """
-    amat = [list(row) for row in as_matrix(amat)] if amat else []
-    b = list(as_vector(b))
-    nrows = len(amat)
-    ncols = len(amat[0]) if amat else 0
-    # normalize to b >= 0 so the artificial basis is feasible
-    for i in range(nrows):
-        if b[i] < 0:
-            amat[i] = [-x for x in amat[i]]
-            b[i] = -b[i]
-    # tableau columns: original variables, then artificials
-    tab = [amat[i] + [F(1) if j == i else F(0) for j in range(nrows)] + [b[i]]
-           for i in range(nrows)]
-    basis = [ncols + i for i in range(nrows)]
-    # objective: minimize sum of artificials; reduced cost row relative to
-    # the artificial basis
-    cost = [F(0)] * ncols + [F(1)] * nrows + [F(0)]
-    for i in range(nrows):
-        cost = [c - t for c, t in zip(cost, tab[i])]
-    while True:
-        enter = next(
-            (j for j in range(ncols + nrows) if cost[j] < 0),
-            None,
-        )
-        if enter is None:
-            break
-        ratios = [
-            (tab[i][-1] / tab[i][enter], basis[i], i)
-            for i in range(nrows)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
-            return None  # unbounded; cannot happen for a phase-1 objective
-        _, _, leave = min(ratios)
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(nrows):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
-        basis[leave] = enter
-    objective = -cost[-1]
-    if objective != 0:
-        return None
-    x = [F(0)] * ncols
-    for i, var in enumerate(basis):
-        if var < ncols:
-            x[var] = tab[i][-1]
-    return tuple(x)
-
-
-def point_in_cone(point: Sequence[Fraction], gens: Sequence[Sequence[Fraction]]):
-    """Nonnegative combination of gens equal to point, or None."""
-    point = as_vector(point)
-    if not gens:
-        return () if all(x == 0 for x in point) else None
-    amat = transpose([as_vector(g) for g in gens])
-    return simplex_feasible_point(amat, point)
-
-
-def cone_is_pointed(gens: Sequence[Sequence[Fraction]]) -> bool:
-    """True when cone(gens) contains no line."""
-    gens = [as_vector(g) for g in gens]
-    if not gens:
-        return True
-    # a line exists iff 0 is a nontrivial nonnegative combination
-    amat = [list(col) for col in transpose(gens)]
-    amat.append([F(1)] * len(gens))
-    rhs = [F(0)] * (len(amat) - 1) + [F(1)]
-    return simplex_feasible_point(amat, rhs) is None
-
-
-def positive_functional(gens: Sequence[Sequence[Fraction]]):
-    """A rational xi with <xi, g> >= 1 for every generator, or None.
-
-    Exists exactly when cone(gens) is pointed (for finitely many gens).
-    """
-    gens = [as_vector(g) for g in gens]
-    if not gens:
-        return ()
-    m = len(gens[0])
-    # xi = u - v with u, v >= 0; surplus s >= 0: <xi, g_i> - s_i = 1
-    rows = []
-    for i, g in enumerate(gens):
-        row = list(g) + [-x for x in g]
-        row += [F(-1) if j == i else F(0) for j in range(len(gens))]
-        rows.append(row)
-    rhs = [F(1)] * len(gens)
-    sol = simplex_feasible_point(rows, rhs)
-    if sol is None:
-        return None
-    return tuple(sol[j] - sol[m + j] for j in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +88,8 @@ class LatticePolytope:
     normal and integer offset, so P = {x : <alpha, x> >= c for all facets}.
     Faces are sorted by (dim, vertex_ids); the polytope itself is the last
     face.  `face_operators` keeps the lifted transverse-cone operators that
-    `engine.expansion` builds, keyed by (face index, Q, strategy), and
+    `engine.expansion` builds, as {(Q, strategy): {face index: operator}},
+    so that each call looks its (Q, strategy) table up once, and
     `face_moment` keeps the moments int_F x^e of each face, keyed by (face
     index, e), for as long as the polytope lives.
     """
@@ -295,33 +189,55 @@ def _affine_rank(points: Sequence[tuple]) -> int:
     return matrix_rank(diffs)
 
 
-def _facet_candidates(points: list, m: int) -> list:
-    """All facet hyperplanes of conv(points), as (inward normal, offset)."""
-    facets = set()
-    for subset in itertools.combinations(range(len(points)), m):
-        pts = [points[i] for i in subset]
-        if _affine_rank(pts) != m - 1:
-            continue
-        base = as_vector(pts[0])
-        diffs = [vsub(as_vector(p), base) for p in pts[1:]]
-        kernel = nullspace_basis(diffs) if diffs else [
-            v for v in identity_matrix(m)
+def _cone_facets(rays: Sequence[tuple]) -> dict:
+    """Facets of the cone generated by integer vectors that span Q^d, by
+    double description: {primitive inward normal: frozenset of the ids of
+    the rays tight on it}.
+
+    The facet normals of d independent rays B are the columns of B^-1,
+    read off one Smith normal form U B V = D as V diag(d_d / d_i) U.  Each
+    further ray r then cuts the dual cone {a : <a, g> >= 0 for the rays g
+    so far}: the normals negative on r go, and every adjacent pair a, b
+    with <a, r> > 0 > <b, r> gives the normal <a, r> b - <b, r> a, tight
+    on r.  a and b are adjacent when no third normal is tight on every
+    ray that both are tight on.  The normals stay integer vectors.
+    """
+    d = len(rays[0])
+    basis = []
+    for i in range(len(rays)):
+        if len(basis) < d and matrix_rank(
+            [as_vector(rays[j]) for j in basis + [i]]
+        ) > len(basis):
+            basis.append(i)
+    u, dmat, v = smith_normal_form([rays[i] for i in basis])
+    mult = [dmat[-1][-1] // dmat[t][t] for t in range(d)]
+    normals = {}
+    for j in range(d):
+        column = [
+            sum(v[r][t] * mult[t] * u[t][j] for t in range(d)) for r in range(d)
         ]
-        if len(kernel) != 1:
+        normals[primitive_vector(column)] = frozenset(basis) - {basis[j]}
+    for i, ray in enumerate(rays):
+        if i in basis:
             continue
-        normal = primitive_vector(kernel[0])
-        c = vdot(as_vector(normal), base)
-        values = [vdot(as_vector(normal), as_vector(p)) - c for p in points]
-        if all(v >= 0 for v in values):
-            facets.add((normal, c))
-        elif all(v <= 0 for v in values):
-            facets.add((tuple(-x for x in normal), -c))
-    out = []
-    for normal, c in sorted(facets):
-        if c.denominator != 1:
-            raise AssertionError("facet offsets of lattice polytopes are integers")
-        out.append((normal, int(c)))
-    return out
+        value = {a: sum(x * y for x, y in zip(a, ray)) for a in normals}
+        kept = {
+            a: tight | {i} if value[a] == 0 else tight
+            for a, tight in normals.items()
+            if value[a] >= 0
+        }
+        positive = [a for a in normals if value[a] > 0]
+        negative = [b for b in normals if value[b] < 0]
+        for a, b in itertools.product(positive, negative):
+            common = normals[a] & normals[b]
+            if not any(
+                c != a and c != b and common <= tight
+                for c, tight in normals.items()
+            ):
+                normal = [value[a] * y - value[b] * x for x, y in zip(a, b)]
+                kept[primitive_vector(normal)] = common | {i}
+        normals = kept
+    return normals
 
 
 def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
@@ -369,7 +285,11 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
             affine_data=(origin, tuple(basis)),
         )
 
-    facets = _facet_candidates(pts, m)
+    # the facet (alpha, c) of P is the normal (-c, alpha) of cone {(1, p)}
+    facets = sorted(
+        (normal[1:], -normal[0])
+        for normal in _cone_facets([(1,) + p for p in pts])
+    )
     # vertices: points where the active normals span everything
     vertex_list = []
     for p in pts:

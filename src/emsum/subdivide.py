@@ -31,15 +31,8 @@ from .exactcore import (
     matrix_rank,
     primitive_vector,
     smith_normal_form,
-    vdot,
 )
-from .geometry import (
-    _pulling_triangulation,
-    build_polytope,
-    cone_is_pointed,
-    point_in_cone,
-    positive_functional,
-)
+from .geometry import _cone_facets, _pulling_triangulation, build_polytope
 
 STRATEGIES = ("default", "alternate")
 
@@ -163,32 +156,43 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
     integer generators.  The cells form a fan covering the cone, with no
     new rays.  strategy="alternate" pulls from the other end of the
     vertex order and generally produces a different triangulation.
+
+    The facets come from `geometry._cone_facets` in integer coordinates
+    of the rays' span, the first k rows of U in one Smith normal form
+    U G V = D of the generator matrix G.  The cone is pointed exactly
+    when its inward facet normals span all k dimensions, a ray is
+    extreme exactly when the normals tight on it span k - 1, and the sum
+    xi of the normals, positive on every extreme ray, slices the cone
+    into a polytope whose pulling triangulation gives the cells.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
-    if matrix_rank([as_vector(g) for g in rays]) == len(rays):
+    k = matrix_rank([as_vector(g) for g in rays])
+    if k == len(rays):
         # independent rays are pointed and every one of them is extreme
         return [_cell_key(rays)]
-    if not cone_is_pointed(rays):
+    u, _, _ = smith_normal_form(list(zip(*rays)))
+    coords = [
+        [sum(a * x for a, x in zip(row, g)) for row in u[:k]] for g in rays
+    ]
+    facets = _cone_facets(coords)
+    if matrix_rank([as_vector(a) for a in facets]) < k:
         raise ValueError("cone is not pointed")
     extreme = [
-        g
-        for g in rays
-        if point_in_cone(g, [h for h in rays if h != g]) is None
+        i
+        for i in range(len(rays))
+        if matrix_rank([as_vector(a) for a in facets if i in facets[a]]) == k - 1
     ]
-    d = matrix_rank([as_vector(g) for g in extreme])
-    if len(extreme) == d:
-        return [_cell_key(extreme)]
+    if len(extreme) == k:
+        return [_cell_key([rays[i] for i in extreme])]
 
-    # Slice by a positive functional and triangulate the section.
-    xi = positive_functional(extreme)
-    if xi is None:
-        raise AssertionError("pointed cone must admit a positive functional")
-    heights = [vdot(as_vector(xi), as_vector(g)) for g in extreme]
+    # Slice by the sum of the facet normals and triangulate the section.
+    xi = [sum(column) for column in zip(*facets)]
+    heights = [sum(a * y for a, y in zip(xi, coords[i])) for i in extreme]
     scaled = [
-        tuple(Fraction(gc, 1) / h for gc in g)
-        for g, h in zip(extreme, heights)
+        tuple(Fraction(gc, h) for gc in rays[i])
+        for i, h in zip(extreme, heights)
     ]
     scale = math.lcm(*[c.denominator for p in scaled for c in p])
     section = [tuple(int(c * scale) for c in p) for p in scaled]
@@ -196,9 +200,7 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
     if len(poly.vertices) != len(extreme):
         raise AssertionError("extreme rays must slice to polytope vertices")
     origin, basis = poly.affine_data
-    by_point = {}
-    for g, pt in zip(extreme, section):
-        by_point[pt] = g
+    by_point = {pt: rays[i] for i, pt in zip(extreme, section)}
     pull_rule = "min" if strategy == "default" else "max"
     cells = []
     for simplex in _pulling_triangulation(

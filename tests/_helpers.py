@@ -9,7 +9,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from emsum.exactcore import MultiPoly
+from emsum.exactcore import (
+    MultiPoly,
+    as_vector,
+    identity_matrix,
+    matrix_rank,
+    nullspace_basis,
+    primitive_vector,
+    solve_unique,
+    vdot,
+    vsub,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -77,6 +87,40 @@ def compose_integral(poly, face, phi) -> Fraction:
             num = volume * math.prod(map(math.factorial, exps))
             total += coeff * Fraction(num, math.factorial(sum(exps) + face.dim))
     return total
+
+
+def facet_candidates(points: list, m: int) -> list:
+    """All facet hyperplanes of conv(points), as sorted (primitive inward
+    normal, integer offset) pairs, by testing every m-subset of the points
+    for an affine hyperplane that leaves all of them on one side.  The
+    reference that the hull's double description must match exactly."""
+    facets = set()
+    for subset in itertools.combinations(range(len(points)), m):
+        base, *rest = (as_vector(points[i]) for i in subset)
+        diffs = [vsub(p, base) for p in rest]
+        if diffs and matrix_rank(diffs) != m - 1:
+            continue
+        kernel = nullspace_basis(diffs) if diffs else list(identity_matrix(m))
+        if len(kernel) != 1:
+            continue
+        normal = primitive_vector(kernel[0])
+        c = vdot(as_vector(normal), base)
+        values = [vdot(as_vector(normal), as_vector(p)) - c for p in points]
+        if all(v >= 0 for v in values):
+            facets.add((normal, c))
+        elif all(v <= 0 for v in values):
+            facets.add((tuple(-x for x in normal), -c))
+    return [(normal, int(c)) for normal, c in sorted(facets)]
+
+
+def in_simplicial_cone(point, gens) -> bool:
+    """Whether point is a non-negative combination of the linearly
+    independent vectors gens, by its exact coordinates over them."""
+    if not gens:
+        return not any(point)
+    columns = [[Fraction(g[i]) for g in gens] for i in range(len(point))]
+    coords = solve_unique(columns, [Fraction(x) for x in point])
+    return coords is not None and min(coords) >= 0
 
 
 def run_optimized(script: str) -> subprocess.CompletedProcess:

@@ -284,6 +284,16 @@ def test_face_operators_built_once_per_polytope_and_inner_product(monkeypatch):
         assert (len(tcones), len(operators)) == (built, built)
 
 
+def test_repeat_expansion_hashes_inner_product_once(monkeypatch):
+    # the kept operators are looked up by (Q, strategy) once per call and
+    # then by face index, so Q's entries are hashed once, not per face
+    cube = build_polytope(CUBE.vertices)
+    expansion(cube, ONE3, qmat=TRIDIAGONAL3)
+    hashes = _count_calls(monkeypatch, F, "__hash__")
+    expansion(cube, ONE3, qmat=TRIDIAGONAL3)
+    assert len(hashes) == 9
+
+
 def test_expansion_of_delzant_polytope_skips_delzant_test(monkeypatch):
     calls = _count_calls(monkeypatch, engine, "is_delzant")
     expansion(build_polytope(CUBE.vertices), ONE3)
@@ -322,9 +332,10 @@ def test_kept_operators_match_fresh_polytope_under_every_key(monkeypatch):
 )
 def test_expansion_runs_no_linear_program(monkeypatch, poly, qmat):
     # transverse cones come from a Smith normal form, and simplicial
-    # cones skip the pointedness and extreme-ray programs; a fresh
-    # polytope, because operators kept on a shared one would build nothing
-    calls = _count_calls(monkeypatch, geometry, "simplex_feasible_point")
+    # cones skip the facet enumeration that pointedness and extreme rays
+    # need; a fresh polytope, because operators kept on a shared one
+    # would build nothing
+    calls = _count_calls(monkeypatch, subdivide, "_cone_facets")
     fresh = build_polytope(poly.vertices)
     expansion(fresh, MultiPoly.const(poly.ambient_dim, F(1)), qmat=qmat)
     assert calls == []
@@ -397,13 +408,13 @@ def test_per_face_values_equal_integrals_of_applied_operators(vertices, strategy
     assert len(res.per_face) == 1 + sum(
         res.n_max + 1 - (poly.dim - f.dim) for f in poly.faces[:-1]
     )
+    operators = poly.face_operators[(res.qmat, strategy)]
     for (n, i), value in res.per_face.items():
         face = poly.faces[i]
         if face.dim == poly.dim:
             integrand = phi
         else:
-            ops = engine._face_operator(poly, face, res.qmat, strategy)
-            integrand = ops(n).apply(phi)
+            integrand = operators[i](n).apply(phi)
         assert value == integrate_poly_over_face(poly, face, integrand)
 
 

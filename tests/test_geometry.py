@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from emsum import geometry
 from emsum.exactcore import (
     MultiPoly,
     as_matrix,
@@ -24,18 +28,19 @@ from emsum.exactcore import (
 )
 from emsum.geometry import (
     build_polytope,
-    cone_is_pointed,
     euler_brion_window_check,
     integrate_poly_over_face,
     is_delzant,
-    point_in_cone,
-    positive_functional,
-    simplex_feasible_point,
     tangent_cone,
     transverse_cone,
 )
 
-from _helpers import compose_integral, random_spd, run_optimized
+from _helpers import (
+    compose_integral,
+    facet_candidates,
+    random_spd,
+    run_optimized,
+)
 
 F = Fraction
 
@@ -49,39 +54,6 @@ OCTAHEDRON = [
 ]
 SIMPLEX3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 PRISM = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]
-
-
-# ---------------------------------------------------------------------------
-# exact LP
-
-
-def test_simplex_feasibility():
-    # x + y = 1, x - y = 0 -> x = y = 1/2
-    sol = simplex_feasible_point([[1, 1], [1, -1]], [1, 0])
-    assert sol == (F(1, 2), F(1, 2))
-    assert simplex_feasible_point([[1, 1]], [-1]) is None
-
-
-def test_point_in_cone():
-    gens = [(1, 0), (1, 2)]
-    assert point_in_cone((2, 2), gens) is not None
-    assert point_in_cone((-1, 0), gens) is None
-    assert point_in_cone((0, 0), []) == ()
-
-
-def test_cone_pointedness():
-    assert cone_is_pointed([(1, 0), (1, 2)])
-    assert not cone_is_pointed([(1, 0), (-1, 0)])
-    assert not cone_is_pointed([(1, 0), (0, 1), (-1, -1)])
-    assert cone_is_pointed([])
-
-
-def test_positive_functional():
-    gens = [(1, 0), (1, 2)]
-    xi = positive_functional(gens)
-    assert xi is not None
-    assert all(sum(a * b for a, b in zip(xi, g)) >= 1 for g in map(as_vector, gens))
-    assert positive_functional([(1, 0), (-1, 0)]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +445,66 @@ def test_random_2d_hulls(pts):
     # total area equals the triangulated area and is positive
     one = MultiPoly.const(2, F(1))
     assert integrate_poly_over_face(p, p.polytope_face, one) > 0
+
+
+def _reference_cone_facets(rays):
+    """`geometry._cone_facets` on homogenized points {(1, p)}, read off the
+    m-subset scan: the facet (alpha, c) is the normal (-c, alpha)."""
+    points = [ray[1:] for ray in rays]
+    return {
+        (-c,) + alpha: frozenset(
+            i for i, p in enumerate(points)
+            if sum(a * x for a, x in zip(alpha, p)) == c
+        )
+        for alpha, c in facet_candidates(points, len(points[0]))
+    }
+
+
+@st.composite
+def point_sets(draw):
+    m = draw(st.integers(2, 4))
+    coord = st.integers(-2, 2)
+    return draw(st.lists(st.tuples(*[coord] * m), min_size=1,
+                         max_size=m + 5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_sets())
+def test_hull_matches_subset_scan_reference(points):
+    # the double description finds exactly the facets the m-subset scan
+    # finds, so vertices, facets and faces are those of the hull built
+    # from the scan's facets; a full-dimensional hull has at least m + 1
+    # facets, a flat one at most one supporting hyperplane
+    m = len(points[0])
+    reference = facet_candidates(sorted(set(points)), m)
+    if len(reference) <= m:
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            build_polytope(points)
+        return
+    poly = build_polytope(points)
+    with mock.patch.object(geometry, "_cone_facets", _reference_cone_facets):
+        expected = build_polytope(points)
+    assert poly.vertices == expected.vertices
+    assert poly.facets == expected.facets
+    assert poly.faces == expected.faces
+
+
+@pytest.mark.parametrize(
+    "points, nfacets",
+    [
+        (list(itertools.product((0, 1), repeat=5)), 10),
+        ([tuple(s * int(i == j) for j in range(5))
+          for i in range(5) for s in (1, -1)], 32),
+    ],
+    ids=["cube5", "cross-polytope5"],
+)
+def test_five_dimensional_hull_within_budget(points, nfacets):
+    started = time.perf_counter()
+    poly = build_polytope(points)
+    elapsed = time.perf_counter() - started
+    assert len(poly.facets) == nfacets
+    assert len(poly.faces) == 243
+    assert elapsed < 10, f"hull took {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------------------

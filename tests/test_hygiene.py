@@ -198,14 +198,12 @@ def test_riemann_sum_shares_no_code_with_the_engine():
 
 
 def test_invariant_modules_have_no_assert_statement():
-    # python -O strips assert statements, so invariants in these modules
-    # raise explicitly instead
+    # python -O strips assert statements, so invariants in every module of
+    # the package raise explicitly instead
     found = [
-        f"{name}.py:{node.lineno}"
-        for name in ("geometry", "oracle", "subdivide", "engine")
-        for node in ast.walk(
-            ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-        )
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements that python -O strips: {found}"

@@ -1,6 +1,8 @@
 """Tests for signed unimodular subdivisions and pointed-cone operators."""
 
+import hashlib
 import math
+import random
 import time
 from fractions import Fraction as F
 from itertools import combinations
@@ -18,9 +20,9 @@ from emsum.exactcore import (
     mat_mul,
     matrix_inverse,
     matrix_rank,
+    primitive_vector,
     transpose,
 )
-from emsum.geometry import point_in_cone
 from emsum.subdivide import (
     SignedCell,
     STRATEGIES,
@@ -32,7 +34,12 @@ from emsum.subdivide import (
     unimodularize,
 )
 
-from _helpers import run_optimized
+from _helpers import (
+    facet_candidates,
+    in_simplicial_cone,
+    run_optimized,
+    unimodular_matrix,
+)
 
 
 SQUARE_CONE = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
@@ -65,6 +72,49 @@ def test_triangulate_simplicial_identity():
 def test_triangulate_redundant_ray():
     # the middle ray is not extreme and must be dropped
     assert triangulate_cone([(1, 0), (1, 1), (0, 1)]) == [((0, 1), (1, 0))]
+
+
+@st.composite
+def cones_with_a_lift(draw):
+    m = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * m).filter(any)
+    gens = draw(st.lists(vec, min_size=m + 1, max_size=m + 4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return gens, unimodular_matrix(rng, m + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cones_with_a_lift())
+def test_pointed_and_extreme_rays_match_hull_reference(case):
+    # independently of the cone's facets: cone(G) is pointed exactly when
+    # 0 is a vertex of conv({0} u G), and a primitive g in G is extreme
+    # exactly when [0, g] is an edge, both read off the m-subset scan;
+    # the same cone carried into Z^(m+1) by a unimodular map must agree
+    gens, lift = case
+    rays = sorted({primitive_vector(g) for g in gens})
+    m = len(rays[0])
+    assume(matrix_rank(as_matrix(rays)) == m < len(rays))
+    origin = (0,) * m
+    facets = facet_candidates([origin] + rays, m)
+
+    def tight_rank(*points):
+        return matrix_rank(as_matrix(
+            alpha for alpha, c in facets
+            if all(sum(a * x for a, x in zip(alpha, p)) == c for p in points)
+        ))
+
+    def lifted(g):
+        return tuple(sum(a * x for a, x in zip(row, g + (0,))) for row in lift)
+
+    for cone, image in ((rays, lambda g: g), ([lifted(g) for g in rays], lifted)):
+        for strategy in STRATEGIES:
+            if tight_rank(origin) < m:
+                with pytest.raises(ValueError, match="not pointed"):
+                    triangulate_cone(cone, strategy=strategy)
+                continue
+            cells = triangulate_cone(cone, strategy=strategy)
+            extreme = {image(g) for g in rays if tight_rank(origin, g) == m - 1}
+            assert {g for cell in cells for g in cell} == extreme
 
 
 def test_triangulate_square_cone():
@@ -260,17 +310,11 @@ def test_signed_coefficients_window_count():
     cells = unimodularize([(1, 0), (1, 2)])
     signed = signed_coefficients(cells)
     box = [(x, y) for x in range(6) for y in range(6)]
-    direct = sum(
-        1 for p in box if point_in_cone(p, [(1, 0), (1, 2)]) is not None
-    )
+    direct = sum(1 for p in box if in_simplicial_cone(p, [(1, 0), (1, 2)]))
     weighted = 0
     for cell in signed:
         for p in box:
-            if not cell.gens:
-                inside = p == (0, 0)
-            else:
-                inside = point_in_cone(p, list(cell.gens)) is not None
-            if inside:
+            if in_simplicial_cone(p, cell.gens):
                 weighted += cell.coeff
     assert weighted == direct
 
@@ -361,14 +405,15 @@ def test_cone_operator_validates_its_fan_once(monkeypatch):
 
 
 def test_unimodular_cone_operator_runs_no_pointedness_lp(monkeypatch):
+    # independent rays need no facets to be pointed
     calls = []
-    real = subdivide.cone_is_pointed
+    real = subdivide._cone_facets
 
     def counting(rays):
         calls.append(rays)
         return real(rays)
 
-    monkeypatch.setattr(subdivide, "cone_is_pointed", counting)
+    monkeypatch.setattr(subdivide, "_cone_facets", counting)
     op = cone_operator([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert op.unimodular
     assert op(3).symbol == MultiPoly.const(3, F(1, 8))
@@ -570,3 +615,45 @@ def test_signed_cell_repr_and_dim():
     cell = SignedCell(gens=((1, 0), (1, 1)), coeff=-1)
     assert cell.dim == 2
     assert "coeff=-1" in repr(cell)
+
+
+def _cross_polytope_vertex_cone(m, i, sign):
+    """The tangent cone of the m-dimensional cross-polytope at the vertex
+    sign * e_i, generated by its 2(m - 1) edge directions."""
+    return [
+        tuple(t * (k == j) - sign * (k == i) for k in range(m))
+        for j in range(m)
+        if j != i
+        for t in (1, -1)
+    ]
+
+
+# Operators are valuations, so they cannot depend on the fan a cone is
+# cut into.  This digest pins bv_op_pointed on non-simplicial cones whose
+# fans depend on the slicing functional, at n = d and d + 1, under both
+# strategies and two inner products.  Two of the eight vertex cones of
+# the 4D cross-polytope keep the test within its time budget.
+POINTED_CONES = [SQUARE_CONE, PENTAGON_CONE] + [
+    _cross_polytope_vertex_cone(3, i, sign) for i in range(3) for sign in (1, -1)
+] + [_cross_polytope_vertex_cone(4, 0, 1), _cross_polytope_vertex_cone(4, 2, -1)]
+POINTED_OPERATORS_SHA256 = (
+    "3bc9f401604af2241095ec068fd41f1f3ea9bc774e65daf62efaee937f81c309"
+)
+
+
+def test_pointed_cone_operators_match_pinned_digest():
+    lines = []
+    for gens in POINTED_CONES:
+        m = len(gens[0])
+        skew = [[2 if i == j else int(abs(i - j) == 1) for j in range(m)]
+                for i in range(m)]
+        for strategy in STRATEGIES:
+            for qname, qmat in (("I", None), ("tridiagonal", skew)):
+                for n in (m, m + 1):
+                    op = bv_op_pointed(gens, n, qmat=qmat, strategy=strategy)
+                    lines.append(
+                        f"{gens} {strategy} {qname} {n} "
+                        f"{sorted(op.symbol.terms.items())}"
+                    )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == POINTED_OPERATORS_SHA256
