@@ -18,31 +18,35 @@ The generators need not span the ambient space.  All operators act on
 ambient functions; their symbols are polynomials in the ambient dual
 coordinates that depend only on the pairings with the span of the
 generators.
+
+The peeling recursion runs in the cell coordinates y_i = <xi, g_i>, in
+integers: fraction-free solves on blocks of one integer Gram matrix per
+cone, symbols held as integer polynomials over one denominator, and one
+composition with y_i = <xi, g_i> per public result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .combinat import MultiIndex, p_I_of_nu, positive_compositions
+from .combinat import MultiIndex, p_I_of_nu, p_of_n, positive_compositions
 from .exactcore import (
     MultiPoly,
     as_matrix,
     as_scalar,
     as_vector,
     identity_matrix,
-    is_spd,
+    is_symmetric,
     mat_vec,
     matrix_inverse,
-    matrix_rank,
     mpoly_apply_diffop,
     nullspace_basis,
     orth_project,
     qform,
-    solve_unique,
     transpose,
     vscale,
     vsub,
@@ -100,9 +104,15 @@ class UniCone:
     omitted).  The generators need not span the ambient space.
     Whether the generators form a lattice basis is the caller's
     concern; this class uses only the linear data.
+
+    The constructor writes g_i = h_i / t with integer h_i, kept as sparse
+    linear forms, and scales the Gram matrix (Q(g_i, g_j)) to an integer
+    matrix: the one input of the peeling recursion, which runs in the cell
+    coordinates y_i = <xi, g_i>.
     """
 
-    __slots__ = ("gens", "qmat", "dim", "ambient_dim", "_deco_cache", "_op_cache", "_sym_cache")
+    __slots__ = ("gens", "qmat", "dim", "ambient_dim", "_forms", "_iden", "_gram",
+                 "_schur_cache", "_op_cache", "_sym_cache")
 
     def __init__(self, gens: Iterable[Sequence], qmat=None):
         glist = [as_vector(g) for g in gens]
@@ -111,21 +121,23 @@ class UniCone:
         m = len(glist[0])
         if any(len(g) != m for g in glist):
             raise ValueError("generators must have equal length")
-        if matrix_rank(glist) != len(glist):
+        t = self._iden = math.lcm(*(x.denominator for g in glist for x in g))
+        hs = self._forms = [{k: (x * t).numerator for k, x in enumerate(g) if x} for g in glist]
+        # independent exactly when their Gram matrix under the identity is definite
+        if not _bareiss([[sum(a * h.get(k, 0) for k, a in f.items()) for h in hs] for f in hs]):
             raise ValueError("cone generators must be linearly independent")
-        if qmat is None:
-            q = identity_matrix(m)
-        else:
-            q = as_matrix(qmat)
-            if len(q) != m or not is_spd(q):
-                raise ValueError("inner product matrix must be symmetric positive definite")
+        q = identity_matrix(m) if qmat is None else as_matrix(qmat)
+        s = math.lcm(*(x.denominator for row in q for x in row))
+        qi = [[(x * s).numerator for x in row] for row in q]
+        if len(q) != m or not is_symmetric(q) or not _bareiss(list(qi)):
+            raise ValueError("inner product matrix must be symmetric positive definite")
         self.gens = tuple(glist)
         self.qmat = q
         self.dim = len(glist)
         self.ambient_dim = m
-        self._deco_cache: Dict[tuple, Deco] = {}
-        self._op_cache: Dict[tuple, MultiPoly] = {}
-        self._sym_cache: Dict[tuple, MultiPoly] = {}
+        self._gram = [[sum(a * qi[k][l] * b for k, a in f.items() for l, b in h.items())
+                       for h in hs] for f in hs]
+        self._schur_cache, self._op_cache, self._sym_cache = {}, {}, {}
 
     def labels(self) -> range:
         return range(self.dim)
@@ -143,33 +155,47 @@ def _subset(cone: UniCone, labels: Iterable[int], nonempty: bool = False) -> tup
     return out
 
 
+def _bareiss(rows: list) -> int:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows: the
+    leading square block becomes delta * I, delta its determinant, and the
+    rest adj * rest; 0 instead when a leading principal minor is not positive."""
+    delta = 1
+    for p, prow in enumerate(rows):
+        if prow[p] <= 0:
+            return 0
+        for i, row in enumerate(rows):
+            if i != p:
+                rows[i] = [(prow[p] * x - row[p] * y) // delta for x, y in zip(row, prow)]
+        delta = prow[p]
+    return delta
+
+
+def _schur(cone: UniCone, subset: tuple) -> tuple:
+    """(delta, a) with g_e - sum over v in the complement c of a[e][v] /
+    delta * g_v Q-perpendicular to every g_v, v in c, for each e in
+    `subset`: one elimination of the integer blocks [G_cc | G_c,subset]."""
+    hit = cone._schur_cache.get(subset)
+    if hit is not None:
+        return hit
+    comp = [v for v in range(cone.dim) if v not in subset]
+    rows = [[cone._gram[v][w] for w in comp + list(subset)] for v in comp]
+    delta = _bareiss(rows)
+    if not delta:
+        raise AssertionError(f"singular complement block: Gram block {comp} of {cone!r}")
+    solved = {e: {v: r[j] for v, r in zip(comp, rows)} for j, e in enumerate(subset, len(comp))}
+    cone._schur_cache[subset] = (delta, solved)
+    return delta, solved
+
+
 def deco(cone: UniCone, labels: Iterable[int]) -> Deco:
     """Split the generators in `labels` perpendicular to the others."""
     subset = _subset(cone, labels, nonempty=True)
-    cached = cone._deco_cache.get(subset)
-    if cached is not None:
-        return cached
-    inside = set(subset)
-    comp = [v for v in cone.labels() if v not in inside]
-    gram = [[qform(cone.qmat, cone.gens[v], cone.gens[w]) for w in comp] for v in comp]
-    u: Dict[int, Vector] = {}
-    coeff: Dict[Tuple[int, int], Fraction] = {}
-    for e in subset:
-        if comp:
-            rhs = [qform(cone.qmat, cone.gens[e], cone.gens[w]) for w in comp]
-            sol = solve_unique(gram, rhs)
-            if sol is None:
-                raise AssertionError
-            vec = cone.gens[e]
-            for c, v in zip(sol, comp):
-                coeff[(e, v)] = c
-                vec = vsub(vec, vscale(c, cone.gens[v]))
-            u[e] = vec
-        else:
-            u[e] = cone.gens[e]
-    result = Deco(u, coeff)
-    cone._deco_cache[subset] = result
-    return result
+    delta, solved = _schur(cone, subset)
+    coeff = {(e, v): Fraction(a, delta) for e in subset for v, a in solved[e].items()}
+    u = {e: cone.gens[e] for e in subset}
+    for (e, v), c in coeff.items():
+        u[e] = vsub(u[e], vscale(c, cone.gens[v]))
+    return Deco(u, coeff)
 
 
 def _as_alpha(alpha, inner: tuple) -> MultiIndex:
@@ -196,33 +222,66 @@ def _alpha_key(alpha: MultiIndex) -> tuple:
     return tuple(sorted(alpha.items()))
 
 
-def _ibp_rec(cone: UniCone, I: tuple, J: tuple, alpha: MultiIndex, rule: str) -> MultiPoly:
-    key = (I, J, _alpha_key(alpha), rule)
+def _ymul(terms: dict, form: Mapping[int, int]) -> dict:
+    """Product of an integer polynomial {exponents: int} and a linear form."""
+    out: Dict[tuple, int] = {}
+    for exps, c in terms.items():
+        for i, a in form.items():
+            key = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+            out[key] = out.get(key, 0) + c * a
+    return out
+
+
+def _ysum(parts: Sequence[tuple], den: int = 1) -> tuple:
+    """(sum over (c, (terms, d)) in parts of c * terms / d) / den, as
+    (terms, denominator) in lowest terms; c and den are integers."""
+    lcm = math.lcm(*(d for _, (_, d) in parts))
+    out: Dict[tuple, int] = {}
+    for c, (terms, d) in parts:
+        f = c * (lcm // d)
+        for exps, x in terms.items():
+            out[exps] = out.get(exps, 0) + f * x
+    g = math.gcd(lcm * den, *out.values())
+    return {k: x // g for k, x in out.items() if x}, lcm * den // g
+
+
+def _to_ambient(cone: UniCone, sym: tuple) -> MultiPoly:
+    """Compose a cell-coordinate symbol with y_i = <xi, h_i> / t."""
+    terms, den = sym
+    parts = []
+    for exps, c in terms.items():
+        part = {(0,) * cone.ambient_dim: c}
+        for i in [i for i, e in enumerate(exps) for _ in range(e)]:
+            part = _ymul(part, cone._forms[i])
+        parts.append((1, (part, 1)))
+    out = _ysum(parts)[0].items()
+    return MultiPoly(cone.ambient_dim, {k: Fraction(x, den * cone._iden ** sum(k)) for k, x in out})
+
+
+def _ibp_rec(cone: UniCone, I: tuple, J: tuple, alpha: tuple, rule: str) -> tuple:
+    # the symbol of L(E; I, J; alpha) in cell coordinates, as (terms, den);
+    # alpha is its sorted tuple of (label, positive exponent) pairs
+    key = (I, J, alpha, rule)
     hit = cone._op_cache.get(key)
     if hit is not None:
         return hit
-    m = cone.ambient_dim
-    if alpha.total() == 0:
+    if not alpha:
         # validity forces J == I here
-        sym = MultiPoly.const(m, Fraction(1))
+        sym = ({(0,) * cone.dim: 1}, 1)
     else:
-        pool = [e for e in I if alpha[e] >= 1]
-        e = pool[0] if rule == "min" else pool[-1]
-        beta = alpha - MultiIndex({e: 1})
-        dec = deco(cone, I)
-        extra = [v for v in J if v not in set(I)]
-        grad = MultiPoly.linear_form(dec.u[e])
-        if not extra:
-            sym = _ibp_rec(cone, I, J, beta, rule) * grad
-        else:
-            sym = MultiPoly.zero(m)
-            if len(J) <= len(I) + alpha.total() - 1:
-                sym = sym + _ibp_rec(cone, I, J, beta, rule) * grad
-            for v in extra:
-                c = dec.coeff[(e, v)]
-                if c != 0:
-                    grown = tuple(sorted(I + (v,)))
-                    sym = sym + _ibp_rec(cone, grown, J, beta, rule) * c
+        e = alpha[0][0] if rule == "min" else alpha[-1][0]
+        beta = tuple((v, x - 1 if v == e else x) for v, x in alpha if (v, x) != (e, 1))
+        delta, solved = _schur(cone, I)
+        # delta * <xi, u_e> = delta * y_e - sum over v outside I of a_ev * y_v
+        parts = []
+        if len(J) < len(I) + sum(x for _, x in alpha):
+            grad = {e: delta, **{v: -a for v, a in solved[e].items() if a}}
+            terms, den = _ibp_rec(cone, I, J, beta, rule)
+            parts.append((1, (_ymul(terms, grad), den)))
+        for v in J:
+            if solved[e].get(v):
+                parts.append((solved[e][v], _ibp_rec(cone, tuple(sorted(I + (v,))), J, beta, rule)))
+        sym = _ysum(parts, delta)
     cone._op_cache[key] = sym
     return sym
 
@@ -242,7 +301,7 @@ def ibp_op(cone: UniCone, inner, outer, alpha, pivot_rule: str = "min") -> DiffO
     if pivot_rule not in ("min", "max"):
         raise ValueError("pivot_rule must be 'min' or 'max'")
     I, J, a = _check_ibp_args(cone, inner, outer, alpha)
-    sym = _ibp_rec(cone, I, J, a, pivot_rule)
+    sym = _to_ambient(cone, _ibp_rec(cone, I, J, _alpha_key(a), pivot_rule))
     return DiffOp(cone.ambient_dim, a.total() - len(J) + len(I), sym)
 
 
@@ -415,17 +474,18 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
         return DiffOp(m, 0, sym)
     if n < len(out):
         raise ValueError("operator requires order at least the codimension of the face")
-    sign = Fraction(-1) ** (n - len(out))
-    total = MultiPoly.zero(m)
+    sign = (-1) ** (n - len(out))
+    parts = []
     for r in range(1, min(n, len(out)) + 1):
         for picked in combinations(out, r):
             for nu in positive_compositions(n, picked):
-                c = p_I_of_nu(nu) * sign
-                if c == 0:
-                    continue
-                alpha = nu - MultiIndex({e: 1 for e in picked})
-                total = total + _ibp_rec(cone, picked, out, alpha, "min") * c
-    return DiffOp(m, n - len(out), total)
+                c = math.prod(p_of_n(k) for k in nu.values())
+                if c:
+                    alpha = tuple((e, nu[e] - 1) for e in picked if nu[e] > 1)
+                    parts.append((c, _ibp_rec(cone, picked, out, alpha, "min")))
+    wden = math.lcm(*(c.denominator for c, _ in parts))
+    sym = _ysum([(sign * c.numerator * (wden // c.denominator), p) for c, p in parts], wden)
+    return DiffOp(m, n - len(out), _to_ambient(cone, sym))
 
 
 def vertex_op(cone: UniCone, n: int) -> DiffOp:

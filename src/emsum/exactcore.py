@@ -96,8 +96,8 @@ def qform(q: Sequence[Sequence[Fraction]], u: Sequence[Fraction], v: Sequence[Fr
 
 
 def rref(mat: Sequence[Sequence[Fraction]]) -> tuple:
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in mat]
+    """Exact reduced row echelon form.  Returns (rows, pivot_columns)."""
+    rows = [[as_scalar(x) for x in r] for r in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -130,7 +130,7 @@ def det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("determinant requires a square matrix")
-    rows = [list(r) for r in mat]
+    rows = [[as_scalar(x) for x in r] for r in mat]
     sign = 1
     result = Fraction(1)
     for c in range(n):

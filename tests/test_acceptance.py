@@ -67,6 +67,10 @@ CROSS4 = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1
 CUBE3_TIMES_3 = list(itertools.product((0, 3), repeat=3))
 CUBE3_TIMES_4 = list(itertools.product((0, 4), repeat=3))
 
+# the 5D oracle tier: criteria 5 and 6 two dimensions up
+CUBE5 = list(itertools.product((0, 1), repeat=5))
+SIMPLEX5 = [(0,) * 5] + [tuple(int(i == j) for j in range(5)) for i in range(5)]
+
 DELZANT_SUITE = [
     (INTERVAL, 3),
     (SQUARE, 3),
@@ -269,6 +273,37 @@ def test_oracle_tier_4d_closed_forms_match_oracle(name, points):
         assert closed_form_A0_A1(poly, phi) == (a[0], a[1])
         assert closed_form_A2(poly, phi) == a[2]
     _report(6, f"4D tier: A_0/A_1 and A_2 closed forms = oracle on {name}",
+            started, 10.0)
+
+
+@pytest.mark.parametrize(
+    "name, points, budget",
+    [("[0,1]^5", CUBE5, 20.0), ("5-simplex", SIMPLEX5, 10.0)],
+    ids=["cube5", "simplex5"],
+)
+def test_oracle_tier_5d_engine_matches_oracle(name, points, budget):
+    started = time.perf_counter()
+    poly = build_polytope(points)
+    for phi in _one_and_a_quadratic(poly.ambient_dim):
+        res = expansion(poly, phi)
+        assert not res.valuation_used
+        assert list(res.coefficients) == coefficients_from_oracle(poly, phi)
+    _report(5, f"5D tier: expansion() = oracle on {name}, phi = 1 and "
+               "x_1 x_m", started, budget)
+
+
+@pytest.mark.parametrize(
+    "name, points", [("[0,1]^5", CUBE5), ("5-simplex", SIMPLEX5)],
+    ids=["cube5", "simplex5"],
+)
+def test_oracle_tier_5d_closed_forms_match_oracle(name, points):
+    started = time.perf_counter()
+    poly = build_polytope(points)
+    for phi in _one_and_a_quadratic(poly.ambient_dim):
+        a = coefficients_from_oracle(poly, phi)
+        assert closed_form_A0_A1(poly, phi) == (a[0], a[1])
+        assert closed_form_A2(poly, phi) == a[2]
+    _report(6, f"5D tier: A_0/A_1 and A_2 closed forms = oracle on {name}",
             started, 10.0)
 
 

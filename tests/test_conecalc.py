@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -10,6 +11,7 @@ from _helpers import random_spd, unimodular_matrix
 from emsum.combinat import MultiIndex, todd_coefficients
 from emsum.conecalc import (
     UniCone,
+    _schur,
     bv_op_unimodular,
     deco,
     divide_by_linear_form,
@@ -19,7 +21,15 @@ from emsum.conecalc import (
     ln_op,
     vertex_op,
 )
-from emsum.exactcore import MultiPoly, mat_vec, orth_project, qform
+from emsum.exactcore import (
+    MultiPoly,
+    det,
+    mat_vec,
+    matrix_rank,
+    orth_project,
+    qform,
+    solve_unique,
+)
 
 SKEW = UniCone([(1, 0), (1, 1)])
 Q3 = ((2, 1, 0), (1, 2, 1), (0, 1, 3))
@@ -316,11 +326,21 @@ def test_diffop_apply():
     assert op.apply(phi) == (x * y * 2 + x * x) * F(-1, 24)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(2, 3), st.booleans())
-def test_random_cones_recursion_matches_symbols(seed, dim, skew_q):
-    rng = random.Random(seed)
+def _random_cell(rng, dim, rational):
+    """Generators of a random simplicial cell: the rows of a unimodular
+    matrix, each scaled by a random positive rational when `rational`."""
     gens = unimodular_matrix(rng, dim)
+    if rational:
+        scales = [F(rng.randint(1, 3), rng.randint(1, 5)) for _ in gens]
+        gens = [[c * x for x in row] for c, row in zip(scales, gens)]
+    return gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 4), st.booleans(), st.booleans())
+def test_random_cones_recursion_matches_symbols(seed, dim, skew_q, rational):
+    rng = random.Random(seed)
+    gens = _random_cell(rng, dim, rational)
     qmat = random_spd(rng, dim) if skew_q else None
     cone = UniCone(gens, qmat=qmat)
     cases = [c for c in _all_ibp_cases(cone, 2)]
@@ -329,3 +349,95 @@ def test_random_cones_recursion_matches_symbols(seed, dim, skew_q):
         a = ibp_op(cone, inner, outer, alpha)
         b = ibp_symbol(cone, inner, outer, alpha)
         assert a.symbol == b.symbol
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.booleans(), st.booleans())
+def test_vertex_op_factors_through_the_gram_matrix(seed, dim, skew_q, rational):
+    # the vertex operator of a cell depends on the cell only through its
+    # Gram matrix G: it is the operator of the standard basis under G,
+    # composed with xi -> (<xi, g_i>)
+    rng = random.Random(seed)
+    m = dim + rng.randint(0, 1)
+    gens = _random_cell(rng, dim, rational)
+    gens = [row + [F(rng.randint(-2, 2))] * (m - dim) for row in gens]
+    qmat = random_spd(rng, m) if skew_q else None
+    cone = UniCone(gens, qmat=qmat)
+    gram = [[qform(cone.qmat, g, h) for h in cone.gens] for g in cone.gens]
+    frame = UniCone([[int(i == j) for j in range(dim)] for i in range(dim)], qmat=gram)
+    pairings = [lf(g) for g in cone.gens]
+    for n in range(dim, dim + 3):
+        op = vertex_op(cone, n)
+        assert op.symbol == vertex_op(frame, n).symbol.compose(pairings)
+        assert op.order == n - dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_fraction_free_schur_solve_matches_rational_solve(seed, dim):
+    # on the standard basis the Gram matrix is Q itself, up to scale
+    rng = random.Random(seed)
+    scale = [F(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(dim)]
+    qmat = [[scale[i] * x * scale[j] for j, x in enumerate(row)]
+            for i, row in enumerate(random_spd(rng, dim))]
+    cone = UniCone([[int(i == j) for j in range(dim)] for i in range(dim)], qmat=qmat)
+    for r in range(1, dim + 1):
+        for subset in combinations(range(dim), r):
+            comp = [v for v in range(dim) if v not in subset]
+            delta, solved = _schur(cone, subset)
+            block = [[cone._gram[v][w] for w in comp] for v in comp]
+            assert delta == (det(block) if comp else 1)
+            for e in subset:
+                x = solve_unique([[qmat[v][w] for w in comp] for v in comp],
+                                 [qmat[v][e] for v in comp]) if comp else ()
+                assert tuple(F(solved[e][v], delta) for v in comp) == x
+                assert all(deco(cone, subset).coeff[(e, v)] == c for v, c in zip(comp, x))
+
+
+def _tridiagonal(m):
+    return [[2 if i == j else int(abs(i - j) == 1) for j in range(m)] for i in range(m)]
+
+
+def _pinned_cells():
+    # per dimension: two integer cells, two with rational generators and
+    # two integer cells that do not span the ambient space
+    rng = random.Random(2024)
+    for d in range(1, 5):
+        for _ in range(2):
+            yield unimodular_matrix(rng, d)
+            yield [
+                [F(x, rng.choice((1, 2, 3))) * rng.choice((1, 2)) for x in row]
+                for row in unimodular_matrix(rng, d)
+            ]
+            while True:
+                gens = [[rng.randint(-2, 2) for _ in range(d + 1)] for _ in range(d)]
+                if matrix_rank([[F(x) for x in g] for g in gens]) == d:
+                    break
+            yield gens
+
+
+PINNED_OPERATORS_SHA256 = (
+    "e642da74c7e2ecac26b80e3d85cdf19f00b98603e9eef18f1e980b82b2b0fc19"
+)
+
+
+def test_cell_operators_match_pinned_digest():
+    rng = random.Random(7)
+    lines = []
+    for gens in _pinned_cells():
+        d, m = len(gens), len(gens[0])
+        for qname, qmat in (("I", None), ("tridiagonal", _tridiagonal(m))):
+            cone = UniCone(gens, qmat=qmat)
+            for n in range(d, d + 3):
+                op = vertex_op(cone, n)
+                lines.append(f"{gens} {qname} {n} {op.order} {sorted(op.symbol.terms.items())}")
+            cases = list(_all_ibp_cases(cone, 2))
+            for inner, outer, alpha in rng.sample(cases, min(len(cases), 10)):
+                for rule in ("min", "max"):
+                    op = ibp_op(cone, inner, outer, alpha, pivot_rule=rule)
+                    lines.append(
+                        f"{gens} {qname} {inner} {outer} {sorted(alpha.items())} {rule} "
+                        f"{op.order} {sorted(op.symbol.terms.items())}"
+                    )
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_OPERATORS_SHA256

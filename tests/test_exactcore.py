@@ -63,6 +63,21 @@ def test_det_sign_and_rank():
     assert matrix_rank(as_matrix([[1, 2], [2, 4]])) == 1
 
 
+def test_linear_algebra_is_exact_on_int_input():
+    # plain int entries must not fall back to float division
+    big = 10 ** 17
+    assert matrix_rank([[1, big], [1, big + 1]]) == 2
+    assert matrix_rank([[big, big + 1], [big + 1, big + 2]]) == 2
+    d = det([[2, 1], [1, 3]])
+    assert d == 5 and type(d) is F
+    assert det([[big, big + 1], [big + 1, big + 2]]) == -1
+    x = solve_unique([[2, 1], [1, 3]], [1, 0])
+    assert x == (F(3, 5), F(-1, 5)) and all(type(c) is F for c in x)
+    inv = matrix_inverse([[big, big + 1], [big + 1, big + 2]])
+    assert inv == ((-(big + 2), big + 1), (big + 1, -big))
+    assert all(type(c) is F for row in inv for c in row)
+
+
 # ---------------------------------------------------------------------------
 # Hermite / Smith normal forms
 
