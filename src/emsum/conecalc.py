@@ -33,14 +33,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .combinat import MultiIndex, p_I_of_nu, p_of_n, positive_compositions
+from .combinat import MultiIndex, p_I_of_nu, positive_compositions
 from .exactcore import (
     MultiPoly,
     as_matrix,
     as_scalar,
     as_vector,
+    bareiss,
     identity_matrix,
-    is_symmetric,
+    is_spd,
     mat_vec,
     matrix_inverse,
     mpoly_apply_diffop,
@@ -111,7 +112,7 @@ class UniCone:
     coordinates y_i = <xi, g_i>.
     """
 
-    __slots__ = ("gens", "qmat", "dim", "ambient_dim", "_forms", "_iden", "_gram",
+    __slots__ = ("gens", "qmat", "dim", "ambient_dim", "_forms", "_den", "_gram",
                  "_schur_cache", "_op_cache", "_sym_cache")
 
     def __init__(self, gens: Iterable[Sequence], qmat=None):
@@ -121,22 +122,23 @@ class UniCone:
         m = len(glist[0])
         if any(len(g) != m for g in glist):
             raise ValueError("generators must have equal length")
-        t = self._iden = math.lcm(*(x.denominator for g in glist for x in g))
-        hs = self._forms = [{k: (x * t).numerator for k, x in enumerate(g) if x} for g in glist]
-        # independent exactly when their Gram matrix under the identity is definite
-        if not _bareiss([[sum(a * h.get(k, 0) for k, a in f.items()) for h in hs] for f in hs]):
-            raise ValueError("cone generators must be linearly independent")
         q = identity_matrix(m) if qmat is None else as_matrix(qmat)
-        s = math.lcm(*(x.denominator for row in q for x in row))
-        qi = [[(x * s).numerator for x in row] for row in q]
-        if len(q) != m or not is_symmetric(q) or not _bareiss(list(qi)):
+        if len(q) != m or not is_spd(q):
             raise ValueError("inner product matrix must be symmetric positive definite")
+        t = self._den = math.lcm(*(x.denominator for g in glist for x in g))
+        hs = self._forms = [{k: x.numerator * (t // x.denominator) for k, x in enumerate(g) if x}
+                            for g in glist]
+        s = math.lcm(*(x.denominator for row in q for x in row))
+        qi = [[x.numerator * (s // x.denominator) for x in row] for row in q]
         self.gens = tuple(glist)
         self.qmat = q
         self.dim = len(glist)
         self.ambient_dim = m
         self._gram = [[sum(a * qi[k][l] * b for k, a in f.items() for l, b in h.items())
                        for h in hs] for f in hs]
+        # under a definite Q, the generators are independent exactly when G is definite
+        if not bareiss([list(row) for row in self._gram]):
+            raise ValueError("cone generators must be linearly independent")
         self._schur_cache, self._op_cache, self._sym_cache = {}, {}, {}
 
     def labels(self) -> range:
@@ -155,21 +157,6 @@ def _subset(cone: UniCone, labels: Iterable[int], nonempty: bool = False) -> tup
     return out
 
 
-def _bareiss(rows: list) -> int:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows: the
-    leading square block becomes delta * I, delta its determinant, and the
-    rest adj * rest; 0 instead when a leading principal minor is not positive."""
-    delta = 1
-    for p, prow in enumerate(rows):
-        if prow[p] <= 0:
-            return 0
-        for i, row in enumerate(rows):
-            if i != p:
-                rows[i] = [(prow[p] * x - row[p] * y) // delta for x, y in zip(row, prow)]
-        delta = prow[p]
-    return delta
-
-
 def _schur(cone: UniCone, subset: tuple) -> tuple:
     """(delta, a) with g_e - sum over v in the complement c of a[e][v] /
     delta * g_v Q-perpendicular to every g_v, v in c, for each e in
@@ -179,7 +166,7 @@ def _schur(cone: UniCone, subset: tuple) -> tuple:
         return hit
     comp = [v for v in range(cone.dim) if v not in subset]
     rows = [[cone._gram[v][w] for w in comp + list(subset)] for v in comp]
-    delta = _bareiss(rows)
+    delta = bareiss(rows)
     if not delta:
         raise AssertionError(f"singular complement block: Gram block {comp} of {cone!r}")
     solved = {e: {v: r[j] for v, r in zip(comp, rows)} for j, e in enumerate(subset, len(comp))}
@@ -246,7 +233,7 @@ def _ysum(parts: Sequence[tuple], den: int = 1) -> tuple:
 
 
 def _to_ambient(cone: UniCone, sym: tuple) -> MultiPoly:
-    """Compose a cell-coordinate symbol with y_i = <xi, h_i> / t."""
+    """Compose a cell-coordinate symbol with y_i = <xi, h_i> / t, in integers."""
     terms, den = sym
     parts = []
     for exps, c in terms.items():
@@ -255,7 +242,7 @@ def _to_ambient(cone: UniCone, sym: tuple) -> MultiPoly:
             part = _ymul(part, cone._forms[i])
         parts.append((1, (part, 1)))
     out = _ysum(parts)[0].items()
-    return MultiPoly(cone.ambient_dim, {k: Fraction(x, den * cone._iden ** sum(k)) for k, x in out})
+    return MultiPoly(cone.ambient_dim, {k: Fraction(x, den * cone._den ** sum(k)) for k, x in out})
 
 
 def _ibp_rec(cone: UniCone, I: tuple, J: tuple, alpha: tuple, rule: str) -> tuple:
@@ -479,7 +466,7 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
     for r in range(1, min(n, len(out)) + 1):
         for picked in combinations(out, r):
             for nu in positive_compositions(n, picked):
-                c = math.prod(p_of_n(k) for k in nu.values())
+                c = p_I_of_nu(nu)
                 if c:
                     alpha = tuple((e, nu[e] - 1) for e in picked if nu[e] > 1)
                     parts.append((c, _ibp_rec(cone, picked, out, alpha, "min")))

@@ -203,15 +203,27 @@ def is_symmetric(mat: Sequence[Sequence[Fraction]]) -> bool:
     )
 
 
+def bareiss(rows: list) -> int:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of integer rows, in place:
+    the leading block becomes delta * I, delta its determinant, the rest adj * rest;
+    0 instead when a leading principal minor is not positive."""
+    delta = 1
+    for p, prow in enumerate(rows):
+        if prow[p] <= 0:
+            return 0
+        for i, row in enumerate(rows):
+            if i != p:
+                rows[i] = [(prow[p] * x - row[p] * y) // delta for x, y in zip(row, prow)]
+        delta = prow[p]
+    return delta
+
+
 def is_spd(mat: Sequence[Sequence[Fraction]]) -> bool:
-    """Symmetric positive definite, decided by leading principal minors."""
+    """Symmetric with positive leading minors: the pivots of `bareiss` on an integer multiple."""
     if not is_symmetric(mat):
         return False
-    for k in range(1, len(mat) + 1):
-        minor = tuple(row[:k] for row in mat[:k])
-        if det(minor) <= 0:
-            return False
-    return True
+    s = math.lcm(*(x.denominator for row in mat for x in row))
+    return bool(bareiss([[x.numerator * (s // x.denominator) for x in row] for row in mat]))
 
 
 def orth_project(qmat: Sequence[Sequence[Fraction]], basis: Sequence[Sequence[Fraction]]) -> tuple:

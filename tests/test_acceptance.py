@@ -230,8 +230,10 @@ def _one_and_a_quadratic(m: int) -> tuple:
         ("4D cross-polytope", CROSS4, True, 60.0),
         ("3[0,1]^3", CUBE3_TIMES_3, False, 10.0),
         ("4[0,1]^3", CUBE3_TIMES_4, False, 10.0),
+        ("[0,1]^5", CUBE5, False, 20.0),
+        ("5-simplex", SIMPLEX5, False, 10.0),
     ],
-    ids=["cube4", "simplex4", "cross4", "3cube3", "4cube3"],
+    ids=["cube4", "simplex4", "cross4", "3cube3", "4cube3", "cube5", "simplex5"],
 )
 def test_oracle_tier_4d_engine_matches_oracle(name, points, valuation, budget):
     started = time.perf_counter()
@@ -240,8 +242,8 @@ def test_oracle_tier_4d_engine_matches_oracle(name, points, valuation, budget):
         res = expansion(poly, phi)
         assert res.valuation_used == valuation
         assert list(res.coefficients) == coefficients_from_oracle(poly, phi)
-    _report(5, f"4D tier: expansion() = oracle on {name}, phi = 1 and "
-               "x_1 x_m", started, budget)
+    _report(5, f"{poly.ambient_dim}D tier: expansion() = oracle on {name}, "
+               "phi = 1 and x_1 x_m", started, budget)
 
 
 def test_criterion_06_closed_forms_a0_a1_a2():
@@ -262,8 +264,9 @@ def test_criterion_06_closed_forms_a0_a1_a2():
 
 @pytest.mark.parametrize(
     "name, points",
-    [("[0,1]^4", CUBE4), ("4-simplex", SIMPLEX4), ("4[0,1]^3", CUBE3_TIMES_4)],
-    ids=["cube4", "simplex4", "4cube3"],
+    [("[0,1]^4", CUBE4), ("4-simplex", SIMPLEX4), ("4[0,1]^3", CUBE3_TIMES_4),
+     ("[0,1]^5", CUBE5), ("5-simplex", SIMPLEX5)],
+    ids=["cube4", "simplex4", "4cube3", "cube5", "simplex5"],
 )
 def test_oracle_tier_4d_closed_forms_match_oracle(name, points):
     started = time.perf_counter()
@@ -272,39 +275,8 @@ def test_oracle_tier_4d_closed_forms_match_oracle(name, points):
         a = coefficients_from_oracle(poly, phi)
         assert closed_form_A0_A1(poly, phi) == (a[0], a[1])
         assert closed_form_A2(poly, phi) == a[2]
-    _report(6, f"4D tier: A_0/A_1 and A_2 closed forms = oracle on {name}",
-            started, 10.0)
-
-
-@pytest.mark.parametrize(
-    "name, points, budget",
-    [("[0,1]^5", CUBE5, 20.0), ("5-simplex", SIMPLEX5, 10.0)],
-    ids=["cube5", "simplex5"],
-)
-def test_oracle_tier_5d_engine_matches_oracle(name, points, budget):
-    started = time.perf_counter()
-    poly = build_polytope(points)
-    for phi in _one_and_a_quadratic(poly.ambient_dim):
-        res = expansion(poly, phi)
-        assert not res.valuation_used
-        assert list(res.coefficients) == coefficients_from_oracle(poly, phi)
-    _report(5, f"5D tier: expansion() = oracle on {name}, phi = 1 and "
-               "x_1 x_m", started, budget)
-
-
-@pytest.mark.parametrize(
-    "name, points", [("[0,1]^5", CUBE5), ("5-simplex", SIMPLEX5)],
-    ids=["cube5", "simplex5"],
-)
-def test_oracle_tier_5d_closed_forms_match_oracle(name, points):
-    started = time.perf_counter()
-    poly = build_polytope(points)
-    for phi in _one_and_a_quadratic(poly.ambient_dim):
-        a = coefficients_from_oracle(poly, phi)
-        assert closed_form_A0_A1(poly, phi) == (a[0], a[1])
-        assert closed_form_A2(poly, phi) == a[2]
-    _report(6, f"5D tier: A_0/A_1 and A_2 closed forms = oracle on {name}",
-            started, 10.0)
+    _report(6, f"{poly.ambient_dim}D tier: A_0/A_1 and A_2 closed forms = "
+               f"oracle on {name}", started, 10.0)
 
 
 def test_criterion_07_two_dimensional_closed_form():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from emsum.exactcore import (
     det,
     hnf_lattice_basis,
     identity_matrix,
+    is_spd,
     mat_mul,
     mat_vec,
     matrix_inverse,
@@ -77,6 +79,26 @@ def test_linear_algebra_is_exact_on_int_input():
     assert inv == ((-(big + 2), big + 1), (big + 1, -big))
     assert all(type(c) is F for row in inv for c in row)
 
+
+
+def test_is_spd_matches_leading_minors():
+    rng = random.Random(7)
+    seen = set()
+    for trial in range(200):
+        k = rng.randint(1, 4)
+        a = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)] for _ in range(k)]
+        if trial % 2:
+            sym = [[a[i][j] + a[j][i] for j in range(k)] for i in range(k)]
+        else:  # a^T a: semidefinite, definite when a is invertible
+            sym = [[sum(a[r][i] * a[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
+        expected = all(det([row[:p] for row in sym[:p]]) > 0 for p in range(1, k + 1))
+        assert is_spd(sym) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+    assert is_spd([[F(1, 2), F(1, 3)], [F(1, 3), F(1, 2)]])
+    assert not is_spd([[1, 2], [0, 1]])
+    assert not is_spd([[1, 1], [1, 1]])
+    assert not is_spd([[1, 0, 0], [0, 1, 0]])
 
 # ---------------------------------------------------------------------------
 # Hermite / Smith normal forms
