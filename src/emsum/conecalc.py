@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .combinat import MultiIndex, p_I_of_nu, positive_compositions
+from .combinat import MultiIndex, p_I_of_nu, p_of_n, positive_compositions
 from .exactcore import (
     MultiPoly,
     as_matrix,
@@ -451,6 +451,11 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
     face; homogeneous of order n minus that codimension, with
     derivatives perpendicular to the face.  D_0(C; C) = 1 and
     D_n(C; C) = 0 for n >= 1.
+
+    The weights p_I(nu) depend only on the parts of nu, not on the labels
+    that carry them: each call lists the compositions of n into r parts by
+    their cut points, keeps one table of their nonzero weights as integers
+    over one denominator, and maps it onto every r-subset of the labels.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -461,18 +466,19 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
         return DiffOp(m, 0, sym)
     if n < len(out):
         raise ValueError("operator requires order at least the codimension of the face")
-    sign = (-1) ** (n - len(out))
-    parts = []
-    for r in range(1, min(n, len(out)) + 1):
+    ps = [p_of_n(k) for k in range(1, n + 1)]
+    d = math.lcm(*(x.denominator for x in ps))
+    a = [0] + [x.numerator * (d // x.denominator) for x in ps]
+    rmax, sign, parts = min(n, len(out)), (-1) ** (n - len(out)), []
+    for r in range(1, rmax + 1):
+        cuts = combinations(range(1, n), r - 1)
+        comps = (tuple(y - x for x, y in zip((0,) + cut, cut + (n,))) for cut in cuts)
+        table = [(sign * w * d ** (rmax - r), nu) for nu in comps if (w := math.prod(a[k] for k in nu))]
         for picked in combinations(out, r):
-            for nu in positive_compositions(n, picked):
-                c = p_I_of_nu(nu)
-                if c:
-                    alpha = tuple((e, nu[e] - 1) for e in picked if nu[e] > 1)
-                    parts.append((c, _ibp_rec(cone, picked, out, alpha, "min")))
-    wden = math.lcm(*(c.denominator for c, _ in parts))
-    sym = _ysum([(sign * c.numerator * (wden // c.denominator), p) for c, p in parts], wden)
-    return DiffOp(m, n - len(out), _to_ambient(cone, sym))
+            for w, nu in table:
+                alpha = tuple((e, k - 1) for e, k in zip(picked, nu) if k > 1)
+                parts.append((w, _ibp_rec(cone, picked, out, alpha, "min")))
+    return DiffOp(m, n - len(out), _to_ambient(cone, _ysum(parts, d ** rmax)))
 
 
 def vertex_op(cone: UniCone, n: int) -> DiffOp:

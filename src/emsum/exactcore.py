@@ -95,35 +95,49 @@ def qform(q: Sequence[Sequence[Fraction]], u: Sequence[Fraction], v: Sequence[Fr
 # rational Gaussian elimination
 
 
-def rref(mat: Sequence[Sequence[Fraction]]) -> tuple:
-    """Exact reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [[as_scalar(x) for x in r] for r in mat]
+def _eliminate(mat: Sequence[Sequence[ScalarLike]]) -> tuple:
+    """Fraction-free Gauss-Jordan elimination with row pivoting (Bareiss
+    exact division), on each row scaled to integers by the lcm of its
+    denominators.  Returns (rows, pivot_columns, delta): the reduced row
+    echelon form is rows / delta, delta being the last pivot."""
+    rows = []
+    for r in mat:
+        r = [x if type(x) in (int, Fraction) else as_scalar(x) for x in r]
+        s = math.lcm(*(x.denominator for x in r))
+        rows.append([x.numerator * (s // x.denominator) for x in r])
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
-    r = 0
+    delta = 1
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if len(pivots) == nrows:
+            break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // delta for x, y in zip(row, prow)]
+        delta = p
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return rows, tuple(pivots), delta
+
+
+def rref(mat: Sequence[Sequence[Fraction]]) -> tuple:
+    """Exact reduced row echelon form.  Returns (rows, pivot_columns).
+
+    One fraction-free elimination (`_eliminate`) in integers; each entry
+    is divided by the last pivot once, at the end."""
+    rows, pivots, delta = _eliminate(mat)
+    return tuple(tuple(Fraction(x, delta) for x in row) for row in rows), pivots
 
 
 def matrix_rank(mat: Sequence[Sequence[Fraction]]) -> int:
-    if not mat:
-        return 0
-    return len(rref(mat)[1])
+    return len(_eliminate(mat)[1])
 
 
 def det(mat: Sequence[Sequence[Fraction]]) -> Fraction:

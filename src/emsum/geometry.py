@@ -146,28 +146,24 @@ class LatticePolytope:
 
     def face_moment(self, face: Face, exps: tuple) -> Fraction:
         """The moment int_F x^exps against the face's lattice measure,
-        computed once per (face, exponent tuple): each simplex
-        x = base + E z of `face_simplices` contributes its lattice volume
-        times the integral of (base + E z)^exps over the standard k-simplex,
-        where int z^a = a! / (|a| + k)!.  A vertex v is its own simplex,
-        with no edges and volume 1, so it gives v^exps.
+        computed once per (face, exponent tuple), in integers.  A k-simplex
+        of `face_simplices` with lattice volume vol and vertices s_0..s_k
+        contributes vol * e! / (|e| + k)! * [l^e] prod_j 1 / (1 - <l, s_j>)
+        (Baldoni, Berline, De Loera, Koeppe, Vergne, Math. Comp. 80, 2011);
+        the coefficient comes from a truncated-series recurrence over the
+        sub-exponents f <= e.  A vertex v is its own simplex, with volume 1,
+        so it gives v^exps.
         """
         key = (face.index, exps)
         if key not in self._moments:
-            value = F(0)
-            simplices = (
-                self.face_simplices(face) if face.dim else ((face.ref_vertex, (), 1),)
+            simplices = self.face_simplices(face) if face.dim else ((face.ref_vertex, (), 1),)
+            total = sum(
+                volume * _simplex_series_coefficient(
+                    [base] + [tuple(b + x for b, x in zip(base, e)) for e in edges], exps)
+                for base, edges, volume in simplices
             )
-            for base, edges, volume in simplices:
-                images = [
-                    MultiPoly.linear_form([e[i] for e in edges]) + base[i]
-                    for i in range(self.ambient_dim)
-                ]
-                image = MultiPoly.monomial(exps).compose(images)
-                for a, coeff in image.terms.items():
-                    num = volume * math.prod(map(math.factorial, a))
-                    value += coeff * F(num, math.factorial(sum(a) + face.dim))
-            self._moments[key] = value
+            num = total * math.prod(map(math.factorial, exps))
+            self._moments[key] = F(num, math.factorial(sum(exps) + face.dim))
         return self._moments[key]
 
     def __repr__(self) -> str:
@@ -175,6 +171,23 @@ class LatticePolytope:
             f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)}, "
             f"facets={len(self.facets)}, faces={len(self.faces)})"
         )
+
+
+def _simplex_series_coefficient(vertices: Sequence[tuple], exps: tuple) -> int:
+    """[l^exps] of prod over the integer vertices s of 1 / (1 - <l, s>).
+
+    c holds the coefficients of the product so far at every f <= exps, in
+    the lexicographic order of the box, where f - e_i sits stride_i places
+    earlier; dividing by 1 - <l, s> in place is c(f) += sum_i s_i c(f - e_i).
+    """
+    box = list(itertools.product(*(range(x + 1) for x in exps)))
+    strides = [math.prod(x + 1 for x in exps[i + 1:]) for i in range(len(exps))]
+    c = [1] + [0] * (len(box) - 1)
+    for s in vertices:
+        steps = [(i, si, stride) for i, (si, stride) in enumerate(zip(s, strides)) if si]
+        for pos, f in enumerate(box):
+            c[pos] += sum(si * c[pos - stride] for i, si, stride in steps if f[i])
+    return c[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .conecalc import DiffOp, UniCone, vertex_op
@@ -108,9 +109,14 @@ def _cell_lattice(cell: Sequence[tuple]) -> _Lattice:
     def lift(s) -> list:
         return [sum(a * c * x for a, c, x in zip(row, mult, s)) for row in v]
 
+    # W = V diag(scale / d_i) U[:k], one integer k x m matrix per cell
+    w = list(zip(*(lift(col) for col in zip(*u[:k]))))
+    off_span = u[k:]
+
     def coords(p):
-        up = [sum(a * x for a, x in zip(row, p)) for row in u]
-        return None if any(up[k:]) else tuple(lift(up))
+        if any(sum(map(mul, row, p)) for row in off_span):
+            return None
+        return tuple(sum(map(mul, row, p)) for row in w)
 
     def box():
         for r in itertools.product(*map(range, d)):

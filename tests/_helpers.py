@@ -89,6 +89,33 @@ def compose_integral(poly, face, phi) -> Fraction:
     return total
 
 
+def fraction_rref(mat) -> tuple:
+    """Reduced row echelon form by Gauss-Jordan elimination in Fractions,
+    dividing each pivot row by its pivot as it goes: the reference that the
+    fraction-free `exactcore.rref` must match.  Returns (rows, pivots)."""
+    rows = [[Fraction(x) for x in r] for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
 def facet_candidates(points: list, m: int) -> list:
     """All facet hyperplanes of conv(points), as sorted (primitive inward
     normal, integer offset) pairs, by testing every m-subset of the points

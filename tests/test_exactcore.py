@@ -28,6 +28,7 @@ from emsum.exactcore import (
     nullspace_basis,
     orth_project,
     primitive_vector,
+    rref,
     saturation_basis,
     series_coeffs_todd,
     series_coeffs_twisted_todd,
@@ -35,6 +36,8 @@ from emsum.exactcore import (
     solve_unique,
     transpose,
 )
+
+from _helpers import fraction_rref
 
 F = Fraction
 
@@ -58,6 +61,70 @@ def test_solve_and_inverse_roundtrip():
 def test_nullspace():
     ns = nullspace_basis(as_matrix([[1, 1, 0], [0, 0, 1]]))
     assert ns == [(F(-1), F(1), F(0))]
+
+
+RATIONAL = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices up to 6 x 8 (tall, square or wide), built as a
+    product of an n x r and an r x m factor so that rank deficiency is
+    common, with some rows zeroed and entries as int, Fraction or str."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    left = [[draw(RATIONAL) for _ in range(r)] for _ in range(nrows)]
+    right = [[draw(RATIONAL) for _ in range(ncols)] for _ in range(r)]
+    zero = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    as_str = draw(st.booleans())
+    mat = []
+    for i, row in enumerate(left):
+        entries = [0 if i in zero else sum(a * b[j] for a, b in zip(row, right))
+                   for j in range(ncols)]
+        mat.append([str(x) if as_str else x for x in entries])
+    return mat
+
+
+@given(rational_matrices())
+@settings(max_examples=200, deadline=None)
+def test_linear_algebra_matches_fraction_rref_reference(mat):
+    # the fraction-free elimination behind rref, rank, solve, inverse and
+    # kernel gives exactly what Gauss-Jordan in Fractions gives
+    reduced, pivots = fraction_rref(mat)
+    rows, got_pivots = rref(mat)
+    assert (rows, got_pivots) == (reduced, pivots)
+    assert all(type(x) is Fraction for row in rows for x in row)
+    assert matrix_rank(mat) == len(pivots)
+    ncols = len(mat[0])
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(int(c == f)) for c in range(ncols)]
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][f]
+        kernel.append(tuple(v))
+    assert nullspace_basis(mat) == kernel
+    # the last column as right-hand side of the others
+    if ncols > 1:
+        lhs, rhs = [row[:-1] for row in mat], [row[-1] for row in mat]
+        if ncols - 1 in pivots:
+            assert solve_unique(lhs, rhs) is None
+        elif len(pivots) != ncols - 1:
+            with pytest.raises(ValueError):
+                solve_unique(lhs, rhs)
+        else:
+            assert solve_unique(lhs, rhs) == tuple(reduced[r][-1] for r in range(ncols - 1))
+    # the leading square block
+    n = min(len(mat), ncols)
+    block = [row[:n] for row in mat[:n]]
+    aug_rows, aug_pivots = fraction_rref([row + [int(i == j) for j in range(n)]
+                                          for i, row in enumerate(block)])
+    if aug_pivots == tuple(range(n)):
+        assert matrix_inverse(block) == tuple(row[n:] for row in aug_rows)
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            matrix_inverse(block)
 
 
 def test_det_sign_and_rank():

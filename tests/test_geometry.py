@@ -395,6 +395,26 @@ def test_moment_table_integration_matches_compose_reference(case):
         ] == expected
 
 
+def test_fresh_face_moments_compose_no_polynomial(monkeypatch):
+    # a fresh polytope's moments come from integer series over each
+    # simplex's vertices, not from composing x^e with its parametrization
+    calls = []
+    real = MultiPoly.compose
+
+    def counted(self, images):
+        calls.append(images)
+        return real(self, images)
+
+    monkeypatch.setattr(MultiPoly, "compose", counted)
+    for points in (OCTAHEDRON, PRISM, SKEW_TRIANGLE):
+        poly = build_polytope(points)
+        m = poly.ambient_dim
+        for face in poly.faces:
+            for e in itertools.product(range(3), repeat=m):
+                poly.face_moment(face, e)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # inclusion-exclusion window identity
 

@@ -378,14 +378,14 @@ def test_signed_coefficients_inverts_each_cell_once(monkeypatch):
     fan = unimodularize(triangulate_cone(index_cone(15)))
     assert len(fan) == 29
     calls = []
-    real_rref = exactcore.rref
+    real_eliminate = exactcore._eliminate
 
-    def counting_rref(mat):
+    def counting_eliminate(mat):
         calls.append(mat)
-        return real_rref(mat)
+        return real_eliminate(mat)
 
-    monkeypatch.setattr(exactcore, "rref", counting_rref)
-    monkeypatch.setattr(subdivide, "rref", counting_rref, raising=False)
+    # rref, matrix_rank and every solve share this one elimination
+    monkeypatch.setattr(exactcore, "_eliminate", counting_eliminate)
     signed_coefficients(fan)
     # one rank check per maximal cell and no rational inverse
     assert len(calls) == len(fan)
