@@ -36,12 +36,10 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from .combinat import MultiIndex, p_I_of_nu, p_of_n, positive_compositions
 from .exactcore import (
     MultiPoly,
-    as_matrix,
     as_scalar,
     as_vector,
     bareiss,
-    identity_matrix,
-    is_spd,
+    inner_product_matrix,
     mat_vec,
     matrix_inverse,
     mpoly_apply_diffop,
@@ -122,9 +120,7 @@ class UniCone:
         m = len(glist[0])
         if any(len(g) != m for g in glist):
             raise ValueError("generators must have equal length")
-        q = identity_matrix(m) if qmat is None else as_matrix(qmat)
-        if len(q) != m or not is_spd(q):
-            raise ValueError("inner product matrix must be symmetric positive definite")
+        q = inner_product_matrix(qmat, m)
         t = self._den = math.lcm(*(x.denominator for g in glist for x in g))
         hs = self._forms = [{k: x.numerator * (t // x.denominator) for k, x in enumerate(g) if x}
                             for g in glist]

@@ -31,7 +31,7 @@ from .exactcore import (
     as_matrix,
     as_vector,
     identity_matrix,
-    is_spd,
+    inner_product_matrix,
     mat_vec,
     nullspace_basis,
     primitive_vector,
@@ -116,13 +116,7 @@ def expansion(
         n_max = poly.dim + phi.degree()
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if qmat is not None:
-        qmat = as_matrix(qmat)
-        if not is_spd(qmat):
-            raise ValueError(
-                "inner product matrix must be symmetric positive definite"
-            )
-    qused = identity_matrix(m) if qmat is None else qmat
+    qused = inner_product_matrix(qmat, m)
 
     totals = [Fraction(0)] * (n_max + 1)
     per_face = {}
@@ -259,11 +253,7 @@ def closed_form_2d(
     _check_closed_form(poly, phi)
     if n < 2:
         raise ValueError("closed form applies to order two and higher")
-    qmat = identity_matrix(2) if qmat is None else as_matrix(qmat)
-    if not is_spd(qmat):
-        raise ValueError(
-            "inner product matrix must be symmetric positive definite"
-        )
+    qmat = inner_product_matrix(qmat, 2)
     bern = todd_coefficients(n)
     total = Fraction(0)
 

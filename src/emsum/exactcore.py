@@ -186,8 +186,8 @@ def matrix_inverse(mat: Sequence[Sequence[Fraction]]) -> tuple:
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("inverse requires a square matrix")
-    aug = tuple(tuple(row) + tuple(identity_matrix(n)[i]) for i, row in enumerate(mat))
-    reduced, pivots = rref(aug)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots = rref([list(row) + e for row, e in zip(mat, eye)])
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)
@@ -240,6 +240,17 @@ def is_spd(mat: Sequence[Sequence[Fraction]]) -> bool:
     return bool(bareiss([[x.numerator * (s // x.denominator) for x in row] for row in mat]))
 
 
+def inner_product_matrix(qmat, m: int) -> tuple:
+    """The inner product on Q^m: the identity when qmat is None, else qmat
+    as a matrix, which must be m x m and symmetric positive definite."""
+    if qmat is None:
+        return identity_matrix(m)
+    qmat = as_matrix(qmat)
+    if len(qmat) != m or not is_spd(qmat):
+        raise ValueError("inner product matrix must be symmetric positive definite")
+    return qmat
+
+
 def orth_project(qmat: Sequence[Sequence[Fraction]], basis: Sequence[Sequence[Fraction]]) -> tuple:
     """Matrix of the Q-orthogonal projection onto the Q-orthocomplement of
     span(basis), acting on column vectors of the ambient space.
@@ -247,9 +258,7 @@ def orth_project(qmat: Sequence[Sequence[Fraction]], basis: Sequence[Sequence[Fr
     An empty basis gives the identity.  The dual (covector-side) projection
     is the transpose of the returned matrix.
     """
-    qmat = as_matrix(qmat)
-    if not is_spd(qmat):
-        raise ValueError("inner product matrix must be symmetric positive definite")
+    qmat = inner_product_matrix(qmat, len(qmat))
     m = len(qmat)
     basis = [as_vector(b) for b in basis]
     if not basis:
@@ -266,7 +275,7 @@ def orth_project(qmat: Sequence[Sequence[Fraction]], basis: Sequence[Sequence[Fr
     # P = I - B G^{-1} B^T Q
     correction = mat_mul(mat_mul(bmat, ginv), mat_mul(transpose(bmat), qmat))
     proj = tuple(
-        tuple(identity_matrix(m)[i][j] - correction[i][j] for j in range(m))
+        tuple(int(i == j) - correction[i][j] for j in range(m))
         for i in range(m)
     )
     if mat_mul(proj, proj) != proj:
@@ -436,19 +445,13 @@ def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
     gens = _require_integer_vectors(generators)
     if not gens or all(all(x == 0 for x in g) for g in gens):
         raise ValueError("empty generating set")
-    mat = transpose([as_vector(g) for g in gens])  # m x k
-    u, dmat, _ = smith_normal_form([[int(x) for x in row] for row in mat])
-    r = sum(
-        1
-        for i in range(min(len(dmat), len(dmat[0])))
-        if dmat[i][i] != 0
-    )
-    uinv = matrix_inverse(as_matrix(u))
-    cols = [tuple(uinv[i][j] for i in range(len(uinv))) for j in range(r)]
-    int_cols = [[int(x) for x in c] for c in cols]
+    u, dmat, _ = smith_normal_form(transpose(gens))  # m x k
+    r = sum(1 for i in range(min(len(dmat), len(dmat[0]))) if dmat[i][i])
+    uinv = matrix_inverse(u)
+    cols = [[row[j] for row in uinv] for j in range(r)]
     if any(x.denominator != 1 for c in cols for x in c):
         raise AssertionError("U is unimodular")
-    return _hnf_columns(int_cols)
+    return _hnf_columns([[int(x) for x in c] for c in cols])
 
 
 def primitive_vector(v: Sequence[ScalarLike]) -> tuple:

@@ -3,10 +3,12 @@ cones in integer quotient coordinates, Delzant tests, and exact integration
 of polynomials over faces against their lattice measure, through one
 pulling triangulation per face that each polytope builds once and keeps.
 
-Everything is computed in exact rational arithmetic over Z^m / Q^m.  The
-facets of a hull are those of the cone over {(1, p)}, found by one integer
-double-description routine (`_cone_facets`) that also gives
-`subdivide.triangulate_cone` the facets of the cones it slices.
+Everything is computed in exact rational arithmetic over Z^m / Q^m.  A
+polytope P is the cone over {1} x P, so one set of cone routines serves
+hulls and `subdivide.triangulate_cone` alike: `_cone_facets` (an integer
+double description) gives the facets and the rays tight on each,
+`_extreme_rays` the vertices, `_face_lattice` the faces and
+`_pulling_triangulation` the simplices of a face.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .exactcore import (
     as_vector,
     det,
     hnf_lattice_basis,
-    identity_matrix,
-    is_spd,
+    inner_product_matrix,
     mat_mul,
     mat_vec,
     matrix_inverse,
@@ -137,7 +138,8 @@ class LatticePolytope:
         """
         if face.index not in self._simplices:
             out = []
-            for simplex in _pulling_triangulation(self, face):
+            lattice = [(f.dim, f.vertex_ids) for f in self.faces]
+            for simplex in _pulling_triangulation(lattice, (face.dim, face.vertex_ids)):
                 base, *rest = (self.vertices[i] for i in simplex)
                 edges = tuple(tuple(x - b for x, b in zip(v, base)) for v in rest)
                 out.append((base, edges, hnf_lattice_basis(edges)[1]))
@@ -253,6 +255,37 @@ def _cone_facets(rays: Sequence[tuple]) -> dict:
     return normals
 
 
+def _extreme_rays(facets: dict, count: int, d: int) -> list:
+    """The ids, in increasing order, of those of `count` rays spanning Q^d
+    whose tight normals in `_cone_facets`' output have rank d - 1."""
+    return [
+        i for i in range(count)
+        if matrix_rank([a for a, tight in facets.items() if i in tight]) == d - 1
+    ]
+
+
+def _face_lattice(rays: Sequence[tuple], facets: dict, order: Sequence[int]) -> list:
+    """The nonzero faces of a pointed cone as sorted (dim, vertex numbers)
+    pairs, dim being the rank of the face's rays minus one: the
+    meet-closure of the facets' extreme-ray sets, the cone itself last.
+    Vertex number v is the extreme ray order[v]; `facets` is the output of
+    `_cone_facets` on `rays`."""
+    number = {i: v for v, i in enumerate(order)}
+    facet_sets = {
+        frozenset(number[i] for i in tight if i in number)
+        for tight in facets.values()
+    }
+    faces, frontier = set(facet_sets), facet_sets
+    while frontier:
+        frontier = {a & b for a in frontier for b in facet_sets} - faces - {frozenset()}
+        faces |= frontier
+    faces.add(frozenset(number.values()))
+    return sorted(
+        (matrix_rank([rays[order[v]] for v in face]) - 1, tuple(sorted(face)))
+        for face in faces
+    )
+
+
 def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     """Exact convex hull of integer points, with the full face lattice.
 
@@ -261,6 +294,10 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     in which case coordinates are rewritten over a saturated lattice basis
     of the affine hull and the (full-dimensional) result records the affine
     embedding as (origin, basis).
+
+    The faces of P are those of the cone over {(1, p)}: its facet (-c,
+    alpha) is the facet <alpha, x> >= c of P, its extreme rays are the
+    vertices and its face lattice is P's.
     """
     seen = []
     for p in points:
@@ -298,72 +335,25 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
             affine_data=(origin, tuple(basis)),
         )
 
-    # the facet (alpha, c) of P is the normal (-c, alpha) of cone {(1, p)}
-    facets = sorted(
-        (normal[1:], -normal[0])
-        for normal in _cone_facets([(1,) + p for p in pts])
-    )
-    # vertices: points where the active normals span everything
-    vertex_list = []
-    for p in pts:
-        active = [
-            alpha for alpha, c in facets if vdot(as_vector(alpha), as_vector(p)) == c
-        ]
-        if matrix_rank(active) == m:
-            vertex_list.append(p)
-    vertices = tuple(sorted(vertex_list))
-    vid = {v: i for i, v in enumerate(vertices)}
-
-    facet_vsets = []
-    for alpha, c in facets:
-        vs = frozenset(
-            vid[v] for v in vertices if vdot(as_vector(alpha), as_vector(v)) == c
-        )
-        facet_vsets.append(vs)
-
-    # the face lattice is the meet-closure of the facet vertex sets
-    all_sets = set(facet_vsets)
-    frontier = set(facet_vsets)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in facet_vsets:
-                c = a & b
-                if c and c not in all_sets:
-                    new.add(c)
-        all_sets |= new
-        frontier = new
-    all_sets.add(frozenset(range(len(vertices))))
-
+    rays = [(1,) + p for p in pts]
+    cone = _cone_facets(rays)
+    extreme = _extreme_rays(cone, len(rays), m + 1)
+    vertices = tuple(pts[i] for i in extreme)
+    facets = sorted((normal[1:], -normal[0], tight) for normal, tight in cone.items())
     faces = []
-    for vset in all_sets:
-        vlist = sorted(vset)
-        face_pts = [vertices[i] for i in vlist]
-        fdim = _affine_rank(face_pts)
-        ref = min(face_pts)
-        if fdim == 0:
-            lin = ()
-        else:
-            diffs = [vsub(as_vector(p), as_vector(ref)) for p in face_pts]
-            lin = tuple(
-                tuple(int(x) for x in b)
-                for b in saturation_basis([d for d in diffs if any(d)])
-            )
-        fid = tuple(
-            i for i, vs in enumerate(facet_vsets) if vset <= vs
-        )
-        faces.append((fdim, tuple(vlist), ref, lin, fid))
-    faces.sort(key=lambda t: (t[0], t[1]))
-    face_objs = tuple(
-        Face(index=i, dim=d, vertex_ids=vids, ref_vertex=ref,
-             lineality_basis=lin, facet_ids=fid)
-        for i, (d, vids, ref, lin, fid) in enumerate(faces)
-    )
+    for index, (fdim, vids) in enumerate(_face_lattice(rays, cone, extreme)):
+        ref, ids = vertices[vids[0]], {extreme[v] for v in vids}
+        lin = saturation_basis([vsub(vertices[v], ref) for v in vids[1:]]) if fdim else ()
+        fid = tuple(h for h, (_, _, tight) in enumerate(facets) if ids <= tight)
+        faces.append(Face(index=index, dim=fdim, vertex_ids=vids, ref_vertex=ref,
+                          lineality_basis=tuple(lin), facet_ids=fid))
 
-    if sum((-1) ** f.dim for f in face_objs) != 1:
+    if sum((-1) ** f.dim for f in faces) != 1:
         raise AssertionError("face lattice must satisfy the Euler relation")
 
-    return LatticePolytope(vertices, tuple(facets), face_objs)
+    return LatticePolytope(
+        vertices, tuple((alpha, c) for alpha, c, _ in facets), tuple(faces)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +401,9 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     vertex gets R = I, hence its ambient coordinates and Q itself.
     """
     m = poly.ambient_dim
-    qmat = identity_matrix(m) if qmat is None else as_matrix(qmat)
+    qmat = inner_product_matrix(qmat, m)
     if face.dim == poly.dim:
         return PointedConeT(dim=0, gens=(), basis=(), qmat=())
-    if not is_spd(qmat):
-        raise ValueError("inner product matrix must be symmetric positive definite")
     lin = face.lineality_basis
     u, _, _ = smith_normal_form([[b[i] for b in lin] for i in range(m)])
     rows = u[len(lin):]
@@ -449,35 +437,34 @@ def is_delzant(poly: LatticePolytope) -> bool:
 # pulling triangulations and exact integration
 
 
-def _pulling_triangulation(
-    poly: LatticePolytope, face: Face, pull_rule: str = "min"
-) -> list:
-    """Pulling triangulation of a face of the polytope into simplices, as
-    tuples of vertex ids.  The pull vertex of every face is its lex-min
-    vertex (or lex-max under pull_rule="max"), which makes the simplices
-    of different faces compatible.
+def _pulling_triangulation(faces: Sequence[tuple], top: tuple, choose=min) -> list:
+    """Pulling triangulation of the face `top` of a face lattice given as
+    `_face_lattice`'s sorted (dim, vertex numbers) pairs, into simplices
+    as sorted tuples of vertex numbers.  Every face pulls from the vertex
+    that `choose` picks among its numbers (the lex-min vertex under min,
+    numbers being lexicographic), which makes the simplices of different
+    faces compatible.
     """
     cache: dict = {}
-    choose = min if pull_rule == "min" else max
 
-    def tri(face: Face) -> list:
-        if face.index in cache:
-            return cache[face.index]
-        vids = face.vertex_ids
-        if len(vids) == face.dim + 1:
+    def tri(face: tuple) -> list:
+        if face in cache:
+            return cache[face]
+        dim, vids = face
+        if len(vids) == dim + 1:
             out = [vids]
         else:
-            pull = choose(vids, key=lambda i: poly.vertices[i])
-            out = []
-            for g in poly.faces:
-                if g.dim == face.dim - 1 and set(g.vertex_ids) <= set(vids):
-                    if pull not in g.vertex_ids:
-                        for simplex in tri(g):
-                            out.append(tuple(sorted(simplex + (pull,))))
-        cache[face.index] = out
+            pull = choose(vids)
+            out = [
+                tuple(sorted(simplex + (pull,)))
+                for g in faces
+                if g[0] == dim - 1 and pull not in g[1] and set(g[1]) <= set(vids)
+                for simplex in tri(g)
+            ]
+        cache[face] = out
         return out
 
-    return tri(face)
+    return tri(top)
 
 
 def integrate_poly_over_face(poly: LatticePolytope, face: Face, phi: MultiPoly) -> Fraction:

@@ -1,7 +1,8 @@
 """Signed unimodular subdivisions of pointed rational cones.
 
 A pointed cone that is not unimodular is handled in three steps: a
-pulling triangulation on its own extreme rays, a stellar refinement of
+pulling triangulation on its own extreme rays, read off the cone's face
+lattice with no section polytope built, a stellar refinement of
 the resulting fan until every maximal cell is unimodular, and an
 inclusion-exclusion pass that turns the closed cover by cells into a
 signed decomposition of the indicator function.  Every simplicial cell
@@ -33,7 +34,12 @@ from .exactcore import (
     primitive_vector,
     smith_normal_form,
 )
-from .geometry import _cone_facets, _pulling_triangulation, build_polytope
+from .geometry import (
+    _cone_facets,
+    _extreme_rays,
+    _face_lattice,
+    _pulling_triangulation,
+)
 
 STRATEGIES = ("default", "alternate")
 
@@ -167,9 +173,14 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
     of the rays' span, the first k rows of U in one Smith normal form
     U G V = D of the generator matrix G.  The cone is pointed exactly
     when its inward facet normals span all k dimensions, a ray is
-    extreme exactly when the normals tight on it span k - 1, and the sum
-    xi of the normals, positive on every extreme ray, slices the cone
-    into a polytope whose pulling triangulation gives the cells.
+    extreme exactly when the normals tight on it span k - 1.  The sum xi
+    of the normals is positive on every extreme ray g, and the section
+    {<xi, x> = 1} is a polytope with vertices g / <xi, g> and the cone's
+    face lattice (`geometry._face_lattice`).  Its vertices are numbered
+    in lex order, the order they have in the section's HNF affine
+    coordinates (a column echelon with positive pivots keeps lex order),
+    and the pulling triangulation of the face lattice gives the cells.
+    No section polytope is built.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -183,45 +194,20 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
         [sum(a * x for a, x in zip(row, g)) for row in u[:k]] for g in rays
     ]
     facets = _cone_facets(coords)
-    if matrix_rank([as_vector(a) for a in facets]) < k:
+    if matrix_rank(list(facets)) < k:
         raise ValueError("cone is not pointed")
-    extreme = [
-        i
-        for i in range(len(rays))
-        if matrix_rank([as_vector(a) for a in facets if i in facets[a]]) == k - 1
-    ]
+    extreme = _extreme_rays(facets, len(rays), k)
     if len(extreme) == k:
         return [_cell_key([rays[i] for i in extreme])]
-
-    # Slice by the sum of the facet normals and triangulate the section.
+    # number the extreme rays by the lex order of g / <xi, g>
     xi = [sum(column) for column in zip(*facets)]
-    heights = [sum(a * y for a, y in zip(xi, coords[i])) for i in extreme]
-    scaled = [
-        tuple(Fraction(gc, h) for gc in rays[i])
-        for i, h in zip(extreme, heights)
-    ]
-    scale = math.lcm(*[c.denominator for p in scaled for c in p])
-    section = [tuple(int(c * scale) for c in p) for p in scaled]
-    poly = build_polytope(section, affine_hull=True)
-    if len(poly.vertices) != len(extreme):
-        raise AssertionError("extreme rays must slice to polytope vertices")
-    origin, basis = poly.affine_data
-    by_point = {pt: rays[i] for i, pt in zip(extreme, section)}
-    pull_rule = "min" if strategy == "default" else "max"
-    cells = []
-    for simplex in _pulling_triangulation(
-        poly, poly.polytope_face, pull_rule=pull_rule
-    ):
-        cell = []
-        for vid in simplex:
-            y = poly.vertices[vid]
-            ambient = tuple(
-                origin[i] + sum(y[j] * basis[j][i] for j in range(len(y)))
-                for i in range(len(origin))
-            )
-            cell.append(by_point[ambient])
-        cells.append(_cell_key(cell))
-    return sorted(cells)
+    heights = {i: sum(a * y for a, y in zip(xi, coords[i])) for i in extreme}
+    top = math.lcm(*heights.values())
+    order = sorted(extreme, key=lambda i: [x * (top // heights[i]) for x in rays[i]])
+    faces = _face_lattice(coords, facets, order)
+    choose = min if strategy == "default" else max
+    simplices = _pulling_triangulation(faces, faces[-1], choose)
+    return sorted(_cell_key([rays[order[v]] for v in s]) for s in simplices)
 
 
 # ---------------------------------------------------------------------------

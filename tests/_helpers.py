@@ -16,10 +16,13 @@ from emsum.exactcore import (
     matrix_rank,
     nullspace_basis,
     primitive_vector,
+    smith_normal_form,
     solve_unique,
     vdot,
     vsub,
 )
+from emsum.geometry import _cone_facets, _pulling_triangulation, build_polytope
+from emsum.subdivide import _ray_list
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -138,6 +141,45 @@ def facet_candidates(points: list, m: int) -> list:
         elif all(v <= 0 for v in values):
             facets.add((tuple(-x for x in normal), -c))
     return [(normal, int(c)) for normal, c in sorted(facets)]
+
+
+def section_fan(gens, strategy: str = "default") -> list:
+    """`subdivide.triangulate_cone` by slicing: the non-simplicial pointed
+    cone is cut by the sum xi of its facet normals (span coordinates as in
+    `triangulate_cone`), the section is scaled to an integer polytope and
+    built by `build_polytope(..., affine_hull=True)`, and its pulling
+    triangulation is mapped back through `affine_data` to the rays.  The
+    reference that the cone's own face lattice must match exactly."""
+    rays = _ray_list(gens)
+    k = matrix_rank(rays)
+    u, _, _ = smith_normal_form(list(zip(*rays)))
+    coords = [[sum(a * x for a, x in zip(row, g)) for row in u[:k]] for g in rays]
+    facets = _cone_facets(coords)
+    xi = [sum(column) for column in zip(*facets)]
+    extreme = [
+        i for i in range(len(rays))
+        if matrix_rank([a for a, tight in facets.items() if i in tight]) == k - 1
+    ]
+    scaled = [tuple(Fraction(x, vdot(xi, coords[i])) for x in rays[i]) for i in extreme]
+    scale = math.lcm(*(c.denominator for p in scaled for c in p))
+    section = [tuple(int(c * scale) for c in p) for p in scaled]
+    poly = build_polytope(section, affine_hull=True)
+    origin, basis = poly.affine_data
+    by_point = {p: primitive_vector(p) for p in section}
+    faces = [(f.dim, f.vertex_ids) for f in poly.faces]
+    cells = []
+    for simplex in _pulling_triangulation(
+        faces, faces[-1], min if strategy == "default" else max
+    ):
+        cell = []
+        for v in simplex:
+            y = poly.vertices[v]
+            cell.append(by_point[tuple(
+                o + sum(c * b[i] for c, b in zip(y, basis))
+                for i, o in enumerate(origin)
+            )])
+        cells.append(tuple(sorted(cell)))
+    return sorted(cells)
 
 
 def in_simplicial_cone(point, gens) -> bool:

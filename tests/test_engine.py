@@ -251,6 +251,29 @@ def test_closed_form_2d_guards():
         closed_form_2d(SQUARE, ONE2, 1)
 
 
+@pytest.mark.parametrize(
+    "qmat", [((1,),), ((1, 0, 0), (0, 1, 0), (0, 0, 1))], ids=["1x1", "3x3"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: expansion(SQUARE, ONE2, qmat=q),
+        lambda q: geometry.transverse_cone(SQUARE, SQUARE.faces[0], q),
+        lambda q: geometry.transverse_cone(SQUARE, SQUARE.polytope_face, q),
+        lambda q: closed_form_2d(SQUARE, ONE2, 2, qmat=q),
+        lambda q: UniCone([(1, 0), (0, 1)], qmat=q),
+    ],
+    ids=["expansion", "transverse-cone", "transverse-cone-codim-0",
+         "closed-form-2d", "unicone"],
+)
+def test_inner_product_of_the_wrong_size_rejected(call, qmat):
+    # an SPD matrix of another size is not an inner product on Q^2
+    with pytest.raises(
+        ValueError, match="inner product matrix must be symmetric positive definite"
+    ):
+        call(qmat)
+
+
 def test_asymmetric_inner_product_with_positive_minors_rejected():
     # leading principal minors 2 and 4 are positive; only symmetry fails
     qmat = ((2, 1), (0, 2))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from emsum import exactcore, subdivide
+from emsum import exactcore, geometry, subdivide
 from emsum.conecalc import UniCone, bv_op_unimodular
 from emsum.exactcore import (
     MultiPoly,
@@ -38,6 +38,7 @@ from _helpers import (
     facet_candidates,
     in_simplicial_cone,
     run_optimized,
+    section_fan,
     unimodular_matrix,
 )
 
@@ -115,6 +116,60 @@ def test_pointed_and_extreme_rays_match_hull_reference(case):
             cells = triangulate_cone(cone, strategy=strategy)
             extreme = {image(g) for g in rays if tight_rank(origin, g) == m - 1}
             assert {g for cell in cells for g in cell} == extreme
+
+
+@st.composite
+def pointed_cones(draw):
+    # a positive last coordinate keeps the cone pointed
+    m = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * (m - 1), st.integers(1, 3))
+    gens = draw(st.lists(vec, min_size=m + 1, max_size=m + 4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return gens, unimodular_matrix(rng, m), unimodular_matrix(rng, m + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointed_cones())
+def test_triangulation_matches_section_fan_reference(case):
+    # pulling on the cone's own face lattice, its extreme rays numbered by
+    # the lex order of g / <xi, g>, gives the fan of the section polytope
+    # in its HNF affine coordinates, here and on unimodular images of the
+    # cone in Z^m and Z^(m+1)
+    gens, square, lift = case
+    assume(len(triangulate_cone(gens)) > 1)
+
+    def image(mat, g):
+        g = g + (0,) * (len(mat) - len(g))
+        return tuple(sum(a * x for a, x in zip(row, g)) for row in mat)
+
+    for cone in (gens, [image(square, g) for g in gens],
+                 [image(lift, g) for g in gens]):
+        for strategy in STRATEGIES:
+            assert triangulate_cone(cone, strategy=strategy) == section_fan(
+                cone, strategy
+            )
+
+
+def test_triangulation_builds_no_section_polytope(monkeypatch):
+    # the cone's facets give its face lattice: one double description and
+    # no polytope, of a section or otherwise
+    polytopes, facet_calls = [], []
+    real_init, real_facets = geometry.LatticePolytope.__init__, geometry._cone_facets
+
+    def counting_init(self, *args, **kwargs):
+        polytopes.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_facets(rays):
+        facet_calls.append(rays)
+        return real_facets(rays)
+
+    monkeypatch.setattr(geometry.LatticePolytope, "__init__", counting_init)
+    for module in (geometry, subdivide):
+        monkeypatch.setattr(module, "_cone_facets", counting_facets)
+    assert len(triangulate_cone(PENTAGON_CONE)) == 3
+    assert polytopes == []
+    assert len(facet_calls) == 1
 
 
 def test_triangulate_square_cone():
@@ -657,3 +712,46 @@ def test_pointed_cone_operators_match_pinned_digest():
                     )
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == POINTED_OPERATORS_SHA256
+
+
+def _sheared(gens):
+    return [tuple(sum(a * x for a, x in zip(row, g)) for row in SHEAR)
+            for g in gens]
+
+
+def _fan_corpus():
+    rng = random.Random(15)
+    cones = []
+    while len(cones) < 40:
+        m = rng.randint(2, 4)
+        cones.append([tuple(rng.randint(-2, 2) for _ in range(m - 1))
+                      + (rng.randint(1, 3),)
+                      for _ in range(rng.randint(m + 1, m + 4))])
+    return cones
+
+
+# Fans of triangulate_cone (and, on the 3D cones, of unimodularize and
+# signed_coefficients), both strategies: the index-15 and index-31 cones,
+# the GL_3(Z) image of the index-15 cone, the square and pentagon cones,
+# the vertex cones of the 3D cross-polytope and 40 seeded random cones.
+FANS_SHA256 = (
+    "12a6d04399a2246b09a3a052ed20899c406a601ec818652f3ba1e7600c31e6d2"
+)
+
+
+def test_fans_match_pinned_digest():
+    small = [index_cone(15), index_cone(31), _sheared(index_cone(15)),
+             SQUARE_CONE, PENTAGON_CONE] + [
+        _cross_polytope_vertex_cone(3, i, sign)
+        for i in range(3) for sign in (1, -1)
+    ]
+    lines = []
+    for gens in small + _fan_corpus():
+        for strategy in STRATEGIES:
+            fan = triangulate_cone(gens, strategy=strategy)
+            lines.append(f"{gens} {strategy} {fan}")
+            if gens in small:
+                cells = unimodularize(fan, strategy=strategy)
+                lines.append(f"{cells} {signed_coefficients(cells)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == FANS_SHA256
