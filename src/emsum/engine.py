@@ -8,6 +8,9 @@ Berline-Vergne operator, lifted back to the ambient space and applied
 to phi.  No D_n phi is built: each integral is read off the operator's
 symbol, phi's terms and the face's moment table
 (`LatticePolytope.face_moment`), which depends on neither phi, Q nor n.
+The lifted operator of a face of codimension c is homogeneous of order
+n - c, so it kills phi once n > c + deg(phi): those entries are 0, and
+no operator of such an order is built for them.
 The totals are independent of the inner product used to realize the
 quotient spaces; the per-face pieces are not.
 
@@ -101,9 +104,10 @@ def expansion(
     R_N(P; phi) = sum_n A_n N^{-n} for every integer N >= 1.  Each face
     of codimension <= n contributes the integral over the face of its
     lifted transverse-cone operator applied to phi; the polytope itself
-    contributes int_P phi to A_0.  Each face's operator is built once per
-    polytope, Q and strategy, and each face moment once per polytope; both
-    live as long as the polytope object.
+    contributes int_P phi to A_0.  A face's entry past order codim +
+    deg(phi) is 0, and no operator of that order is built for it.  Each
+    face's operator is built once per polytope, Q and strategy, and each
+    face moment once per polytope; both live as long as the polytope.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -112,8 +116,9 @@ def expansion(
         raise ValueError(
             "polynomial must have one variable per ambient coordinate"
         )
+    degree = phi.degree()
     if n_max is None:
-        n_max = poly.dim + phi.degree()
+        n_max = poly.dim + degree
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     qused = inner_product_matrix(qmat, m)
@@ -136,10 +141,13 @@ def expansion(
         ops = operators[face.index]
         valuation_used = valuation_used or not ops.unimodular
         for n in range(codim, n_max + 1):
-            val = _integrate_operator(poly, face, ops(n).symbol, phi)
+            val = (
+                _integrate_operator(poly, face, ops(n).symbol, phi)
+                if n <= codim + degree else Fraction(0)
+            )
             per_face[(n, face.index)] = val
             totals[n] += val
-    complete = n_max >= poly.dim + phi.degree()
+    complete = n_max >= poly.dim + degree
     return ExpansionResult(
         coefficients=tuple(totals),
         per_face=per_face,
@@ -167,7 +175,8 @@ def _integrate_operator(poly: LatticePolytope, face, symbol, phi) -> Fraction:
 def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
     """n -> the face's transverse-cone operator D_n(C_F; Q) lifted to the
     ambient space, memoized per order.  Its `unimodular` attribute tells
-    whether the transverse cone was."""
+    whether the transverse cone was.  A vertex has B = I, so its
+    operators need no lift."""
     tcone = transverse_cone(poly, face, qmat)
     ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy)
     if not ops.unimodular and is_delzant(poly):
@@ -180,6 +189,8 @@ def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
     @functools.cache
     def lifted(n: int) -> DiffOp:
         op = ops(n)
+        if not face.dim:
+            return op
         return DiffOp(m, op.order, op.symbol.compose(images))
 
     lifted.unimodular = ops.unimodular

@@ -62,10 +62,6 @@ def vdot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
-def vec_is_zero(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
-
-
 def identity_matrix(m: int) -> tuple:
     return tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(m))
@@ -182,15 +178,22 @@ def solve_unique(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return tuple(x)
 
 
-def matrix_inverse(mat: Sequence[Sequence[Fraction]]) -> tuple:
+def _scaled_inverse(mat: Sequence[Sequence[ScalarLike]]) -> tuple:
+    """(A, delta) with mat^-1 = A / delta and A an integer matrix, from one
+    fraction-free elimination (`_eliminate`) of [mat | I]."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise ValueError("inverse requires a square matrix")
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    reduced, pivots = rref([list(row) + e for row, e in zip(mat, eye)])
-    if len(pivots) != n or any(p >= n for p in pivots):
+    rows, pivots, delta = _eliminate([list(row) + e for row, e in zip(mat, eye)])
+    if pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
+    return [row[n:] for row in rows], delta
+
+
+def matrix_inverse(mat: Sequence[Sequence[Fraction]]) -> tuple:
+    scaled, delta = _scaled_inverse(mat)
+    return tuple(tuple(Fraction(x, delta) for x in row) for row in scaled)
 
 
 def nullspace_basis(mat: Sequence[Sequence[Fraction]]) -> list:
@@ -447,22 +450,21 @@ def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
         raise ValueError("empty generating set")
     u, dmat, _ = smith_normal_form(transpose(gens))  # m x k
     r = sum(1 for i in range(min(len(dmat), len(dmat[0]))) if dmat[i][i])
-    uinv = matrix_inverse(u)
-    cols = [[row[j] for row in uinv] for j in range(r)]
-    if any(x.denominator != 1 for c in cols for x in c):
+    uinv, delta = _scaled_inverse(u)
+    if abs(delta) != 1:
         raise AssertionError("U is unimodular")
-    return _hnf_columns([[int(x) for x in c] for c in cols])
+    return _hnf_columns([[row[j] * delta for row in uinv] for j in range(r)])
 
 
 def primitive_vector(v: Sequence[ScalarLike]) -> tuple:
     """The primitive integer vector on the ray through v (v must be rational
-    and nonzero)."""
-    vec = as_vector(v)
-    if vec_is_zero(vec):
-        raise ValueError("zero vector has no primitive representative")
-    denom = math.lcm(*[x.denominator for x in vec])
-    ints = [int(x * denom) for x in vec]
+    and nonzero), in integers off the entries' numerators and denominators."""
+    vec = [x if type(x) in (int, Fraction) else as_scalar(x) for x in v]
+    denom = math.lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (denom // x.denominator) for x in vec]
     g = math.gcd(*ints)
+    if not g:
+        raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
 
 

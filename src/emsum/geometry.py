@@ -17,18 +17,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactcore import (
     MultiPoly,
+    _scaled_inverse,
     as_matrix,
     as_vector,
     det,
     hnf_lattice_basis,
     inner_product_matrix,
-    mat_mul,
-    mat_vec,
-    matrix_inverse,
     matrix_rank,
     primitive_vector,
     saturation_basis,
@@ -103,6 +102,7 @@ class LatticePolytope:
         self.faces = faces
         self.affine_data = affine_data
         self._simplices: dict = {}
+        self._edges = None
         self._moments: dict = {}
         self.face_operators: dict = {}
 
@@ -360,18 +360,19 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
 # tangent and transverse cones
 
 
-def _edges_at_vertex(poly: LatticePolytope, vertex_id: int) -> list:
-    """Primitive directions of the polytope edges leaving a vertex."""
-    dirs = []
-    for f in poly.faces_of_dim(1):
-        if vertex_id in f.vertex_ids:
-            other = next(i for i in f.vertex_ids if i != vertex_id)
-            d = vsub(
-                as_vector(poly.vertices[other]),
-                as_vector(poly.vertices[vertex_id]),
-            )
-            dirs.append(primitive_vector(d))
-    return sorted(dirs)
+def _edges_at_vertex(poly: LatticePolytope, vertex_id: int) -> tuple:
+    """Primitive directions, sorted, of the polytope edges leaving a vertex,
+    read off the polytope's edge table, which one pass over the edges
+    builds for every vertex on first use."""
+    if poly._edges is None:
+        table = [[] for _ in poly.vertices]
+        for f in poly.faces_of_dim(1):
+            a, b = f.vertex_ids
+            d = primitive_vector(vsub(poly.vertices[b], poly.vertices[a]))
+            table[a].append(d)
+            table[b].append(tuple(-x for x in d))
+        poly._edges = tuple(tuple(sorted(dirs)) for dirs in table)
+    return poly._edges[vertex_id]
 
 
 def tangent_cone(poly: LatticePolytope, face: Face) -> tuple:
@@ -381,9 +382,7 @@ def tangent_cone(poly: LatticePolytope, face: Face) -> tuple:
     cone(generators) + span(lineality_basis), generators being the primitive
     edge directions at the reference vertex.
     """
-    ref_id = poly.vertices.index(face.ref_vertex)
-    gens = _edges_at_vertex(poly, ref_id)
-    return tuple(gens), face.lineality_basis
+    return _edges_at_vertex(poly, face.vertex_ids[0]), face.lineality_basis
 
 
 def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedConeT:
@@ -399,6 +398,11 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     basis of the Q-orthocomplement of L(f) with R B = I; it spans the
     image of Z^m under the Q-orthogonal projection, and B^T Q B = G.  A
     vertex gets R = I, hence its ambient coordinates and Q itself.
+
+    Everything runs in integers: one fraction-free elimination of [Q | I]
+    gives Q^-1 = A / delta with A integer, so N = R A R^T is an integer
+    matrix, one of [N | I] gives N^-1 = C / nu, and then G = delta C / nu
+    and the rows of B are those of C R A / nu.
     """
     m = poly.ambient_dim
     qmat = inner_product_matrix(qmat, m)
@@ -408,16 +412,18 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     u, _, _ = smith_normal_form([[b[i] for b in lin] for i in range(m)])
     rows = u[len(lin):]
     gens, _ = tangent_cone(poly, face)
-    images = (mat_vec(rows, g) for g in gens)
+    images = ([sum(map(mul, r, g)) for r in rows] for g in gens)
     coord_gens = sorted({primitive_vector(y) for y in images if any(y)})
-    qinv = matrix_inverse(qmat)
-    qinv_rt = [mat_vec(qinv, r) for r in rows]  # the columns of Q^-1 R^T
-    gram = matrix_inverse([[vdot(r, c) for c in qinv_rt] for r in rows])
+    a, delta = _scaled_inverse(qmat)
+    ra = [[sum(map(mul, r, col)) for col in zip(*a)] for r in rows]  # R A
+    c, nu = _scaled_inverse([[sum(map(mul, x, r)) for r in rows] for x in ra])
     return PointedConeT(
         dim=len(rows),
         gens=tuple(coord_gens),
-        basis=mat_mul(gram, qinv_rt),  # rows B_j, as G is symmetric
-        qmat=gram,
+        basis=tuple(
+            tuple(F(sum(map(mul, x, col)), nu) for col in zip(*ra)) for x in c
+        ),
+        qmat=tuple(tuple(F(delta * x, nu) for x in row) for row in c),
     )
 
 

@@ -1,6 +1,7 @@
 """Tests for the expansion engine and its closed-form fast paths."""
 
 import hashlib
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -305,6 +306,42 @@ def test_face_operators_built_once_per_polytope_and_inner_product(monkeypatch):
         operators.clear()
         expansion(cube, phi, qmat=qmat)
         assert (len(tcones), len(operators)) == (built, built)
+
+
+def test_fresh_expansion_builds_no_order_past_degree_of_phi(monkeypatch):
+    # D_n of a codimension-c face has order n - c, so a constant phi needs
+    # only D_c of each face; the higher entries are recorded as 0
+    cube = build_polytope(CUBE.vertices)
+    orders = _count_calls(monkeypatch, subdivide, "vertex_op")
+    res = expansion(cube, ONE3)
+    assert orders and all(n == cone.dim for cone, n in orders)
+    assert sorted(res.per_face) == sorted(
+        (n, f.index) for f in cube.faces
+        for n in range(cube.dim - f.dim, res.n_max + 1)
+        if f.dim < cube.dim or n == 0
+    )
+    assert all(
+        value == 0 for (n, i), value in res.per_face.items()
+        if n > cube.dim - cube.faces[i].dim
+    )
+    assert res.coefficients == (F(1), F(3), F(3), F(1))
+
+
+def test_fresh_expansion_lifts_no_vertex_operator(monkeypatch):
+    # a vertex's transverse basis is the identity, so its operators are
+    # used as built; edges and facets still compose theirs with the basis
+    lifted = []
+    real = MultiPoly.compose
+
+    def compose(self, images):
+        if sys._getframe(1).f_globals["__name__"] == engine.__name__:
+            lifted.append(len(images))
+        return real(self, images)
+
+    monkeypatch.setattr(MultiPoly, "compose", compose)
+    simplex = build_polytope(PER_FACE_CORPUS["simplex3"])
+    expansion(simplex, MultiPoly.variable(3, 0) * MultiPoly.variable(3, 2))
+    assert sorted(set(lifted)) == [1, 2]
 
 
 def test_repeat_expansion_hashes_inner_product_once(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsum import exactcore
 from emsum.exactcore import (
     CycloElem,
     MultiPoly,
@@ -194,6 +195,18 @@ def test_hnf_rank_deficient():
     assert saturation_basis([(2, 0)]) == [(1, 0)]
 
 
+def test_saturation_basis_rejects_a_transform_that_is_not_unimodular(monkeypatch):
+    real = exactcore.smith_normal_form
+
+    def doubled(mat):
+        u, d, v = real(mat)
+        return ((2 * u[0][0],) + u[0][1:],) + u[1:], d, v
+
+    monkeypatch.setattr(exactcore, "smith_normal_form", doubled)
+    with pytest.raises(AssertionError, match="U is unimodular"):
+        saturation_basis([(1, 1, 0)])
+
+
 def test_hnf_rejects_empty():
     with pytest.raises(ValueError, match="empty generating set"):
         hnf_lattice_basis([])
@@ -249,6 +262,32 @@ def test_hnf_generates_same_lattice(gens):
 def test_primitive_vector():
     assert primitive_vector((F(-2), F(4))) == (-1, 2)
     assert primitive_vector((F(1, 2), F(1, 2))) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "vec, expected",
+    [
+        ([2, F(-4, 3), "6/5", 0], (15, -10, 9, 0)),
+        (["-3/4", 9, F(3, 2)], (-1, 12, 2)),
+        ([0, "0/7", F(-5)], (0, 0, -1)),
+        ([F(10**20, 3), 2 * 10**20], (1, 6)),
+    ],
+)
+def test_primitive_vector_of_mixed_entries_is_python_ints(vec, expected):
+    out = primitive_vector(vec)
+    assert out == expected and all(type(x) is int for x in out)
+
+
+def test_primitive_vector_rejects_zero_and_non_rationals():
+    for zero in ([0, F(0), "0"], []):
+        with pytest.raises(
+            ValueError, match="zero vector has no primitive representative"
+        ):
+            primitive_vector(zero)
+    with pytest.raises(TypeError, match="booleans"):
+        primitive_vector([True, 1])
+    with pytest.raises(TypeError, match="float"):
+        primitive_vector([1.5, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
@@ -253,6 +254,76 @@ def test_transverse_cone_matches_projection_definition(case):
         assert list(t.gens) == sorted(
             {primitive_vector(y) for y in projected if any(y)}
         )
+
+
+# Every transverse cone of a fixed corpus (2D to 4D, Delzant or not) under
+# the identity, the tridiagonal Q and a Q with non-integer entries: the
+# integer formulas for B and G must give the same exact cones as the
+# rational inverses they replaced.
+TRANSVERSE_CORPUS = {
+    "square": SQUARE,
+    "skew-triangle": SKEW_TRIANGLE,
+    "trapezoid": TRAPEZOID,
+    "cube": CUBE,
+    "octahedron": OCTAHEDRON,
+    "prism": PRISM,
+    "tetrahedron-non-delzant": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)],
+    "simplex4": [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                 (0, 0, 0, 1)],
+}
+TRANSVERSE_SHA256 = (
+    "cf4cb38479322439ecdad58590445f8082debfd4766d81b52bef6e3685eebf3f"
+)
+
+
+def test_transverse_cones_match_pinned_digest():
+    lines = []
+    for name, vertices in TRANSVERSE_CORPUS.items():
+        poly = build_polytope(vertices)
+        m = poly.ambient_dim
+        qmats = {
+            "I": None,
+            "tridiagonal": [[2 if i == j else int(abs(i - j) == 1)
+                             for j in range(m)] for i in range(m)],
+            "fractional": [[F(3, 2) if i == j else
+                            (F(1, 3) if abs(i - j) == 1 else 0)
+                            for j in range(m)] for i in range(m)],
+        }
+        for qname, q in qmats.items():
+            lines += [
+                f"{name} {qname} {f.vertex_ids} {transverse_cone(poly, f, q)!r}"
+                for f in poly.faces
+            ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TRANSVERSE_SHA256
+
+
+@st.composite
+def hulls_2d_to_4d(draw):
+    m = draw(st.integers(2, 4))
+    coord = st.integers(-1, 2)
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=m + 1,
+                           max_size=m + 3))
+    try:
+        return build_polytope(points)
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hulls_2d_to_4d())
+def test_edge_table_matches_scan_of_edges(poly):
+    # the table built in one pass holds, at every vertex, the sorted
+    # primitive directions of the edges through it
+    for i, v in enumerate(poly.vertices):
+        scan = sorted(
+            primitive_vector([w - x for w, x in zip(poly.vertices[j], v)])
+            for f in poly.faces_of_dim(1) if i in f.vertex_ids
+            for j in f.vertex_ids if j != i
+        )
+        assert list(geometry._edges_at_vertex(poly, i)) == scan
+        vertex = poly.face_by_vertex_ids([i])
+        assert tangent_cone(poly, vertex) == (tuple(scan), ())
 
 
 def test_transverse_cone_respects_q():
