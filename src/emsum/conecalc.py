@@ -21,8 +21,10 @@ generators.
 
 The peeling recursion runs in the cell coordinates y_i = <xi, g_i>, in
 integers: fraction-free solves on blocks of one integer Gram matrix per
-cone, symbols held as integer polynomials over one denominator, and one
-composition with y_i = <xi, g_i> per public result.
+cone, and symbols held as integer polynomials over one denominator.  One
+integer composition takes a symbol to the cone's output forms, its own
+generators or lifted ones (`subdivide.cone_operator` sums the composed
+symbols of its cells); only the public results are Fraction polynomials.
 """
 
 from __future__ import annotations
@@ -31,11 +33,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .combinat import MultiIndex, p_I_of_nu, p_of_n, positive_compositions
 from .exactcore import (
     MultiPoly,
+    _integer_rows,
     as_scalar,
     as_vector,
     bareiss,
@@ -94,7 +98,26 @@ class Deco:
     coeff: Mapping[Tuple[int, int], Fraction]
 
 
-class UniCone:
+class _Cell:
+    """The integer set-up of the peeling recursion on a simplicial cone: the
+    Gram matrix (h_i^T qi h_j) of its integer rays h_i under an integer
+    multiple qi of a definite inner product, the recursion's one input, and
+    the output forms of the cell coordinates, y_i = <xi, f_i> / t, with f_i
+    sparse integer forms on Q^m (the h_i themselves, or lifted images)."""
+
+    __slots__ = ("dim", "ambient_dim", "_forms", "_den", "_gram", "_schur_cache", "_op_cache")
+
+    def __init__(self, rays, qi, forms, t: int, m: int):
+        qh = [[sum(map(mul, row, h)) for row in qi] for h in rays]
+        gram = [[sum(map(mul, h, x)) for x in qh] for h in rays]
+        # under a definite Q, the rays are independent exactly when G is definite
+        if not bareiss([list(row) for row in gram]):
+            raise ValueError("cone generators must be linearly independent")
+        self.dim, self.ambient_dim, self._forms, self._den, self._gram = len(rays), m, forms, t, gram
+        self._schur_cache, self._op_cache = {}, {}
+
+
+class UniCone(_Cell):
     """Simplicial rational cone with labeled generators.
 
     The generators are linearly independent rational vectors; labels
@@ -104,14 +127,12 @@ class UniCone:
     Whether the generators form a lattice basis is the caller's
     concern; this class uses only the linear data.
 
-    The constructor writes g_i = h_i / t with integer h_i, kept as sparse
-    linear forms, and scales the Gram matrix (Q(g_i, g_j)) to an integer
-    matrix: the one input of the peeling recursion, which runs in the cell
-    coordinates y_i = <xi, g_i>.
+    The constructor validates Q, writes g_i = h_i / t with integer h_i and
+    scales Q to an integer matrix; `_Cell` takes the h_i as both rays and
+    output forms, so symbols come out in the ambient dual coordinates.
     """
 
-    __slots__ = ("gens", "qmat", "dim", "ambient_dim", "_forms", "_den", "_gram",
-                 "_schur_cache", "_op_cache", "_sym_cache")
+    __slots__ = ("gens", "qmat", "_sym_cache")
 
     def __init__(self, gens: Iterable[Sequence], qmat=None):
         glist = [as_vector(g) for g in gens]
@@ -121,21 +142,9 @@ class UniCone:
         if any(len(g) != m for g in glist):
             raise ValueError("generators must have equal length")
         q = inner_product_matrix(qmat, m)
-        t = self._den = math.lcm(*(x.denominator for g in glist for x in g))
-        hs = self._forms = [{k: x.numerator * (t // x.denominator) for k, x in enumerate(g) if x}
-                            for g in glist]
-        s = math.lcm(*(x.denominator for row in q for x in row))
-        qi = [[x.numerator * (s // x.denominator) for x in row] for row in q]
-        self.gens = tuple(glist)
-        self.qmat = q
-        self.dim = len(glist)
-        self.ambient_dim = m
-        self._gram = [[sum(a * qi[k][l] * b for k, a in f.items() for l, b in h.items())
-                       for h in hs] for f in hs]
-        # under a definite Q, the generators are independent exactly when G is definite
-        if not bareiss([list(row) for row in self._gram]):
-            raise ValueError("cone generators must be linearly independent")
-        self._schur_cache, self._op_cache, self._sym_cache = {}, {}, {}
+        hs, t = _integer_rows(glist)
+        super().__init__(hs, _integer_rows(q)[0], [{k: x for k, x in enumerate(h) if x} for h in hs], t, m)
+        self.gens, self.qmat, self._sym_cache = tuple(glist), q, {}
 
     def labels(self) -> range:
         return range(self.dim)
@@ -153,7 +162,7 @@ def _subset(cone: UniCone, labels: Iterable[int], nonempty: bool = False) -> tup
     return out
 
 
-def _schur(cone: UniCone, subset: tuple) -> tuple:
+def _schur(cone: _Cell, subset: tuple) -> tuple:
     """(delta, a) with g_e - sum over v in the complement c of a[e][v] /
     delta * g_v Q-perpendicular to every g_v, v in c, for each e in
     `subset`: one elimination of the integer blocks [G_cc | G_c,subset]."""
@@ -228,8 +237,10 @@ def _ysum(parts: Sequence[tuple], den: int = 1) -> tuple:
     return {k: x // g for k, x in out.items() if x}, lcm * den // g
 
 
-def _to_ambient(cone: UniCone, sym: tuple) -> MultiPoly:
-    """Compose a cell-coordinate symbol with y_i = <xi, h_i> / t, in integers."""
+def _to_ambient(cone: _Cell, sym: tuple) -> tuple:
+    """Compose a cell-coordinate symbol (terms, den) with y_i = <xi, f_i> / t
+    over the cone's output forms f_i, in integers: (terms, den) in the
+    ambient dual coordinates, whose order-k part stands for terms / (den t^k)."""
     terms, den = sym
     parts = []
     for exps, c in terms.items():
@@ -237,11 +248,16 @@ def _to_ambient(cone: UniCone, sym: tuple) -> MultiPoly:
         for i in [i for i, e in enumerate(exps) for _ in range(e)]:
             part = _ymul(part, cone._forms[i])
         parts.append((1, (part, 1)))
-    out = _ysum(parts)[0].items()
-    return MultiPoly(cone.ambient_dim, {k: Fraction(x, den * cone._den ** sum(k)) for k, x in out})
+    return _ysum(parts, den)
 
 
-def _ibp_rec(cone: UniCone, I: tuple, J: tuple, alpha: tuple, rule: str) -> tuple:
+def _poly(sym: tuple, t: int, m: int) -> MultiPoly:
+    """The Fraction polynomial of a `_to_ambient` result over forms with denominator t."""
+    terms, den = sym
+    return MultiPoly(m, {k: Fraction(x, den * t ** sum(k)) for k, x in terms.items()})
+
+
+def _ibp_rec(cone: _Cell, I: tuple, J: tuple, alpha: tuple, rule: str) -> tuple:
     # the symbol of L(E; I, J; alpha) in cell coordinates, as (terms, den);
     # alpha is its sorted tuple of (label, positive exponent) pairs
     key = (I, J, alpha, rule)
@@ -285,7 +301,7 @@ def ibp_op(cone: UniCone, inner, outer, alpha, pivot_rule: str = "min") -> DiffO
         raise ValueError("pivot_rule must be 'min' or 'max'")
     I, J, a = _check_ibp_args(cone, inner, outer, alpha)
     sym = _to_ambient(cone, _ibp_rec(cone, I, J, _alpha_key(a), pivot_rule))
-    return DiffOp(cone.ambient_dim, a.total() - len(J) + len(I), sym)
+    return DiffOp(cone.ambient_dim, a.total() - len(J) + len(I), _poly(sym, cone._den, cone.ambient_dim))
 
 
 def divide_by_linear_form(poly: MultiPoly, coeffs: Sequence) -> MultiPoly:
@@ -456,12 +472,18 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
     if n < 0:
         raise ValueError("order must be non-negative")
     out = _subset(cone, face_labels)
-    m = cone.ambient_dim
-    if not out:
-        sym = MultiPoly.const(m, Fraction(1)) if n == 0 else MultiPoly.zero(m)
-        return DiffOp(m, 0, sym)
     if n < len(out):
         raise ValueError("operator requires order at least the codimension of the face")
+    sym = _poly(_to_ambient(cone, _bv_sym(cone, out, n)), cone._den, cone.ambient_dim)
+    # D_n(C; C) is the constant 1 or 0, of order 0
+    return DiffOp(cone.ambient_dim, n - len(out) if out else 0, sym)
+
+
+def _bv_sym(cone: _Cell, out: tuple, n: int) -> tuple:
+    """The symbol of D_n(C; F) in cell coordinates, as integer (terms, den),
+    for F named by a label tuple `out` and n >= len(out)."""
+    if not out:
+        return ({(0,) * cone.dim: 1} if n == 0 else {}), 1
     ps = [p_of_n(k) for k in range(1, n + 1)]
     d = math.lcm(*(x.denominator for x in ps))
     a = [0] + [x.numerator * (d // x.denominator) for x in ps]
@@ -474,7 +496,7 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
             for w, nu in table:
                 alpha = tuple((e, k - 1) for e, k in zip(picked, nu) if k > 1)
                 parts.append((w, _ibp_rec(cone, picked, out, alpha, "min")))
-    return DiffOp(m, n - len(out), _to_ambient(cone, _ysum(parts, d ** rmax)))
+    return _ysum(parts, d ** rmax)
 
 
 def vertex_op(cone: UniCone, n: int) -> DiffOp:

@@ -5,9 +5,11 @@ N^{-m} sum_{x in P cap Z^m/N} phi(x) has a terminating expansion in 1/N
 whose coefficient A_n is a sum of integrals over the faces of P of
 codimension at most n: each face contributes its transverse cone's
 Berline-Vergne operator, lifted back to the ambient space and applied
-to phi.  No D_n phi is built: each integral is read off the operator's
-symbol, phi's terms and the face's moment table
-(`LatticePolytope.face_moment`), which depends on neither phi, Q nor n.
+to phi.  The lift is no separate step: `cone_operator` composes each
+cell's symbol straight to the face's lifted generators.  No D_n phi is
+built: each integral is read off the operator's symbol, phi's terms and
+the face's moment table (`LatticePolytope.face_moment`), which depends
+on neither phi, Q nor n.
 The lifted operator of a face of codimension c is homogeneous of order
 n - c, so it kills phi once n > c + deg(phi): those entries are 0, and
 no operator of such an order is built for them.
@@ -174,27 +176,17 @@ def _integrate_operator(poly: LatticePolytope, face, symbol, phi) -> Fraction:
 
 def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
     """n -> the face's transverse-cone operator D_n(C_F; Q) lifted to the
-    ambient space, memoized per order.  Its `unimodular` attribute tells
-    whether the transverse cone was.  A vertex has B = I, so its
-    operators need no lift."""
+    ambient space, memoized per order.  `cone_operator` composes each
+    cell's symbol straight to the lifted generators through the face's
+    basis B, so no symbol is composed here; a vertex has B = I and needs
+    no lift.  The `unimodular` attribute, which `functools.cache` copies
+    from the operator, tells whether the transverse cone was unimodular."""
     tcone = transverse_cone(poly, face, qmat)
-    ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy)
+    ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy,
+                        basis=tcone.basis if face.dim else None)
     if not ops.unimodular and is_delzant(poly):
         raise AssertionError("Delzant transverse cones must be unimodular")
-    images = [
-        MultiPoly.linear_form([Fraction(c) for c in b]) for b in tcone.basis
-    ]
-    m = poly.ambient_dim
-
-    @functools.cache
-    def lifted(n: int) -> DiffOp:
-        op = ops(n)
-        if not face.dim:
-            return op
-        return DiffOp(m, op.order, op.symbol.compose(images))
-
-    lifted.unimodular = ops.unimodular
-    return lifted
+    return functools.cache(ops)
 
 
 # ---------------------------------------------------------------------------

@@ -235,12 +235,15 @@ def bareiss(rows: list) -> int:
     return delta
 
 
+def _integer_rows(mat: Sequence[Sequence[Fraction]]) -> tuple:
+    """(s * mat as integer rows, s) for s the lcm of the entries' denominators."""
+    s = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in mat], s
+
+
 def is_spd(mat: Sequence[Sequence[Fraction]]) -> bool:
     """Symmetric with positive leading minors: the pivots of `bareiss` on an integer multiple."""
-    if not is_symmetric(mat):
-        return False
-    s = math.lcm(*(x.denominator for row in mat for x in row))
-    return bool(bareiss([[x.numerator * (s // x.denominator) for x in row] for row in mat]))
+    return is_symmetric(mat) and bool(bareiss(_integer_rows(mat)[0]))
 
 
 def inner_product_matrix(qmat, m: int) -> tuple:

@@ -26,7 +26,6 @@ from .exactcore import (
     as_matrix,
     as_vector,
     det,
-    hnf_lattice_basis,
     inner_product_matrix,
     matrix_rank,
     primitive_vector,
@@ -134,7 +133,8 @@ class LatticePolytope:
 
         The lattice volume is the index of the lattice the edges generate
         in the face's saturated lattice: k! times the simplex's volume in
-        the face's lattice measure.
+        the face's lattice measure, and the product of the k diagonal
+        entries of one Smith normal form of the edge matrix.
         """
         if face.index not in self._simplices:
             out = []
@@ -142,7 +142,8 @@ class LatticePolytope:
             for simplex in _pulling_triangulation(lattice, (face.dim, face.vertex_ids)):
                 base, *rest = (self.vertices[i] for i in simplex)
                 edges = tuple(tuple(x - b for x, b in zip(v, base)) for v in rest)
-                out.append((base, edges, hnf_lattice_basis(edges)[1]))
+                dmat = smith_normal_form(edges)[1]
+                out.append((base, edges, math.prod(dmat[i][i] for i in range(len(edges)))))
             self._simplices[face.index] = tuple(out)
         return self._simplices[face.index]
 

@@ -22,14 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .conecalc import DiffOp, UniCone, vertex_op
+from .conecalc import DiffOp, _bv_sym, _Cell, _poly, _to_ambient, _ysum
 from .exactcore import (
-    MultiPoly,
+    _integer_rows,
     as_vector,
+    inner_product_matrix,
     matrix_rank,
     primitive_vector,
     smith_normal_form,
@@ -355,7 +355,7 @@ def _signed_faces(maximal: dict) -> list:
 # vertex operator of a pointed cone
 
 
-def cone_operator(gens, qmat=None, strategy: str = "default"):
+def cone_operator(gens, qmat=None, strategy: str = "default", basis=None):
     """Berline-Vergne vertex operators D_n(C; 0) of a pointed rational cone.
 
     The signed decomposition of the cone is built once: a unimodular
@@ -368,10 +368,24 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     the cone was its own single cell.  Independent rays always span a
     pointed cone; any other cone that is not pointed is rejected by
     `triangulate_cone`.
+
+    With `basis`, one row b_j of length M per generator coordinate, the
+    operators come out lifted to Q^M, as if composed with xi_j = <xi, b_j>:
+    a cell ray h enters as the form sum_j h_j b_j.  Q is checked and
+    scaled to integers once per call, and each order is one integer sum
+    of the cells' symbols composed straight to these forms.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
+    m = len(rays[0])
+    qi = _integer_rows(inner_product_matrix(qmat, m))[0]
+    if basis is None:
+        lift, t = [[int(i == j) for j in range(m)] for i in range(m)], 1
+    else:
+        lift, t = _integer_rows([as_vector(b) for b in basis])
+    if len(lift) != m or any(len(b) != len(lift[0]) for b in lift):
+        raise ValueError("basis must have one row of equal length per generator coordinate")
     d = matrix_rank([as_vector(g) for g in rays])
     unimodular = len(rays) == d and _cell_lattice(tuple(rays)).index == 1
     if unimodular:
@@ -379,12 +393,12 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     else:
         fan = _unimodular_fan(triangulate_cone(rays, strategy=strategy), strategy)
         signed = _signed_faces(fan)
-    cells = [
-        (Fraction(c.coeff), UniCone(list(c.gens), qmat=qmat) if c.dim else None)
-        for c in signed
-        if c.coeff
-    ]
-    m = len(rays[0])
+    size = len(lift[0])
+    forms = {h: {k: x for k, col in enumerate(zip(*lift)) if (x := sum(map(mul, h, col)))}
+             for c in signed for h in c.gens}
+    # a signed empty cell would be a cell with no rays, whose D_0 is 1
+    cells = [(c.coeff, _Cell(c.gens, qi, [forms[h] for h in c.gens], t, size))
+             for c in signed if c.coeff]
 
     def operator(n: int) -> DiffOp:
         if n < 0:
@@ -393,15 +407,11 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
             raise ValueError(
                 "operator requires order at least the dimension of the cone"
             )
-        total = MultiPoly.zero(m)
-        for coeff, cone in cells:
-            if cone is None:
-                if n == d:
-                    total = total + MultiPoly.const(m, coeff)
-                continue
-            part = vertex_op(cone, n - d + cone.dim)
-            total = total + part.symbol * coeff
-        return DiffOp(m, n - d, total)
+        parts = [
+            (coeff, _to_ambient(cell, _bv_sym(cell, tuple(range(cell.dim)), n - d + cell.dim)))
+            for coeff, cell in cells
+        ]
+        return DiffOp(size, n - d, _poly(_ysum(parts), t, size))
 
     operator.unimodular = unimodular
     return operator

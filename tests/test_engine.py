@@ -312,9 +312,9 @@ def test_fresh_expansion_builds_no_order_past_degree_of_phi(monkeypatch):
     # D_n of a codimension-c face has order n - c, so a constant phi needs
     # only D_c of each face; the higher entries are recorded as 0
     cube = build_polytope(CUBE.vertices)
-    orders = _count_calls(monkeypatch, subdivide, "vertex_op")
+    orders = _count_calls(monkeypatch, subdivide, "_bv_sym")
     res = expansion(cube, ONE3)
-    assert orders and all(n == cone.dim for cone, n in orders)
+    assert orders and all(n == cell.dim for cell, _, n in orders)
     assert sorted(res.per_face) == sorted(
         (n, f.index) for f in cube.faces
         for n in range(cube.dim - f.dim, res.n_max + 1)
@@ -328,8 +328,9 @@ def test_fresh_expansion_builds_no_order_past_degree_of_phi(monkeypatch):
 
 
 def test_fresh_expansion_lifts_no_vertex_operator(monkeypatch):
-    # a vertex's transverse basis is the identity, so its operators are
-    # used as built; edges and facets still compose theirs with the basis
+    # cone_operator composes each cell's symbol straight to the lifted
+    # generators, so the engine composes no symbol for any face: not for
+    # a vertex, whose basis is the identity, nor for an edge or a facet
     lifted = []
     real = MultiPoly.compose
 
@@ -340,8 +341,8 @@ def test_fresh_expansion_lifts_no_vertex_operator(monkeypatch):
 
     monkeypatch.setattr(MultiPoly, "compose", compose)
     simplex = build_polytope(PER_FACE_CORPUS["simplex3"])
-    expansion(simplex, MultiPoly.variable(3, 0) * MultiPoly.variable(3, 2))
-    assert sorted(set(lifted)) == [1, 2]
+    res = expansion(simplex, MultiPoly.variable(3, 0) * MultiPoly.variable(3, 2))
+    assert lifted == [] and any(res.per_face.values())
 
 
 def test_repeat_expansion_hashes_inner_product_once(monkeypatch):
@@ -485,8 +486,9 @@ def test_repeat_expansion_composes_no_polynomial(monkeypatch):
     phi = _mixed_phi(3)
     composes = _count_calls(monkeypatch, MultiPoly, "compose")
     applies = _count_calls(monkeypatch, DiffOp, "apply")
+    symbols = _count_calls(monkeypatch, subdivide, "_to_ambient")
     first = expansion(octahedron, phi, qmat=TRIDIAGONAL3)
-    assert composes and not applies
+    assert symbols and not composes and not applies
     for again in (phi, phi * F(-2, 9)):
         composes.clear()
         res = expansion(octahedron, again, qmat=TRIDIAGONAL3)

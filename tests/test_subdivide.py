@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from emsum import exactcore, geometry, subdivide
+from emsum import conecalc, exactcore, geometry, subdivide
 from emsum.conecalc import UniCone, bv_op_unimodular
 from emsum.exactcore import (
     MultiPoly,
@@ -555,6 +555,69 @@ def test_cone_operator_matches_bv_op_pointed():
                 routed = bv_op_pointed(gens, n, strategy=strategy)
                 assert ops(n).symbol == routed.symbol
                 assert ops(n).order == routed.order
+
+
+@st.composite
+def lifted_cone_cases(draw):
+    """A 2-3D cone of index 1-15 under a unimodular map, an inner product
+    (identity or tridiagonal) and a random rational d x M basis."""
+    d = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 15))
+    apex = [draw(st.integers(0, k - 1)) for _ in range(d - 1)] + [k]
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d - 1)]
+    rays.append(tuple(apex))
+    mat = unimodular_matrix(random.Random(draw(st.integers(0, 10**6))), d)
+    gens = [tuple(sum(a * x for a, x in zip(row, g)) for row in mat) for g in rays]
+    qmat = draw(st.sampled_from([
+        None,
+        [[2 if i == j else int(abs(i - j) == 1) for j in range(d)] for i in range(d)],
+    ]))
+    size = draw(st.integers(d, d + 2))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    basis = [[draw(entry) for _ in range(size)] for _ in range(d)]
+    return gens, qmat, basis, draw(st.integers(d, d + 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lifted_cone_cases())
+def test_lifted_cone_operator_matches_composed_reference(case):
+    # the two-compose route: build in the generators' coordinates, then
+    # substitute xi_j = <xi, b_j>
+    gens, qmat, basis, n = case
+    images = [MultiPoly.linear_form(row) for row in basis]
+    for strategy in STRATEGIES:
+        ops = cone_operator(gens, qmat=qmat, strategy=strategy, basis=basis)
+        plain = cone_operator(gens, qmat=qmat, strategy=strategy)(n)
+        lifted = ops(n)
+        assert lifted.dim == len(basis[0]) and lifted.order == plain.order
+        assert lifted.symbol == plain.symbol.compose(images)
+
+
+def test_cone_operator_checks_inner_product_once(monkeypatch):
+    calls = []
+    real = exactcore.inner_product_matrix
+
+    def counting(qmat, m):
+        calls.append(m)
+        return real(qmat, m)
+
+    for module in (conecalc, subdivide):
+        monkeypatch.setattr(module, "inner_product_matrix", counting, raising=False)
+    skew = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    ops = cone_operator(index_cone(15), qmat=skew)
+    assert not ops(4).symbol.is_zero()
+    assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [[], [(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1), (0, 0, 1)],
+     [(1,), (0,), (0,), (0,)]],
+    ids=["empty", "too-few-rows", "ragged", "too-many-rows"],
+)
+def test_cone_operator_rejects_misshapen_basis(basis):
+    with pytest.raises(ValueError, match="basis must have one row"):
+        cone_operator(index_cone(3), basis=basis)
 
 
 def test_bv_pointed_redundant_generators():
