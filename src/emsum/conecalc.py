@@ -21,10 +21,10 @@ generators.
 
 The peeling recursion runs in the cell coordinates y_i = <xi, g_i>, in
 integers: fraction-free solves on blocks of one integer Gram matrix per
-cone, and symbols held as integer polynomials over one denominator.  One
-integer composition takes a symbol to the cone's output forms, its own
-generators or lifted ones (`subdivide.cone_operator` sums the composed
-symbols of its cells); only the public results are Fraction polynomials.
+cone, and symbols held as integer polynomials over one denominator, which
+cells with equal Gram matrices share.  One integer composition takes a
+symbol to the cone's output forms, its own generators or lifted ones
+(`subdivide.cone_operator` sums the composed symbols of its cells).
 """
 
 from __future__ import annotations
@@ -103,18 +103,29 @@ class _Cell:
     Gram matrix (h_i^T qi h_j) of its integer rays h_i under an integer
     multiple qi of a definite inner product, the recursion's one input, and
     the output forms of the cell coordinates, y_i = <xi, f_i> / t, with f_i
-    sparse integer forms on Q^m (the h_i themselves, or lifted images)."""
+    sparse integer forms on Q^m (the h_i themselves, or lifted images).
+    With a `classes` dict, the cell orders its rays by (G_ii, sorted row i)
+    and shares its Schur solves and symbols, which depend on G alone, with
+    the earlier cells of that dict whose reordered G is equal."""
 
     __slots__ = ("dim", "ambient_dim", "_forms", "_den", "_gram", "_schur_cache", "_op_cache")
 
-    def __init__(self, rays, qi, forms, t: int, m: int):
+    def __init__(self, rays, qi, forms, t: int, m: int, classes: dict = None):
         qh = [[sum(map(mul, row, h)) for row in qi] for h in rays]
         gram = [[sum(map(mul, h, x)) for x in qh] for h in rays]
-        # under a definite Q, the rays are independent exactly when G is definite
-        if not bareiss([list(row) for row in gram]):
-            raise ValueError("cone generators must be linearly independent")
-        self.dim, self.ambient_dim, self._forms, self._den, self._gram = len(rays), m, forms, t, gram
-        self._schur_cache, self._op_cache = {}, {}
+        if classes is None:
+            classes, order = {}, range(len(rays))
+        else:
+            order = sorted(range(len(rays)), key=lambda i: (gram[i][i], sorted(gram[i])))
+        gram = tuple(tuple(gram[i][j] for j in order) for i in order)
+        if gram not in classes:
+            # under a definite Q, the rays are independent exactly when G is definite
+            if not bareiss([list(row) for row in gram]):
+                raise ValueError("cone generators must be linearly independent")
+            classes[gram] = ({}, {})
+        self.dim, self.ambient_dim, self._den, self._gram = len(rays), m, t, gram
+        self._forms = [forms[i] for i in order]
+        self._schur_cache, self._op_cache = classes[gram]
 
 
 class UniCone(_Cell):
@@ -480,10 +491,13 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
 
 
 def _bv_sym(cone: _Cell, out: tuple, n: int) -> tuple:
-    """The symbol of D_n(C; F) in cell coordinates, as integer (terms, den),
-    for F named by a label tuple `out` and n >= len(out)."""
+    """The symbol of D_n(C; F) in cell coordinates, as integer (terms, den), for
+    F named by a label tuple `out` and n >= len(out); memoized per Gram class."""
     if not out:
         return ({(0,) * cone.dim: 1} if n == 0 else {}), 1
+    hit = cone._op_cache.get((out, n))
+    if hit is not None:
+        return hit
     ps = [p_of_n(k) for k in range(1, n + 1)]
     d = math.lcm(*(x.denominator for x in ps))
     a = [0] + [x.numerator * (d // x.denominator) for x in ps]
@@ -496,7 +510,8 @@ def _bv_sym(cone: _Cell, out: tuple, n: int) -> tuple:
             for w, nu in table:
                 alpha = tuple((e, k - 1) for e, k in zip(picked, nu) if k > 1)
                 parts.append((w, _ibp_rec(cone, picked, out, alpha, "min")))
-    return _ysum(parts, d ** rmax)
+    sym = cone._op_cache[out, n] = _ysum(parts, d ** rmax)
+    return sym
 
 
 def vertex_op(cone: UniCone, n: int) -> DiffOp:

@@ -51,7 +51,7 @@ from .geometry import (
     tangent_cone,
     transverse_cone,
 )
-from .subdivide import STRATEGIES, cone_operator
+from .subdivide import STRATEGIES, _cone_operator
 
 
 @dataclass(frozen=True)
@@ -129,6 +129,8 @@ def expansion(
     per_face = {}
     valuation_used = False
     operators = poly.face_operators.setdefault((qused, strategy), {})
+    # the faces built in this call share their Gram classes
+    classes = {}
     for face in poly.faces:
         codim = poly.dim - face.dim
         if codim == 0:
@@ -138,9 +140,12 @@ def expansion(
             continue
         if codim > n_max:
             continue
-        if face.index not in operators:
-            operators[face.index] = _face_operator(poly, face, qused, strategy)
-        ops = operators[face.index]
+        ops = operators.get(face.index)
+        if ops is None:
+            ops = _face_operator(poly, face, qused, strategy, classes)
+            if not ops.unimodular and not valuation_used and is_delzant(poly):
+                raise AssertionError("Delzant transverse cones must be unimodular")
+            operators[face.index] = ops
         valuation_used = valuation_used or not ops.unimodular
         for n in range(codim, n_max + 1):
             val = (
@@ -174,18 +179,17 @@ def _integrate_operator(poly: LatticePolytope, face, symbol, phi) -> Fraction:
     return total
 
 
-def _face_operator(poly: LatticePolytope, face, qmat, strategy: str):
+def _face_operator(poly: LatticePolytope, face, qmat, strategy: str, classes: dict):
     """n -> the face's transverse-cone operator D_n(C_F; Q) lifted to the
     ambient space, memoized per order.  `cone_operator` composes each
     cell's symbol straight to the lifted generators through the face's
     basis B, so no symbol is composed here; a vertex has B = I and needs
-    no lift.  The `unimodular` attribute, which `functools.cache` copies
-    from the operator, tells whether the transverse cone was unimodular."""
+    no lift.  The transverse cone's induced Q is positive definite by
+    construction, so the private core skips its check.  The `unimodular`
+    attribute, which `functools.cache` copies from the operator, tells
+    whether the transverse cone was unimodular."""
     tcone = transverse_cone(poly, face, qmat)
-    ops = cone_operator(tcone.gens, qmat=tcone.qmat, strategy=strategy,
-                        basis=tcone.basis if face.dim else None)
-    if not ops.unimodular and is_delzant(poly):
-        raise AssertionError("Delzant transverse cones must be unimodular")
+    ops = _cone_operator(list(tcone.gens), tcone.qmat, strategy, tcone.basis if face.dim else None, classes)
     return functools.cache(ops)
 
 

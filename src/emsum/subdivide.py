@@ -2,14 +2,14 @@
 
 A pointed cone that is not unimodular is handled in three steps: a
 pulling triangulation on its own extreme rays, read off the cone's face
-lattice with no section polytope built, a stellar refinement of
-the resulting fan until every maximal cell is unimodular, and an
+lattice with no section polytope built, a stellar refinement of the fan,
+star by star, until every maximal cell is unimodular, and an
 inclusion-exclusion pass that turns the closed cover by cells into a
 signed decomposition of the indicator function.  Every simplicial cell
 gets one Smith normal form (`_cell_lattice`), which gives its index, its
 integer coordinates and the lattice points of its fundamental box: the
-stellar refinement picks its points from that box, and both passes test
-membership by integer dot products.  The Berline-Vergne vertex operator
+stellar refinement picks its points from that box, and the coverage
+checks read sides and membership off the coordinates.  The vertex operator
 of the cone is then the signed sum of the vertex operators of the
 cells, each taken at the order matching its dimension drop.  The final
 result must not depend on any of the choices made on the way; callers
@@ -19,6 +19,7 @@ checked.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .conecalc import DiffOp, _bv_sym, _Cell, _poly, _to_ambient, _ysum
 from .exactcore import (
     _integer_rows,
     as_vector,
+    identity_matrix,
     inner_product_matrix,
     matrix_rank,
     primitive_vector,
@@ -215,17 +217,13 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
 
 
 def _stellar_point(lattice: _Lattice, strategy: str) -> tuple:
-    """Primitive lattice point in the half-open fundamental parallelepiped
-    of the cell minimizing the largest barycentric coordinate."""
+    """(scale * t, p): the primitive lattice point p = sum t_i g_i of the cell's
+    half-open fundamental parallelepiped minimizing the largest t_i."""
     sign = 1 if strategy == "default" else -1
-    candidates = [
-        (max(t), tuple(sign * c for c in p), p)
-        for t, p in lattice.box()
-        if any(t)
-    ]
+    candidates = [(max(t), tuple(sign * c for c in p), t, p) for t, p in lattice.box() if any(t)]
     if not candidates:
         raise AssertionError("cell of index > 1 must contain a stellar point")
-    return min(candidates)[2]
+    return min(candidates)[2:]
 
 
 def unimodularize(cone_or_cells, strategy: str = "default") -> list:
@@ -233,15 +231,19 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
 
     Accepts either the generators of one simplicial cone or a list of
     cells forming a fan.  Repeatedly picks a cell of maximal index,
-    stellar-subdivides the whole fan at a primitive lattice point from
+    stellar-subdivides the whole fan at a primitive lattice point w from
     that cell's half-open fundamental parallelepiped (chosen to minimize
     the largest barycentric coordinate, ties broken by vector order),
     and stops when every cell is unimodular.  Each stellar step strictly
     decreases the index of every cell it touches, which bounds the
-    number of steps.  Every cell's lattice data (`_cell_lattice`: index,
-    coordinates and box from one Smith normal form) is computed once and
-    kept for the rest of the call; `cone_operator` hands the final cells'
-    data on to the inclusion-exclusion pass.
+    number of steps.  A step touches only the star of w: w is interior to
+    the face tau of the worst cell on the rays where its coordinates are
+    positive, so the cells that contain w are those that contain every ray
+    of tau, and w replaces each ray of tau in them.  Every cell's lattice
+    data (`_cell_lattice`: index, coordinates and box from one Smith
+    normal form) is computed once and kept for the rest of the call;
+    `cone_operator` hands the final cells' data on to the
+    inclusion-exclusion pass.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -253,29 +255,38 @@ def _unimodular_fan(cone_or_cells, strategy: str) -> dict:
     `_cell_lattice`."""
     work = set(_simplicial_cells(cone_or_cells))
     lattice = {cell: _cell_lattice(cell) for cell in work}
+    star = {}
+    for cell in work:
+        for g in cell:
+            star.setdefault(g, set()).add(cell)
+    # the worst cell is the first in sorted order of those of largest index
+    heap = [(-lattice[cell].index, cell) for cell in work]
+    heapq.heapify(heap)
     while True:
-        worst = max(sorted(work), key=lambda cell: lattice[cell].index)
+        worst = heap[0][1]
+        if worst not in work:
+            heapq.heappop(heap)
+            continue
         if lattice[worst].index == 1:
             return {cell: lattice[cell] for cell in sorted(work)}
-        w = _stellar_point(lattice[worst], strategy)
-        refined = set()
-        for cell in work:
-            t = lattice[cell].coords(w)
-            if t is None or min(t) < 0:
-                refined.add(cell)
-                continue
-            for i, ti in enumerate(t):
-                if ti == 0:
+        t, w = _stellar_point(lattice[worst], strategy)
+        tau = {g for g, ti in zip(worst, t) if ti}
+        for cell in set.intersection(*(star[g] for g in tau)):
+            work.remove(cell)
+            for g in cell:
+                star[g].remove(cell)
+            for i, g in enumerate(cell):
+                if g not in tau:
                     continue
                 piece = _cell_key(cell[:i] + cell[i + 1:] + (w,))
                 if piece not in lattice:
                     lattice[piece] = _cell_lattice(piece)
                 if lattice[piece].index >= lattice[cell].index:
-                    raise AssertionError(
-                        "stellar subdivision must decrease the index"
-                    )
-                refined.add(piece)
-        work = refined
+                    raise AssertionError("stellar subdivision must decrease the index")
+                work.add(piece)
+                for h in piece:
+                    star.setdefault(h, set()).add(piece)
+                heapq.heappush(heap, (-lattice[piece].index, piece))
 
 
 # ---------------------------------------------------------------------------
@@ -300,53 +311,74 @@ def signed_coefficients(cells) -> list:
 
     Every interval of the face poset is boolean, so one pass over it
     gives r_tau = sum of (-1)^(dim sigma - dim tau) over the faces sigma
-    containing tau.  The self-check takes each maximal cell's integer
-    coordinates once (`_cell_lattice`): a sample p lies in exactly the
-    faces tau with supp(t) <= tau <= sigma, over the maximal cells sigma
-    where p's coordinates t are non-negative, because a cell's rays are
-    independent.
+    containing tau.  The fan may be any fan, not convex, so the self-check
+    tests samples against all maximal cells, with each cell's integer
+    coordinates taken once (`_cell_lattice`): a sample p lies in exactly
+    the faces tau with supp(t) <= tau <= sigma, over the maximal cells
+    sigma where p's coordinates t are non-negative, because a cell's rays
+    are independent.
     """
     maximal = _simplicial_cells(cells)
     return _signed_faces({cell: _cell_lattice(cell) for cell in maximal})
 
 
-def _signed_faces(maximal: dict) -> list:
+def _signed_faces(maximal: dict, rays=None) -> list:
     """`signed_coefficients` on cells already normalized by
     `_simplicial_cells` or built by `_unimodular_fan`, each mapped to its
-    `_cell_lattice`."""
-    faces = sorted(
-        {tau for sigma in maximal for tau in _subsets(sigma)},
-        key=lambda c: (-len(c), c),
-    )
+    `_cell_lattice`.
+
+    Given the generators `rays` of the pointed cone that the cells should
+    triangulate, the self-check runs wall by wall, linear in the fan: every
+    wall (a cell minus one ray) must lie in two cells whose apexes are
+    strictly on opposite sides of it, or in one cell with no ray strictly
+    beyond it, and one interior point of one cell must lie in that cell
+    alone (the pseudomanifold test; De Loera, Rambau and Santos,
+    Triangulations, ch. 4).  A point is strictly beyond the wall of sigma
+    opposite g_i when its i-th integer coordinate over sigma is negative.
+    """
+    faces = sorted({tau for sigma in maximal for tau in _subsets(sigma)}, key=lambda c: (-len(c), c))
     coeff = dict.fromkeys(faces, 0)
     for sigma in faces:
         for tau in _subsets(sigma):
             coeff[tau] += (-1) ** (len(sigma) - len(tau))
-
-    # A wrong face poset (overlapping, non-facially glued cells) shows up
-    # as a point covered with total weight != 1.  Check the relative
-    # interior of every face and a midpoint sample inside each maximal
-    # cell, scaled by dim + 1 to an integer point of the same ray.
-    samples = [tuple(map(sum, zip(*tau))) for tau in faces if tau]
-    samples += [
-        tuple(
-            sum((i + 1) * g[k] for i, g in enumerate(sigma))
-            for k in range(len(sigma[0]))
-        )
-        for sigma in maximal
-    ]
-    for p in samples:
-        covering = set()
-        for sigma, lattice in maximal.items():
-            t = lattice.coords(p)
-            if t is None or min(t) < 0:
-                continue
-            support = tuple(g for g, ti in zip(sigma, t) if ti)
-            free = tuple(g for g, ti in zip(sigma, t) if not ti)
-            covering.update(
-                tuple(sorted(support + extra)) for extra in _subsets(free)
-            )
-        if sum(coeff[tau] for tau in covering) != 1:
+    if rays is None:
+        # A wrong face poset (overlapping, non-facially glued cells) shows
+        # up as a point covered with total weight != 1.  Check the relative
+        # interior of every face and a midpoint sample inside each maximal
+        # cell, scaled by dim + 1 to an integer point of the same ray.
+        samples = [tuple(map(sum, zip(*tau))) for tau in faces if tau]
+        samples += [
+            tuple(sum((i + 1) * g[k] for i, g in enumerate(sigma)) for k in range(len(sigma[0])))
+            for sigma in maximal
+        ]
+        for p in samples:
+            covering = set()
+            for sigma, lattice in maximal.items():
+                t = lattice.coords(p)
+                if t is None or min(t) < 0:
+                    continue
+                support = tuple(g for g, ti in zip(sigma, t) if ti)
+                free = tuple(g for g, ti in zip(sigma, t) if not ti)
+                covering.update(tuple(sorted(support + extra)) for extra in _subsets(free))
+            if sum(coeff[tau] for tau in covering) != 1:
+                raise ValueError("non-complex input")
+    else:
+        walls = {}
+        for sigma in maximal:
+            for i in range(len(sigma)):
+                walls.setdefault(sigma[:i] + sigma[i + 1:], []).append((sigma, i))
+        for (sigma, i), *rest in walls.values():
+            coords = maximal[sigma].coords
+            if rest:
+                t = coords(rest[0][0][rest[0][1]]) if len(rest) == 1 else None
+                ok = t is not None and t[i] < 0
+            else:
+                ok = all(t is not None and t[i] >= 0 for t in map(coords, rays))
+            if not ok:
+                raise ValueError("non-complex input")
+        inside = tuple(map(sum, zip(*next(iter(maximal)))))
+        covering = [lattice.coords(inside) for lattice in maximal.values()]
+        if sum(t is not None and min(t) >= 0 for t in covering) != 1:
             raise ValueError("non-complex input")
     return [SignedCell(gens=c, coeff=coeff[c]) for c in faces]
 
@@ -374,39 +406,46 @@ def cone_operator(gens, qmat=None, strategy: str = "default", basis=None):
     a cell ray h enters as the form sum_j h_j b_j.  Q is checked and
     scaled to integers once per call, and each order is one integer sum
     of the cells' symbols composed straight to these forms.
+    Cells with equal Gram matrices share one symbol per order
+    (`conecalc._Cell`).
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
     m = len(rays[0])
-    qi = _integer_rows(inner_product_matrix(qmat, m))[0]
-    if basis is None:
-        lift, t = [[int(i == j) for j in range(m)] for i in range(m)], 1
-    else:
-        lift, t = _integer_rows([as_vector(b) for b in basis])
-    if len(lift) != m or any(len(b) != len(lift[0]) for b in lift):
+    qmat = inner_product_matrix(qmat, m)
+    if basis is not None and (len(basis) != m or len({len(b) for b in basis}) != 1):
         raise ValueError("basis must have one row of equal length per generator coordinate")
+    return _cone_operator(rays, qmat, strategy, basis, {})
+
+
+def _cone_operator(rays: list, qmat, strategy: str, basis, classes: dict):
+    """`cone_operator` on validated input: distinct primitive integer rays,
+    a symmetric positive definite Q and a basis of the right shape or
+    None.  The cells share their symbols with every cell of equal Gram
+    matrix in `classes`, a dict the caller owns (`engine.expansion` keeps
+    one per call)."""
+    qi = _integer_rows(qmat)[0]
+    lift, t = _integer_rows(identity_matrix(len(rays[0])) if basis is None else [as_vector(b) for b in basis])
     d = matrix_rank([as_vector(g) for g in rays])
     unimodular = len(rays) == d and _cell_lattice(tuple(rays)).index == 1
     if unimodular:
         signed = [SignedCell(gens=tuple(rays), coeff=1)]
     else:
         fan = _unimodular_fan(triangulate_cone(rays, strategy=strategy), strategy)
-        signed = _signed_faces(fan)
+        signed = _signed_faces(fan, rays)
     size = len(lift[0])
     forms = {h: {k: x for k, col in enumerate(zip(*lift)) if (x := sum(map(mul, h, col)))}
              for c in signed for h in c.gens}
     # a signed empty cell would be a cell with no rays, whose D_0 is 1
-    cells = [(c.coeff, _Cell(c.gens, qi, [forms[h] for h in c.gens], t, size))
+    cells = [(c.coeff, _Cell(c.gens, qi, [forms[h] for h in c.gens], t, size, classes))
              for c in signed if c.coeff]
 
     def operator(n: int) -> DiffOp:
         if n < 0:
             raise ValueError("order must be non-negative")
         if n < d:
-            raise ValueError(
-                "operator requires order at least the dimension of the cone"
-            )
+            raise ValueError("operator requires order at least the dimension of the cone")
         parts = [
             (coeff, _to_ambient(cell, _bv_sym(cell, tuple(range(cell.dim)), n - d + cell.dim)))
             for coeff, cell in cells

@@ -192,6 +192,52 @@ def in_simplicial_cone(point, gens) -> bool:
     return coords is not None and min(coords) >= 0
 
 
+def stellar_fan_reference(cells, strategy: str = "default") -> list:
+    """`subdivide.unimodularize` on a fan of sorted cells as it was first
+    written: each stellar step tests every cell of the fan for the point."""
+    from emsum.subdivide import _cell_lattice
+
+    sign = 1 if strategy == "default" else -1
+    work = set(cells)
+    lattice = {cell: _cell_lattice(cell) for cell in work}
+    while True:
+        worst = max(sorted(work), key=lambda cell: lattice[cell].index)
+        if lattice[worst].index == 1:
+            return sorted(work)
+        box = lattice[worst].box()
+        w = min((max(t), tuple(sign * c for c in p), p) for t, p in box if any(t))[2]
+        refined = set()
+        for cell in work:
+            t = lattice[cell].coords(w)
+            if t is None or min(t) < 0:
+                refined.add(cell)
+                continue
+            for i, ti in enumerate(t):
+                if ti:
+                    piece = tuple(sorted(cell[:i] + cell[i + 1:] + (w,)))
+                    lattice[piece] = lattice.get(piece) or _cell_lattice(piece)
+                    refined.add(piece)
+        work = refined
+
+
+def built_cell_symbols(monkeypatch) -> list:
+    """Record (Gram matrix, order) each time `conecalc._bv_sym` misses its
+    memo and builds a cell symbol: the builds are its calls of `_ysum`."""
+    from emsum import conecalc
+
+    built = []
+    real = conecalc._ysum
+
+    def spy(parts, den=1):
+        caller = sys._getframe(1)
+        if caller.f_code is conecalc._bv_sym.__code__:
+            built.append((caller.f_locals["cone"]._gram, caller.f_locals["n"]))
+        return real(parts, den)
+
+    monkeypatch.setattr(conecalc, "_ysum", spy)
+    return built
+
+
 def run_optimized(script: str) -> subprocess.CompletedProcess:
     """Run `script` under `python -O`, which strips `assert` statements,
     with this checkout's package first on the import path."""

@@ -19,7 +19,7 @@ from emsum.exactcore import MultiPoly
 from emsum.geometry import build_polytope, integrate_poly_over_face
 from emsum.oracle import coefficients_from_oracle, riemann_sum
 
-from _helpers import run_optimized
+from _helpers import built_cell_symbols, run_optimized
 
 ONE2 = MultiPoly.const(2, F(1))
 ONE3 = MultiPoly.const(3, F(1))
@@ -299,7 +299,7 @@ def test_face_operators_built_once_per_polytope_and_inner_product(monkeypatch):
     cube = build_polytope(CUBE.vertices)
     phi = MultiPoly.variable(3, 0) ** 3
     tcones = _count_calls(monkeypatch, engine, "transverse_cone")
-    operators = _count_calls(monkeypatch, engine, "cone_operator")
+    operators = _count_calls(monkeypatch, engine, "_cone_operator")
     for qmat, built in ((None, 26), (None, 0), (TRIDIAGONAL3, 26),
                         (TRIDIAGONAL3, 0)):
         tcones.clear()
@@ -361,6 +361,33 @@ def test_expansion_of_delzant_polytope_skips_delzant_test(monkeypatch):
     assert calls == []
 
 
+def test_fresh_expansion_tests_delzant_once(monkeypatch):
+    # 18 of the octahedron's 26 transverse cones are not unimodular
+    calls = _count_calls(monkeypatch, engine, "is_delzant")
+    res = expansion(build_polytope(OCTAHEDRON.vertices), ONE3)
+    assert res.valuation_used and len(calls) == 1
+
+
+def test_expansion_checks_q_once_for_the_cone_operators(monkeypatch):
+    # transverse_cone still checks Q on each of the octahedron's 26 faces
+    checks = [_count_calls(monkeypatch, module, "inner_product_matrix")
+              for module in (engine, geometry, subdivide)]
+    expansion(build_polytope(OCTAHEDRON.vertices), ONE3, qmat=TRIDIAGONAL3)
+    assert [len(c) for c in checks] == [1, 26, 0]
+
+
+def test_fresh_expansion_builds_one_cell_symbol_per_gram_class(monkeypatch):
+    # under the identity Q every transverse cone of the cube is an orthant
+    # with Gram matrix I_c, c = 1, 2, 3: 26 faces, 3 classes
+    built = built_cell_symbols(monkeypatch)
+    phi = MultiPoly.variable(3, 0) ** 2 + MultiPoly.variable(3, 1)
+    expansion(build_polytope(CUBE.vertices), phi)
+    assert sorted(built) == sorted(
+        (tuple(tuple(int(i == j) for j in range(c)) for i in range(c)), n)
+        for c in (1, 2, 3) for n in range(c, c + 3)
+    )
+
+
 def test_kept_operators_match_fresh_polytope_under_every_key(monkeypatch):
     phi = MultiPoly.variable(3, 0) ** 2 * MultiPoly.variable(3, 1)
     keys = [(q, s) for q in (None, TRIDIAGONAL3)
@@ -370,7 +397,7 @@ def test_kept_operators_match_fresh_polytope_under_every_key(monkeypatch):
         for q, s in keys
     ]
     kept = build_polytope(OCTAHEDRON.vertices)
-    operators = _count_calls(monkeypatch, engine, "cone_operator")
+    operators = _count_calls(monkeypatch, engine, "_cone_operator")
     seen = set()
     for i in (0, 3, 1, 2, 3, 0, 2, 1):
         q, s = keys[i]
@@ -504,7 +531,7 @@ from emsum.geometry import build_polytope
 
 if not sys.flags.optimize:
     raise SystemExit("expected to run under python -O")
-real = engine.cone_operator
+real = engine._cone_operator
 
 
 def reported_non_unimodular(*args, **kwargs):
@@ -513,16 +540,18 @@ def reported_non_unimodular(*args, **kwargs):
     return ops
 
 
-engine.cone_operator = reported_non_unimodular
+engine._cone_operator = reported_non_unimodular
 square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
-try:
-    engine.expansion(square, MultiPoly.const(2, 1))
-except AssertionError as exc:
-    print(exc)
+# the second call must not reuse an operator kept by the first
+for _ in range(2):
+    try:
+        engine.expansion(square, MultiPoly.const(2, 1))
+    except AssertionError as exc:
+        print(exc)
 """
 
 
 def test_face_operator_invariant_fires_under_optimize():
     proc = run_optimized(FACE_OPERATOR_INVARIANT_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "Delzant transverse cones must be unimodular"
+    assert proc.stdout.split("\n") == ["Delzant transverse cones must be unimodular"] * 2 + [""]

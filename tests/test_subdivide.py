@@ -5,14 +5,14 @@ import math
 import random
 import time
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from emsum import conecalc, exactcore, geometry, subdivide
-from emsum.conecalc import UniCone, bv_op_unimodular
+from emsum.conecalc import UniCone, bv_op_unimodular, ibp_op, vertex_op
 from emsum.exactcore import (
     MultiPoly,
     as_matrix,
@@ -35,10 +35,12 @@ from emsum.subdivide import (
 )
 
 from _helpers import (
+    built_cell_symbols,
     facet_candidates,
     in_simplicial_cone,
     run_optimized,
     section_fan,
+    stellar_fan_reference,
     unimodular_matrix,
 )
 
@@ -429,6 +431,109 @@ def test_signed_coefficients_lower_dimensional_fans(cells, expected):
     assert {cell.gens: cell.coeff for cell in out} == expected
 
 
+# The square cone's rays, its apex ray and the midpoints of its edges.
+SQ_A, SQ_B, SQ_C, SQ_D = SQUARE_CONE
+SQ_O = (0, 0, 1)
+SQ_MIDPOINTS = [(1, 1, 2), (-1, 1, 2), (-1, -1, 2), (1, -1, 2)]
+# a second triangulation of the square cone: the star of SQ_O with every
+# edge split at its midpoint, so it shares no wall with the first one
+SQ_STAR = [
+    cell
+    for g, mid, h in zip(SQUARE_CONE, SQ_MIDPOINTS, SQUARE_CONE[1:] + SQUARE_CONE[:1])
+    for cell in ([SQ_O, g, mid], [SQ_O, mid, h])
+]
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _walls_checked(cells, rays):
+    maximal = {}
+    for cell in cells:
+        key = tuple(sorted(cell))
+        maximal[key] = _cell_lattice(key)
+    return subdivide._signed_faces(maximal, rays)
+
+
+@pytest.mark.parametrize(
+    "cells, rays",
+    [
+        # (1,1,1) is interior to the orthant
+        ([[E1, E2, E3], [(1, 1, 1), E2, E3]], [E1, E2, E3]),
+        # the wall {A, C} of the first cell is split at SQ_O in the others
+        ([[SQ_A, SQ_B, SQ_C], [SQ_A, SQ_O, SQ_D], [SQ_O, SQ_C, SQ_D]], SQUARE_CONE),
+        # both apexes of the wall {(1,0)} lie above it
+        ([[(1, 0), (0, 1)], [(1, 0), (1, 1)]], [(1, 0), (0, 1)]),
+        # nothing covers the cone beyond the ray (1,1)
+        ([[(1, 0), (1, 1)]], [(1, 0), (0, 1)]),
+        # every wall passes, yet each point is covered twice
+        ([[SQ_A, SQ_B, SQ_C], [SQ_A, SQ_C, SQ_D]] + SQ_STAR, SQUARE_CONE),
+        # the wall {A, C} lies in three cells; the third one starts a
+        # triangulation of the cell {A, C, D} with split boundary edges
+        ([[SQ_A, SQ_B, SQ_C], [SQ_A, SQ_C, SQ_D], [SQ_A, SQ_C, SQ_MIDPOINTS[2]],
+          [SQ_A, SQ_MIDPOINTS[2], SQ_MIDPOINTS[3]],
+          [SQ_MIDPOINTS[2], SQ_D, SQ_MIDPOINTS[3]]], SQUARE_CONE),
+        # a valid fan plus three cones over (1,2), (1,3), (1,4) that fold
+        # over each other: walls (1,2) and (1,4) have both apexes on one side
+        ([[(1, 0), (1, 1)], [(1, 1), (0, 1)], [(1, 2), (1, 3)], [(1, 3), (1, 4)],
+          [(1, 2), (1, 4)]], [(1, 0), (0, 1)]),
+    ],
+    ids=["overlapping", "glued-on-a-non-face", "same-side-of-a-wall",
+         "boundary-wall-inside-the-cone", "covers-twice", "wall-in-three-cells",
+         "folded-cells"],
+)
+def test_wall_check_rejects_broken_fans(cells, rays):
+    with pytest.raises(ValueError, match="non-complex input"):
+        _walls_checked(cells, rays)
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [[[SQ_A, SQ_B, SQ_C], [SQ_A, SQ_C, SQ_D]], SQ_STAR],
+    ids=["two-cells", "star-of-the-apex"],
+)
+def test_wall_check_accepts_triangulations(cells):
+    signed = _walls_checked(cells, SQUARE_CONE)
+    assert signed == signed_coefficients(cells)
+
+
+@pytest.mark.parametrize(
+    "gens, strategy",
+    [
+        # cones where refining the worst cell alone gives another fan
+        ([(-4, -2, 1), (-3, -4, 1), (3, -4, 1)], "alternate"),
+        ([(4, 1, 1), (0, -3, 4), (-3, 3, 5)], "default"),
+        (SQUARE_CONE, "default"),
+        (PENTAGON_CONE, "alternate"),
+        (index_cone(31), "default"),
+    ],
+)
+def test_stellar_steps_on_the_star_match_full_scan(gens, strategy):
+    fan = triangulate_cone(gens, strategy=strategy)
+    assert unimodularize(fan, strategy=strategy) == stellar_fan_reference(fan, strategy)
+
+
+def test_cone_operator_coverage_check_is_linear_in_the_fan(monkeypatch):
+    # the parent's all-pairs check made (faces + cells) * cells calls
+    calls = []
+    real = subdivide._cell_lattice
+
+    def counting(cell):
+        lattice = real(cell)
+
+        def coords(p):
+            calls.append(p)
+            return lattice.coords(p)
+
+        return lattice._replace(coords=coords)
+
+    monkeypatch.setattr(subdivide, "_cell_lattice", counting)
+    per_cell = {}
+    for k in (15, 31, 63, 127):
+        calls.clear()
+        cone_operator(index_cone(k))
+        per_cell[k] = len(calls) / (2 * k - 1)
+    assert max(per_cell.values()) <= 3, per_cell
+
+
 def test_signed_coefficients_inverts_each_cell_once(monkeypatch):
     fan = unimodularize(triangulate_cone(index_cone(15)))
     assert len(fan) == 29
@@ -618,6 +723,61 @@ def test_cone_operator_checks_inner_product_once(monkeypatch):
 def test_cone_operator_rejects_misshapen_basis(basis):
     with pytest.raises(ValueError, match="basis must have one row"):
         cone_operator(index_cone(3), basis=basis)
+
+
+def test_cone_operator_builds_each_cell_symbol_once_per_gram_class(monkeypatch):
+    built = built_cell_symbols(monkeypatch)
+    ops = cone_operator(index_cone(15))
+    for n in (3, 4, 5, 4):
+        ops(n)
+    classes = {gram for gram, _ in built}
+    signed = signed_coefficients(unimodularize(triangulate_cone(index_cone(15))))
+    assert len(classes) < sum(1 for cell in signed if cell.coeff)
+    assert len(built) == len(set(built)) == 3 * len(classes)
+
+
+@st.composite
+def index_cone_cases(draw):
+    """A 2-3D cone of index 1-15 under a unimodular map and an order."""
+    d = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 15))
+    apex = [draw(st.integers(0, k - 1)) for _ in range(d - 1)] + [k]
+    rays = [tuple(int(i == j) for j in range(d)) for i in range(d - 1)]
+    rays.append(tuple(apex))
+    mat = unimodular_matrix(random.Random(draw(st.integers(0, 10**6))), d)
+    gens = [tuple(sum(a * x for a, x in zip(row, g)) for row in mat) for g in rays]
+    return gens, draw(st.integers(d, d + 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(index_cone_cases())
+def test_shared_cell_symbols_match_cell_by_cell_sum(case):
+    # UniCone keeps the caller's labels and shares nothing, so the signed
+    # sum of its vertex operators is the unshared reference; one scope
+    # serves both inner products and both strategies, as in an expansion
+    gens, n = case
+    d = len(gens[0])
+    tridiagonal = [[2 if i == j else int(abs(i - j) == 1) for j in range(d)] for i in range(d)]
+    classes = {}
+    for qmat, strategy in product((None, tridiagonal), STRATEGIES):
+        q = exactcore.inner_product_matrix(qmat, d)
+        shared = subdivide._cone_operator(subdivide._ray_list(gens), q, strategy, None, classes)(n)
+        fan = unimodularize(triangulate_cone(gens, strategy=strategy), strategy=strategy)
+        reference = MultiPoly.zero(d)
+        for cell in signed_coefficients(fan):
+            if cell.coeff:
+                op = vertex_op(UniCone(cell.gens, qmat=qmat), n - d + cell.dim)
+                reference = reference + op.symbol * cell.coeff
+        assert shared.symbol == reference
+
+
+def test_unicone_keeps_its_labels():
+    # the key (G_ii, sorted row i) would put (0, 1) first
+    cone = UniCone([(2, 0), (0, 1)])
+    assert cone._gram == ((4, 0), (0, 1))
+    assert ibp_op(cone, [0], [0], {0: 1}).symbol == MultiPoly.linear_form([2, 0])
+    cell = conecalc._Cell([(2, 0), (0, 1)], [[1, 0], [0, 1]], [{0: 2}, {1: 1}], 1, 2, {})
+    assert cell._gram == ((1, 0), (0, 4))
 
 
 def test_bv_pointed_redundant_generators():
