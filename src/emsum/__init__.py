@@ -46,7 +46,6 @@ from .exactcore import (
     as_scalar,
     as_vector,
     cyclotomic_polynomial,
-    hnf_lattice_basis,
     mpoly_apply_diffop,
     orth_project,
     saturation_basis,
@@ -115,7 +114,6 @@ __all__ = [
     "divide_by_linear_form",
     "euler_brion_window_check",
     "expansion",
-    "hnf_lattice_basis",
     "ibp_op",
     "ibp_symbol",
     "integrate_poly_over_face",

@@ -1,5 +1,5 @@
-"""Exact arithmetic substrate: rational linear algebra, integer lattice
-normal forms, sparse multivariate polynomials, truncated power series, and
+"""Exact arithmetic substrate: rational linear algebra, the integer Smith
+normal form, sparse multivariate polynomials, truncated power series, and
 small cyclotomic fields.
 
 Every computation in this package routes through the types defined here and
@@ -290,7 +290,7 @@ def orth_project(qmat: Sequence[Sequence[Fraction]], basis: Sequence[Sequence[Fr
 
 
 # ---------------------------------------------------------------------------
-# integer lattices: Hermite and Smith normal forms
+# integer lattices: Smith normal form
 
 
 def _require_integer_vectors(generators: Sequence[Sequence[ScalarLike]]) -> list:
@@ -303,48 +303,6 @@ def _require_integer_vectors(generators: Sequence[Sequence[ScalarLike]]) -> list
     if gens and any(len(g) != len(gens[0]) for g in gens):
         raise ValueError("lattice generators must share one ambient dimension")
     return gens
-
-
-def _hnf_columns(cols: list) -> list:
-    """Column-style Hermite normal form of an integer column list.
-
-    Pivot entries are positive; in a pivot's row, entries in earlier columns
-    are reduced into [0, pivot).  Zero columns are dropped.
-    """
-    cols = [list(c) for c in cols]
-    m = len(cols[0]) if cols else 0
-    lead = 0
-    for r in range(m):
-        if lead >= len(cols):
-            break
-        while True:
-            nz = [j for j in range(lead, len(cols)) if cols[j][r] != 0]
-            if not nz:
-                break
-            jmin = min(nz, key=lambda j: abs(cols[j][r]))
-            cols[lead], cols[jmin] = cols[jmin], cols[lead]
-            done = True
-            for j in range(lead + 1, len(cols)):
-                if cols[j][r] != 0:
-                    f = cols[j][r] // cols[lead][r]
-                    cols[j] = [a - f * b for a, b in zip(cols[j], cols[lead])]
-                    if cols[j][r] != 0:
-                        done = False
-            if done:
-                break
-        if lead < len(cols) and cols[lead][r] != 0:
-            if cols[lead][r] < 0:
-                cols[lead] = [-a for a in cols[lead]]
-            piv = cols[lead][r]
-            for j in range(lead):
-                f = cols[j][r] // piv
-                if f:
-                    cols[j] = [a - f * b for a, b in zip(cols[j], cols[lead])]
-            lead += 1
-    for j in range(lead, len(cols)):
-        if any(cols[j]):
-            raise AssertionError("non-pivot columns must vanish")
-    return [tuple(c) for c in cols[:lead]]
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple:
@@ -425,29 +383,10 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple:
     return umat, dmat, vmat
 
 
-def hnf_lattice_basis(generators: Sequence[Sequence[ScalarLike]]) -> tuple:
-    """Canonical basis of the lattice generated by integer vectors.
-
-    Returns (basis, index) where basis is the column-style Hermite normal
-    form of the generated lattice (positive pivots, hence positive
-    determinant when square) and index is the index of the lattice inside
-    the saturated lattice span(generators) cap Z^m.
-    """
-    gens = _require_integer_vectors(generators)
-    if not gens or all(all(x == 0 for x in g) for g in gens):
-        raise ValueError("empty generating set")
-    basis = _hnf_columns(gens)
-    mat = transpose([as_vector(g) for g in gens])  # m x k, generators as columns
-    _, dmat, _ = smith_normal_form(mat)
-    index = 1
-    for i in range(min(len(dmat), len(dmat[0]) if dmat else 0)):
-        if dmat[i][i] != 0:
-            index *= dmat[i][i]
-    return [tuple(int(x) for x in b) for b in basis], int(index)
-
-
 def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
-    """Canonical basis of span_Q(generators) cap Z^m."""
+    """A basis of span_Q(generators) cap Z^m: the first r columns of U^-1
+    in one Smith normal form U G V = D of the generator matrix G, r the
+    rank of G."""
     gens = _require_integer_vectors(generators)
     if not gens or all(all(x == 0 for x in g) for g in gens):
         raise ValueError("empty generating set")
@@ -456,7 +395,7 @@ def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
     uinv, delta = _scaled_inverse(u)
     if abs(delta) != 1:
         raise AssertionError("U is unimodular")
-    return _hnf_columns([[row[j] * delta for row in uinv] for j in range(r)])
+    return [tuple(row[j] * delta for row in uinv) for j in range(r)]
 
 
 def primitive_vector(v: Sequence[ScalarLike]) -> tuple:

@@ -178,11 +178,9 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
     extreme exactly when the normals tight on it span k - 1.  The sum xi
     of the normals is positive on every extreme ray g, and the section
     {<xi, x> = 1} is a polytope with vertices g / <xi, g> and the cone's
-    face lattice (`geometry._face_lattice`).  Its vertices are numbered
-    in lex order, the order they have in the section's HNF affine
-    coordinates (a column echelon with positive pivots keeps lex order),
-    and the pulling triangulation of the face lattice gives the cells.
-    No section polytope is built.
+    face lattice (`geometry._face_lattice`).  Its rays are numbered by
+    the lex order of g / <xi, g>, and the pulling triangulation of the
+    face lattice gives the cells.  No section polytope is built.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -247,13 +245,13 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
-    return list(_unimodular_fan(cone_or_cells, strategy))
+    return list(_unimodular_fan(_simplicial_cells(cone_or_cells), strategy))
 
 
-def _unimodular_fan(cone_or_cells, strategy: str) -> dict:
-    """`unimodularize`'s maximal cells in sorted order, each mapped to its
-    `_cell_lattice`."""
-    work = set(_simplicial_cells(cone_or_cells))
+def _unimodular_fan(cells, strategy: str) -> dict:
+    """`unimodularize` on cells normalized as by `_simplicial_cells`: its
+    maximal cells in sorted order, each mapped to its `_cell_lattice`."""
+    work = set(cells)
     lattice = {cell: _cell_lattice(cell) for cell in work}
     star = {}
     for cell in work:

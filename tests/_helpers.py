@@ -147,9 +147,12 @@ def section_fan(gens, strategy: str = "default") -> list:
     """`subdivide.triangulate_cone` by slicing: the non-simplicial pointed
     cone is cut by the sum xi of its facet normals (span coordinates as in
     `triangulate_cone`), the section is scaled to an integer polytope and
-    built by `build_polytope(..., affine_hull=True)`, and its pulling
-    triangulation is mapped back through `affine_data` to the rays.  The
-    reference that the cone's own face lattice must match exactly."""
+    built by `build_polytope(..., affine_hull=True)`, its vertices are
+    mapped back through `affine_data` to their ambient points, and its
+    pulling triangulation, pulling from the lex-first ambient point (the
+    lex-last under "alternate"), is mapped to the rays.  The reference that
+    the cone's own face lattice must match exactly, whatever basis
+    `affine_data` has."""
     rays = _ray_list(gens)
     k = matrix_rank(rays)
     u, _, _ = smith_normal_form(list(zip(*rays)))
@@ -165,21 +168,19 @@ def section_fan(gens, strategy: str = "default") -> list:
     section = [tuple(int(c * scale) for c in p) for p in scaled]
     poly = build_polytope(section, affine_hull=True)
     origin, basis = poly.affine_data
-    by_point = {p: primitive_vector(p) for p in section}
+    point = [
+        tuple(o + sum(c * b[i] for c, b in zip(y, basis)) for i, o in enumerate(origin))
+        for y in poly.vertices
+    ]
+    pick = min if strategy == "default" else max
     faces = [(f.dim, f.vertex_ids) for f in poly.faces]
-    cells = []
-    for simplex in _pulling_triangulation(
-        faces, faces[-1], min if strategy == "default" else max
-    ):
-        cell = []
-        for v in simplex:
-            y = poly.vertices[v]
-            cell.append(by_point[tuple(
-                o + sum(c * b[i] for c, b in zip(y, basis))
-                for i, o in enumerate(origin)
-            )])
-        cells.append(tuple(sorted(cell)))
-    return sorted(cells)
+    simplices = _pulling_triangulation(
+        faces, faces[-1], lambda vids: pick(vids, key=point.__getitem__)
+    )
+    return sorted(
+        tuple(sorted(primitive_vector(point[v]) for v in simplex))
+        for simplex in simplices
+    )
 
 
 def in_simplicial_cone(point, gens) -> bool:

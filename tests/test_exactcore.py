@@ -18,7 +18,6 @@ from emsum.exactcore import (
     as_vector,
     cyclotomic_polynomial,
     det,
-    hnf_lattice_basis,
     identity_matrix,
     is_spd,
     mat_mul,
@@ -169,29 +168,10 @@ def test_is_spd_matches_leading_minors():
     assert not is_spd([[1, 0, 0], [0, 1, 0]])
 
 # ---------------------------------------------------------------------------
-# Hermite / Smith normal forms
-
-
-def test_hnf_identity_fixed():
-    basis, index = hnf_lattice_basis([(1, 0), (0, 1)])
-    assert basis == [(1, 0), (0, 1)]
-    assert index == 1
-
-
-def test_hnf_sublattice_index_two():
-    basis, index = hnf_lattice_basis([(1, 0), (1, 2)])
-    assert index == 2
-    assert abs(det(as_matrix(transpose(basis)))) == 2
-    # each original generator is an integer combination of the basis
-    for g in [(1, 0), (1, 2)]:
-        x = solve_unique(as_matrix(transpose(basis)), as_vector(g))
-        assert x is not None and all(c.denominator == 1 for c in x)
+# Smith normal form and saturated lattice bases
 
 
 def test_hnf_rank_deficient():
-    basis, index = hnf_lattice_basis([(2, 0)])
-    assert basis == [(2, 0)]
-    assert index == 2
     assert saturation_basis([(2, 0)]) == [(1, 0)]
 
 
@@ -207,11 +187,11 @@ def test_saturation_basis_rejects_a_transform_that_is_not_unimodular(monkeypatch
         saturation_basis([(1, 1, 0)])
 
 
-def test_hnf_rejects_empty():
+def test_saturation_basis_rejects_empty():
     with pytest.raises(ValueError, match="empty generating set"):
-        hnf_lattice_basis([])
+        saturation_basis([])
     with pytest.raises(ValueError, match="empty generating set"):
-        hnf_lattice_basis([(0, 0)])
+        saturation_basis([(0, 0)])
 
 
 def test_smith_transforms_are_unimodular():
@@ -228,35 +208,25 @@ def test_smith_transforms_are_unimodular():
             assert diag[i + 1] % diag[i] == 0
 
 
-@given(
-    st.lists(
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
-        min_size=1,
-        max_size=4,
-    ).filter(lambda gs: any(any(x != 0 for x in g) for g in gs))
-)
+def _generating_sets(bound, m):
+    return st.lists(
+        st.tuples(*[st.integers(-bound, bound)] * m), min_size=1, max_size=4
+    ).filter(lambda gs: any(any(g) for g in gs))
+
+
+@given(st.one_of(_generating_sets(5, 3), _generating_sets(3, 4)))
 @settings(max_examples=60, deadline=None)
-def test_hnf_generates_same_lattice(gens):
-    basis, _ = hnf_lattice_basis(gens)
-    bmat = as_matrix(transpose(basis))
-    # every generator is an integer combination of the basis
-    for g in gens:
-        reduced, pivots = __import__("emsum.exactcore", fromlist=["rref"]).rref(
-            tuple(tuple(row) + (Fraction(x),) for row, x in zip(bmat, g))
-        )
-        ncols = len(basis)
-        assert ncols not in pivots
-        coords = [Fraction(0)] * ncols
-        for r, c in enumerate(pivots):
-            coords[c] = reduced[r][ncols]
-        assert all(c.denominator == 1 for c in coords)
-    # and every basis vector is an integer combination of the generators
-    gmat = as_matrix(transpose([frac_vec(g) for g in gens]))
-    for b in basis:
-        reduced, pivots = __import__("emsum.exactcore", fromlist=["rref"]).rref(
-            tuple(tuple(row) + (Fraction(x),) for row, x in zip(gmat, b))
-        )
-        assert len(gens) not in pivots
+def test_saturation_basis_is_a_basis_of_the_saturated_span(gens):
+    basis = saturation_basis(gens)
+    rank = matrix_rank(as_matrix(gens))
+    assert len(basis) == rank
+    assert all(type(x) is int for b in basis for x in b)
+    # the same rational span, checked both ways
+    assert all(matrix_rank(as_matrix(list(gens) + [b])) == rank for b in basis)
+    assert all(matrix_rank(as_matrix(basis + [g])) == rank for g in gens)
+    # and saturated: the basis columns have all Smith invariants 1
+    _, d, _ = smith_normal_form(transpose(basis))
+    assert [d[i][i] for i in range(rank)] == [1] * rank
 
 
 def test_primitive_vector():

@@ -18,12 +18,12 @@ from emsum.exactcore import (
     MultiPoly,
     as_matrix,
     as_vector,
-    hnf_lattice_basis,
     identity_matrix,
     mat_vec,
     orth_project,
     primitive_vector,
     qform,
+    smith_normal_form,
     solve_unique,
     transpose,
 )
@@ -241,10 +241,10 @@ def test_transverse_cone_matches_projection_definition(case):
             assert y is not None and all(c.denominator == 1 for c in y)
             return y
 
-        basis, index = hnf_lattice_basis(
-            [coords(e) for e in identity_matrix(poly.dim)]
-        )
-        assert (t.dim, len(basis), index) == (d, d, 1)
+        images = [coords(e) for e in identity_matrix(poly.dim)]
+        _, dmat, _ = smith_normal_form(list(zip(*images)))
+        assert t.dim == d
+        assert [dmat[i][i] for i in range(d)] == [1] * d
         assert all(qform(q, b, v) == 0 for b in t.basis for v in lin)
         assert t.qmat == tuple(
             tuple(qform(q, bi, bj) for bj in t.basis) for bi in t.basis

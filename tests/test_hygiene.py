@@ -1,12 +1,16 @@
 """Repository hygiene: every module-level function and class in the package,
 and every non-dunder method and property of its classes, is used somewhere,
 every dataclass field and `__slots__` name of its classes is read somewhere,
-and every module of the package and the tests uses what it imports, so dead
-helpers, fields and leftover imports cannot accumulate unnoticed."""
+every module of the package and the tests uses what it imports, and
+`emsum.__all__` lists exactly the package's public names, so dead helpers,
+fields, leftover imports and stale exports cannot accumulate unnoticed."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
+
+import emsum
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "emsum"
@@ -147,6 +151,18 @@ def test_no_unused_imports():
         for name in _unused_imports(path)
     ]
     assert unused == [], f"imported but never used: {unused}"
+
+
+def test_all_lists_exactly_the_public_names():
+    # an export deleted from the imports but left in __all__ breaks
+    # `from emsum import *`, and one imported but left out of __all__ is
+    # public by accident
+    bound = {
+        name
+        for name, value in vars(emsum).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(emsum.__all__) == bound | {"__version__"}
 
 
 ENGINE_MODULES = ("combinat", "conecalc", "subdivide", "engine")

@@ -135,8 +135,8 @@ def pointed_cones(draw):
 def test_triangulation_matches_section_fan_reference(case):
     # pulling on the cone's own face lattice, its extreme rays numbered by
     # the lex order of g / <xi, g>, gives the fan of the section polytope
-    # in its HNF affine coordinates, here and on unimodular images of the
-    # cone in Z^m and Z^(m+1)
+    # pulled in the lex order of its ambient vertices, here and on
+    # unimodular images of the cone in Z^m and Z^(m+1)
     gens, square, lift = case
     assume(len(triangulate_cone(gens)) > 1)
 
@@ -552,6 +552,8 @@ def test_signed_coefficients_inverts_each_cell_once(monkeypatch):
 
 
 def test_cone_operator_validates_its_fan_once(monkeypatch):
+    # triangulate_cone checks the rays; the fan it builds from them goes
+    # to the stellar refinement without being normalized again
     calls = []
     real = subdivide._simplicial_cells
 
@@ -561,7 +563,7 @@ def test_cone_operator_validates_its_fan_once(monkeypatch):
 
     monkeypatch.setattr(subdivide, "_simplicial_cells", counting)
     cone_operator(index_cone(7))
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_unimodular_cone_operator_runs_no_pointedness_lp(monkeypatch):
