@@ -9,7 +9,8 @@ to phi.  The lift is no separate step: `cone_operator` composes each
 cell's symbol straight to the face's lifted generators.  No D_n phi is
 built: each integral is read off the operator's symbol, phi's terms and
 the face's moment table (`LatticePolytope.face_moment`), which depends
-on neither phi, Q nor n.
+on neither phi, Q nor n, and which one integer recursion up the face
+lattice fills, from the facets of each face and their lattice heights.
 The lifted operator of a face of codimension c is homogeneous of order
 n - c, so it kills phi once n > c + deg(phi): those entries are 0, and
 no operator of such an order is built for them.

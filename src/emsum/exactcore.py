@@ -136,29 +136,6 @@ def matrix_rank(mat: Sequence[Sequence[Fraction]]) -> int:
     return len(_eliminate(mat)[1])
 
 
-def det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise ValueError("determinant requires a square matrix")
-    rows = [[as_scalar(x) for x in r] for r in mat]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        piv = rows[c][c]
-        result *= piv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / piv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
-
-
 def solve_unique(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Solve mat @ x = rhs when the solution exists and is unique.
 

@@ -1,31 +1,33 @@
 """Lattice polytopes: exact hulls, face lattices, tangent cones, transverse
 cones in integer quotient coordinates, Delzant tests, and exact integration
-of polynomials over faces against their lattice measure, through one
-pulling triangulation per face that each polytope builds once and keeps.
+of polynomials over faces against their lattice measure, by one integer
+recursion up the face lattice that each polytope runs once per moment and
+keeps.
 
 Everything is computed in exact rational arithmetic over Z^m / Q^m.  A
 polytope P is the cone over {1} x P, so one set of cone routines serves
 hulls and `subdivide.triangulate_cone` alike: `_cone_facets` (an integer
 double description) gives the facets and the rays tight on each,
 `_extreme_rays` the vertices, `_face_lattice` the faces and
-`_pulling_triangulation` the simplices of a face.
+`_pulling_triangulation` the simplices of a cone's fan.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .exactcore import (
     MultiPoly,
+    _eliminate,
     _scaled_inverse,
     as_matrix,
     as_vector,
-    det,
     inner_product_matrix,
     matrix_rank,
     primitive_vector,
@@ -90,7 +92,8 @@ class LatticePolytope:
     `engine.expansion` builds, as {(Q, strategy): {face index: operator}},
     so that each call looks its (Q, strategy) table up once, and
     `face_moment` keeps the moments int_F x^e of each face, keyed by (face
-    index, e), for as long as the polytope lives.
+    index, e), for as long as the polytope lives, with the integers and
+    facet heights that its recursion up the face lattice reads them from.
     """
 
     def __init__(self, vertices, facets, faces, affine_data=None):
@@ -100,8 +103,9 @@ class LatticePolytope:
         self.facets = facets
         self.faces = faces
         self.affine_data = affine_data
-        self._simplices: dict = {}
         self._edges = None
+        self._bases: dict = {}
+        self._scaled: dict = {}
         self._moments: dict = {}
         self.face_operators: dict = {}
 
@@ -127,47 +131,62 @@ class LatticePolytope:
     def polytope_face(self) -> Face:
         return self.faces[-1]
 
-    def face_simplices(self, face: Face) -> tuple:
-        """The pulling triangulation of a face as ambient simplices
-        (base vertex, edge vectors, lattice volume), built once per face.
-
-        The lattice volume is the index of the lattice the edges generate
-        in the face's saturated lattice: k! times the simplex's volume in
-        the face's lattice measure, and the product of the k diagonal
-        entries of one Smith normal form of the edge matrix.
-        """
-        if face.index not in self._simplices:
-            out = []
-            lattice = [(f.dim, f.vertex_ids) for f in self.faces]
-            for simplex in _pulling_triangulation(lattice, (face.dim, face.vertex_ids)):
-                base, *rest = (self.vertices[i] for i in simplex)
-                edges = tuple(tuple(x - b for x, b in zip(v, base)) for v in rest)
-                dmat = smith_normal_form(edges)[1]
-                out.append((base, edges, math.prod(dmat[i][i] for i in range(len(edges)))))
-            self._simplices[face.index] = tuple(out)
-        return self._simplices[face.index]
-
     def face_moment(self, face: Face, exps: tuple) -> Fraction:
-        """The moment int_F x^exps against the face's lattice measure,
-        computed once per (face, exponent tuple), in integers.  A k-simplex
-        of `face_simplices` with lattice volume vol and vertices s_0..s_k
-        contributes vol * e! / (|e| + k)! * [l^e] prod_j 1 / (1 - <l, s_j>)
-        (Baldoni, Berline, De Loera, Koeppe, Vergne, Math. Comp. 80, 2011);
-        the coefficient comes from a truncated-series recurrence over the
-        sub-exponents f <= e.  A vertex v is its own simplex, with volume 1,
-        so it gives v^exps.
+        """The moment int_F x^e (e = exps) against the lattice measure of
+        the k-face F, computed once per (face, e) as N_F(e) e! / (|e| + k)!
+        from the integer N_F(e) = (|e| + k)! / e! * int_F x^e.
+
+        A vertex v has N_v(e) = (|e|! / e!) v^e.  For k >= 1 and x_0 the
+        reference vertex, the pyramid formula (Lasserre, Proc. AMS 126,
+        1998) (k + q) int_F f = sum_G h_G int_G f, for f homogeneous of
+        degree q about x_0 and h_G the lattice distance from x_0 to the
+        facet G in F's lattice, turns x^e expanded about x_0 into
+        N_F(e) = sum_G h_G sum_{f <= e} (|e - f|! / (e - f)!) x_0^(e - f) N_G(f),
+        a Beta integral collapsing the double binomial sum.  Only facets
+        that miss x_0 count (the others have h_G = 0); multinomials,
+        integer vertices and integer heights (`_pyramid_bases`) keep every
+        N_F an integer.
         """
         key = (face.index, exps)
         if key not in self._moments:
-            simplices = self.face_simplices(face) if face.dim else ((face.ref_vertex, (), 1),)
-            total = sum(
-                volume * _simplex_series_coefficient(
-                    [base] + [tuple(b + x for b, x in zip(base, e)) for e in edges], exps)
-                for base, edges, volume in simplices
-            )
-            num = total * math.prod(map(math.factorial, exps))
+            num = self._scaled_moment(face, exps) * math.prod(map(math.factorial, exps))
             self._moments[key] = F(num, math.factorial(sum(exps) + face.dim))
         return self._moments[key]
+
+    def _scaled_moment(self, face: Face, exps: tuple) -> int:
+        """N_F(exps) of `face_moment`, by its recursion, once per (face, exps)."""
+        key = (face.index, exps)
+        if key not in self._scaled:
+            x0 = face.ref_vertex
+            if face.dim == 0:
+                value = _multinomial_power(x0, exps)
+            else:
+                bases = self._pyramid_bases(face)
+                value = 0
+                for f in itertools.product(*(range(x + 1) for x in exps)):
+                    s = sum(h * self._scaled_moment(g, f) for g, h in bases)
+                    value += s * _multinomial_power(x0, tuple(map(sub, exps, f)))
+            self._scaled[key] = value
+        return self._scaled[key]
+
+    def _pyramid_bases(self, face: Face) -> tuple:
+        """The facets G of a face F that miss its reference vertex x_0, as
+        (G, h_G) pairs, built once per face.  For a facet <a, x> >= c of P
+        through G but not F, <a, x> - c vanishes on G and takes the values
+        g Z on F's lattice, g = gcd{<a, l> : l in L(F)}, so x_0's lattice
+        distance to G in F's lattice is h_G = (<a, x_0> - c) / g."""
+        if face.index not in self._bases:
+            x0, vids = face.vertex_ids[0], set(face.vertex_ids)
+            lo, hi = (bisect.bisect_left(self.faces, d, key=attrgetter("dim"))
+                      for d in (face.dim - 1, face.dim))
+            out = []
+            for g in self.faces[lo:hi]:
+                if vids.issuperset(g.vertex_ids) and x0 not in g.vertex_ids:
+                    alpha, c = self.facets[min(set(g.facet_ids) - set(face.facet_ids))]
+                    step = math.gcd(*(sum(map(mul, alpha, l)) for l in face.lineality_basis))
+                    out.append((g, (sum(map(mul, alpha, face.ref_vertex)) - c) // step))
+            self._bases[face.index] = tuple(out)
+        return self._bases[face.index]
 
     def __repr__(self) -> str:
         return (
@@ -176,21 +195,10 @@ class LatticePolytope:
         )
 
 
-def _simplex_series_coefficient(vertices: Sequence[tuple], exps: tuple) -> int:
-    """[l^exps] of prod over the integer vertices s of 1 / (1 - <l, s>).
-
-    c holds the coefficients of the product so far at every f <= exps, in
-    the lexicographic order of the box, where f - e_i sits stride_i places
-    earlier; dividing by 1 - <l, s> in place is c(f) += sum_i s_i c(f - e_i).
-    """
-    box = list(itertools.product(*(range(x + 1) for x in exps)))
-    strides = [math.prod(x + 1 for x in exps[i + 1:]) for i in range(len(exps))]
-    c = [1] + [0] * (len(box) - 1)
-    for s in vertices:
-        steps = [(i, si, stride) for i, (si, stride) in enumerate(zip(s, strides)) if si]
-        for pos, f in enumerate(box):
-            c[pos] += sum(si * c[pos - stride] for i, si, stride in steps if f[i])
-    return c[-1]
+def _multinomial_power(x: tuple, d: tuple) -> int:
+    """(|d|! / d!) x^d, the coefficient of l^d in <x, l>^|d|."""
+    multinomial = math.factorial(sum(d)) // math.prod(map(math.factorial, d))
+    return multinomial * math.prod(map(pow, x, d))
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +437,16 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
 
 
 def is_delzant(poly: LatticePolytope) -> bool:
-    """True when every vertex cone is unimodular (smooth/Delzant)."""
+    """True when every vertex cone is unimodular (smooth/Delzant): m edge
+    directions whose fraction-free elimination (`_eliminate`) finds m
+    pivots, the last, |delta|, being the |determinant|, equal to 1."""
     m = poly.ambient_dim
-    for i, v in enumerate(poly.vertices):
+    for i in range(len(poly.vertices)):
         dirs = _edges_at_vertex(poly, i)
         if len(dirs) != m:
             return False
-        if abs(det(as_matrix(dirs))) != 1:
+        _, pivots, delta = _eliminate(dirs)
+        if len(pivots) != m or abs(delta) != 1:
             return False
     return True
 
@@ -481,7 +492,8 @@ def integrate_poly_over_face(poly: LatticePolytope, face: Face, phi: MultiPoly) 
     that gives a fundamental domain of its saturated lattice volume 1 (a
     vertex carries the unit point mass).  The integral is
     sum_a c_a int_F x^a over the terms c_a x^a of phi, each moment read
-    from the polytope's table (`LatticePolytope.face_moment`).
+    from the polytope's table (`LatticePolytope.face_moment`), which the
+    pyramid recursion up the face lattice fills in integers.
     """
     if phi.nvars != poly.ambient_dim:
         raise ValueError("dimension mismatch")

@@ -74,14 +74,21 @@ def box_riemann_sum(poly, phi, n: int) -> Fraction:
 
 def compose_integral(poly, face, phi) -> Fraction:
     """int_F phi by composing all of phi with the affine map x = base + E z
-    of each simplex of the face's triangulation and integrating over the
-    standard k-simplex, int z^a = a! / (|a| + k)!, times the simplex's
-    lattice volume; a vertex evaluates phi.  The reference that
-    integration through the polytope's moment table must match exactly."""
+    of each simplex of the face's pulling triangulation and integrating
+    over the standard k-simplex, int z^a = a! / (|a| + k)!, times the
+    simplex's lattice volume, the product of the diagonal of the Smith
+    normal form of its edge matrix E; a vertex evaluates phi.  The
+    reference that integration through the polytope's moment table must
+    match exactly."""
     if face.dim == 0:
         return phi.eval(face.ref_vertex)
+    lattice = [(f.dim, f.vertex_ids) for f in poly.faces]
     total = Fraction(0)
-    for base, edges, volume in poly.face_simplices(face):
+    for simplex in _pulling_triangulation(lattice, (face.dim, face.vertex_ids)):
+        base, *rest = (poly.vertices[i] for i in simplex)
+        edges = [tuple(x - b for x, b in zip(v, base)) for v in rest]
+        diagonal = smith_normal_form(edges)[1]
+        volume = math.prod(diagonal[i][i] for i in range(face.dim))
         images = [
             MultiPoly.linear_form([e[i] for e in edges]) + base[i]
             for i in range(poly.ambient_dim)
@@ -90,6 +97,28 @@ def compose_integral(poly, face, phi) -> Fraction:
             num = volume * math.prod(map(math.factorial, exps))
             total += coeff * Fraction(num, math.factorial(sum(exps) + face.dim))
     return total
+
+
+def fraction_det(mat) -> Fraction:
+    """Determinant by Gaussian elimination in Fractions, the reference for
+    checks that need one (`exactcore` has no determinant)."""
+    rows = [[Fraction(x) for x in r] for r in mat]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant requires a square matrix")
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            result = -result
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
 
 
 def fraction_rref(mat) -> tuple:

@@ -279,6 +279,34 @@ def test_oracle_tier_4d_closed_forms_match_oracle(name, points):
                f"oracle on {name}", started, 10.0)
 
 
+# GL_6(Z) images of [0,1]^6 and the 6-simplex: the oracle's dilates would
+# need more than its 10^7 box points, so the closed forms are the reference
+SHEAR6 = [
+    [1, 1, 0, 0, 0, 0],
+    [0, 1, 0, 2, 0, 0],
+    [1, 1, 1, 0, 0, 0],
+    [0, 0, 0, 1, 1, 0],
+    [0, 0, 0, 0, 1, 0],
+    [0, -1, 0, 0, 1, 1],
+]
+CUBE6 = list(itertools.product((0, 1), repeat=6))
+SIMPLEX6 = [(0,) * 6] + [tuple(int(i == j) for j in range(6)) for i in range(6)]
+
+
+@pytest.mark.parametrize("points", [CUBE6, SIMPLEX6], ids=["cube6", "simplex6"])
+def test_six_dimensional_images_closed_forms_match_expansion(points):
+    started = time.perf_counter()
+    poly = build_polytope(
+        [tuple(sum(a * x for a, x in zip(row, p)) for row in SHEAR6) for p in points]
+    )
+    phi = MultiPoly.monomial((1, 0, 0, 0, 0, 1)) + 1
+    res = expansion(poly, phi, n_max=2)
+    assert closed_form_A0_A1(poly, phi) == (res.coefficient(0), res.coefficient(1))
+    assert closed_form_A2(poly, phi) == res.coefficient(2)
+    _report(6, "6D tier: A_0/A_1 and A_2 closed forms = expansion() on a "
+               "GL_6(Z) image", started, 10.0)
+
+
 def test_criterion_07_two_dimensional_closed_form():
     started = time.perf_counter()
     for poly in (SQUARE, SIMPLEX2, TRAPEZOID):

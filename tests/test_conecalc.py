@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import random_spd, unimodular_matrix
+from _helpers import fraction_det, random_spd, unimodular_matrix
 from emsum.combinat import MultiIndex, todd_coefficients
 from emsum.conecalc import (
     UniCone,
@@ -23,7 +23,6 @@ from emsum.conecalc import (
 )
 from emsum.exactcore import (
     MultiPoly,
-    det,
     mat_vec,
     matrix_rank,
     orth_project,
@@ -386,7 +385,7 @@ def test_fraction_free_schur_solve_matches_rational_solve(seed, dim):
             comp = [v for v in range(dim) if v not in subset]
             delta, solved = _schur(cone, subset)
             block = [[cone._gram[v][w] for w in comp] for v in comp]
-            assert delta == (det(block) if comp else 1)
+            assert delta == (fraction_det(block) if comp else 1)
             for e in subset:
                 x = solve_unique([[qmat[v][w] for w in comp] for v in comp],
                                  [qmat[v][e] for v in comp]) if comp else ()

@@ -1,12 +1,13 @@
 """Tests for the expansion engine and its closed-form fast paths."""
 
 import hashlib
+import itertools
 import sys
 from fractions import Fraction as F
 
 import pytest
 
-from emsum import engine, geometry, subdivide
+from emsum import engine, exactcore, geometry, subdivide
 from emsum.conecalc import DiffOp, UniCone
 from emsum.engine import (
     ExpansionResult,
@@ -146,17 +147,19 @@ def test_face_integrals_build_no_hull(monkeypatch):
     assert calls == []
 
 
-def test_face_triangulations_built_once_per_polytope(monkeypatch):
-    cube = build_polytope(
-        [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    )
-    phi = MultiPoly.variable(3, 0) ** 3
-    calls = _count_calls(monkeypatch, geometry, "_pulling_triangulation")
-    first = expansion(cube, phi)
-    assert len(calls) <= len([f for f in cube.faces if f.dim > 0]) == 19
-    calls.clear()
-    assert expansion(cube, phi) == first
-    assert calls == []
+def test_face_moments_triangulate_nothing(monkeypatch):
+    # every moment of a fresh polytope comes from the recursion up its face
+    # lattice: no face is triangulated and no lattice volume is taken
+    octahedron = build_polytope(OCTAHEDRON.vertices)
+    calls = [
+        _count_calls(monkeypatch, geometry, "_pulling_triangulation"),
+        _count_calls(monkeypatch, geometry, "smith_normal_form"),
+        _count_calls(monkeypatch, exactcore, "smith_normal_form"),
+    ]
+    for face in octahedron.faces:
+        for e in itertools.product(range(3), repeat=3):
+            octahedron.face_moment(face, e)
+    assert calls == [[]] * 3
 
 
 def test_q_independence_of_totals():

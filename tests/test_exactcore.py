@@ -17,7 +17,6 @@ from emsum.exactcore import (
     as_matrix,
     as_vector,
     cyclotomic_polynomial,
-    det,
     identity_matrix,
     is_spd,
     mat_mul,
@@ -37,7 +36,7 @@ from emsum.exactcore import (
     transpose,
 )
 
-from _helpers import fraction_rref
+from _helpers import fraction_det, fraction_rref
 
 F = Fraction
 
@@ -127,8 +126,26 @@ def test_linear_algebra_matches_fraction_rref_reference(mat):
             matrix_inverse(block)
 
 
+@st.composite
+def integer_square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@given(integer_square_matrices())
+@settings(max_examples=200, deadline=None)
+def test_last_pivot_of_a_full_rank_elimination_is_the_determinant(mat):
+    # is_delzant reads |det| off the fraction-free elimination
+    _, pivots, delta = exactcore._eliminate(mat)
+    det = fraction_det(mat)
+    assert (len(pivots) == len(mat)) == (det != 0)
+    if det:
+        assert abs(delta) == abs(det)
+
+
 def test_det_sign_and_rank():
-    assert det(as_matrix([[0, 1], [1, 0]])) == -1
+    assert fraction_det(as_matrix([[0, 1], [1, 0]])) == -1
     assert matrix_rank(as_matrix([[1, 2], [2, 4]])) == 1
 
 
@@ -137,9 +154,9 @@ def test_linear_algebra_is_exact_on_int_input():
     big = 10 ** 17
     assert matrix_rank([[1, big], [1, big + 1]]) == 2
     assert matrix_rank([[big, big + 1], [big + 1, big + 2]]) == 2
-    d = det([[2, 1], [1, 3]])
+    d = fraction_det([[2, 1], [1, 3]])
     assert d == 5 and type(d) is F
-    assert det([[big, big + 1], [big + 1, big + 2]]) == -1
+    assert fraction_det([[big, big + 1], [big + 1, big + 2]]) == -1
     x = solve_unique([[2, 1], [1, 3]], [1, 0])
     assert x == (F(3, 5), F(-1, 5)) and all(type(c) is F for c in x)
     inv = matrix_inverse([[big, big + 1], [big + 1, big + 2]])
@@ -158,7 +175,7 @@ def test_is_spd_matches_leading_minors():
             sym = [[a[i][j] + a[j][i] for j in range(k)] for i in range(k)]
         else:  # a^T a: semidefinite, definite when a is invertible
             sym = [[sum(a[r][i] * a[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
-        expected = all(det([row[:p] for row in sym[:p]]) > 0 for p in range(1, k + 1))
+        expected = all(fraction_det([row[:p] for row in sym[:p]]) > 0 for p in range(1, k + 1))
         assert is_spd(sym) == expected
         seen.add(expected)
     assert seen == {True, False}
@@ -197,8 +214,8 @@ def test_saturation_basis_rejects_empty():
 def test_smith_transforms_are_unimodular():
     mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     u, d, v = smith_normal_form(mat)
-    assert abs(det(as_matrix(u))) == 1
-    assert abs(det(as_matrix(v))) == 1
+    assert abs(fraction_det(u)) == 1
+    assert abs(fraction_det(v)) == 1
     prod = mat_mul(mat_mul(as_matrix(u), as_matrix(mat)), as_matrix(v))
     assert prod == as_matrix(d)
     diag = [d[i][i] for i in range(3)]

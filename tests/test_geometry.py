@@ -466,9 +466,38 @@ def test_moment_table_integration_matches_compose_reference(case):
         ] == expected
 
 
+# non-simple faces (the octahedron's and the cross-polytope's vertices, the
+# pyramid's apex), faces whose lattice is not a coordinate sublattice, and
+# faces whose simplices are not unimodular (the index-3 tetrahedron, the
+# height-2 prism)
+MOMENT_CORPUS = {
+    "octahedron": OCTAHEDRON,
+    "cross-polytope4": [tuple(s * int(i == j) for j in range(4))
+                        for i in range(4) for s in (1, -1)],
+    "tetrahedron-index3": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 3)],
+    "prism-height2": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 2), (1, 0, 2),
+                      (0, 1, 2)],
+    "sheared-pyramid": [(x + y, y + z, z) for x, y, z in
+                        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2)]],
+}
+
+
+@pytest.mark.parametrize("points", MOMENT_CORPUS.values(), ids=MOMENT_CORPUS.keys())
+def test_face_moments_match_simplex_reference(points):
+    # every moment of degree <= 3 on every face equals the integral through
+    # the face's own pulling triangulation and Smith-form volumes
+    poly = build_polytope(points)
+    m = poly.ambient_dim
+    for e in itertools.product(range(4), repeat=m):
+        if sum(e) <= 3:
+            monomial = MultiPoly.monomial(e)
+            for face in poly.faces:
+                assert poly.face_moment(face, e) == compose_integral(poly, face, monomial)
+
+
 def test_fresh_face_moments_compose_no_polynomial(monkeypatch):
-    # a fresh polytope's moments come from integer series over each
-    # simplex's vertices, not from composing x^e with its parametrization
+    # a fresh polytope's moments come from an integer recursion up its face
+    # lattice, not from composing x^e with any parametrization
     calls = []
     real = MultiPoly.compose
 

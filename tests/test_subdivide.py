@@ -16,7 +16,6 @@ from emsum.conecalc import UniCone, bv_op_unimodular, ibp_op, vertex_op
 from emsum.exactcore import (
     MultiPoly,
     as_matrix,
-    det,
     mat_mul,
     matrix_inverse,
     matrix_rank,
@@ -37,6 +36,7 @@ from emsum.subdivide import (
 from _helpers import (
     built_cell_symbols,
     facet_candidates,
+    fraction_det,
     in_simplicial_cone,
     run_optimized,
     section_fan,
@@ -305,7 +305,7 @@ def test_cell_lattice_matches_exact_algebra(cell, data):
 
     # the index is the gcd of the maximal minors (|det| when k == m)
     minors = [
-        int(det(as_matrix([[g[r] for g in cell] for r in rows])))
+        int(fraction_det([[g[r] for g in cell] for r in rows]))
         for rows in combinations(range(m), k)
     ]
     assert lattice.index == math.gcd(*minors)
