@@ -269,13 +269,15 @@ def closed_form_2d(
     # edge; u_f scales it to generate the projected lattice.
     if bern[n]:
         for edge in poly.faces_of_dim(1):
-            e1 = as_vector(edge.lineality_basis[0])
+            # the tangent directions and the edge's basis vector are all
+            # primitive, so the directions along the edge are +-line
+            line = edge.lineality_basis[0]
             dirs, _ = tangent_cone(poly, edge)
-            trans = [d for d in dirs if not _is_parallel(d, e1)]
+            trans = [d for d in dirs if d not in (line, tuple(-x for x in line))]
             if len(trans) != 1:
                 raise AssertionError("an edge of a polygon has one inward edge")
             e2 = as_vector(trans[0])
-            normal = nullspace_basis([mat_vec(qmat, e1)])
+            normal = nullspace_basis([mat_vec(qmat, as_vector(line))])
             if len(normal) != 1:
                 raise AssertionError
             alpha = as_vector(primitive_vector(normal[0]))
@@ -316,11 +318,3 @@ def closed_form_2d(
         total += value.eval(as_vector(vert.ref_vertex))
     return total
 
-
-def _is_parallel(a, b) -> bool:
-    a, b = as_vector(a), as_vector(b)
-    return all(
-        a[i] * b[j] == a[j] * b[i]
-        for i in range(len(a))
-        for j in range(i + 1, len(a))
-    )

@@ -218,29 +218,22 @@ def _cone_facets(rays: Sequence[tuple]) -> dict:
     double description: {primitive inward normal: frozenset of the ids of
     the rays tight on it}.
 
-    The facet normals of d independent rays B are the columns of B^-1,
-    read off one Smith normal form U B V = D as V diag(d_d / d_i) U.  Each
-    further ray r then cuts the dual cone {a : <a, g> >= 0 for the rays g
-    so far}: the normals negative on r go, and every adjacent pair a, b
-    with <a, r> > 0 > <b, r> gives the normal <a, r> b - <b, r> a, tight
-    on r.  a and b are adjacent when no third normal is tight on every
-    ray that both are tight on.  The normals stay integer vectors.
+    The start rays B are the first d independent ones, the pivot columns
+    of one elimination of the ray matrix.  Their facet normals are the
+    columns of B^-1 = A / delta from one fraction-free inverse, that is
+    the columns of delta A made primitive.  Each further ray r then cuts
+    the dual cone {a : <a, g> >= 0 for the rays g so far}: the normals
+    negative on r go, and every adjacent pair a, b with <a, r> > 0 >
+    <b, r> gives the normal <a, r> b - <b, r> a, tight on r.  a and b are
+    adjacent when no third normal is tight on every ray that both are
+    tight on.  The normals stay integer vectors.
     """
-    d = len(rays[0])
-    basis = []
-    for i in range(len(rays)):
-        if len(basis) < d and matrix_rank(
-            [as_vector(rays[j]) for j in basis + [i]]
-        ) > len(basis):
-            basis.append(i)
-    u, dmat, v = smith_normal_form([rays[i] for i in basis])
-    mult = [dmat[-1][-1] // dmat[t][t] for t in range(d)]
-    normals = {}
-    for j in range(d):
-        column = [
-            sum(v[r][t] * mult[t] * u[t][j] for t in range(d)) for r in range(d)
-        ]
-        normals[primitive_vector(column)] = frozenset(basis) - {basis[j]}
+    _, basis, _ = _eliminate(list(zip(*rays)))
+    inverse, delta = _scaled_inverse([rays[i] for i in basis])
+    normals = {
+        primitive_vector([delta * row[j] for row in inverse]): frozenset(basis) - {i}
+        for j, i in enumerate(basis)
+    }
     for i, ray in enumerate(rays):
         if i in basis:
             continue

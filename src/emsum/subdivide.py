@@ -8,8 +8,8 @@ inclusion-exclusion pass that turns the closed cover by cells into a
 signed decomposition of the indicator function.  Every simplicial cell
 gets one Smith normal form (`_cell_lattice`), which gives its index, its
 integer coordinates and the lattice points of its fundamental box: the
-stellar refinement picks its points from that box, and the coverage
-checks read sides and membership off the coordinates.  The vertex operator
+stellar refinement picks its points from that box, and the one coverage
+check, wall by wall, reads sides off the coordinates.  The vertex operator
 of the cone is then the signed sum of the vertex operators of the
 cells, each taken at the order matching its dimension drop.  The final
 result must not depend on any of the choices made on the way; callers
@@ -303,34 +303,32 @@ def signed_coefficients(cells) -> list:
     """Integer coefficients r making sum of r_sigma * [sigma] over all
     faces sigma of the fan equal the indicator of the union.
 
-    The input cells must be the maximal cones of a fan (any two cells
-    meet in a common face); otherwise ValueError("non-complex input").
+    The input cells must be the maximal cones of a fan covering a convex
+    cone, of any dimension, pointed or not; that cone is then the one
+    generated by the cells' rays.  Any other input, a fan with non-convex
+    support included, raises ValueError("non-complex input").  The check
+    is `_signed_faces`' pseudomanifold test over the cells' own rays.
     Returns SignedCell entries for every face, maximal cells first.
+    """
+    maximal = _simplicial_cells(cells)
+    rays = sorted({g for cell in maximal for g in cell})
+    return _signed_faces({cell: _cell_lattice(cell) for cell in maximal}, rays)
+
+
+def _signed_faces(maximal: dict, rays) -> list:
+    """`signed_coefficients` on cells already normalized by
+    `_simplicial_cells` or built by `_unimodular_fan`, each mapped to its
+    `_cell_lattice`, that should form a fan covering the convex cone
+    generated by `rays`.
 
     Every interval of the face poset is boolean, so one pass over it
     gives r_tau = sum of (-1)^(dim sigma - dim tau) over the faces sigma
-    containing tau.  The fan may be any fan, not convex, so the self-check
-    tests samples against all maximal cells, with each cell's integer
-    coordinates taken once (`_cell_lattice`): a sample p lies in exactly
-    the faces tau with supp(t) <= tau <= sigma, over the maximal cells
-    sigma where p's coordinates t are non-negative, because a cell's rays
-    are independent.
-    """
-    maximal = _simplicial_cells(cells)
-    return _signed_faces({cell: _cell_lattice(cell) for cell in maximal})
-
-
-def _signed_faces(maximal: dict, rays=None) -> list:
-    """`signed_coefficients` on cells already normalized by
-    `_simplicial_cells` or built by `_unimodular_fan`, each mapped to its
-    `_cell_lattice`.
-
-    Given the generators `rays` of the pointed cone that the cells should
-    triangulate, the self-check runs wall by wall, linear in the fan: every
-    wall (a cell minus one ray) must lie in two cells whose apexes are
-    strictly on opposite sides of it, or in one cell with no ray strictly
-    beyond it, and one interior point of one cell must lie in that cell
-    alone (the pseudomanifold test; De Loera, Rambau and Santos,
+    containing tau.  The self-check runs wall by wall, linear in the fan
+    save for one pass over `rays` per boundary wall: every wall (a cell
+    minus one ray) must lie in two cells whose apexes are strictly on
+    opposite sides of it, or in one cell with no ray strictly beyond it
+    or off its span, and one interior point of one cell must lie in that
+    cell alone (the pseudomanifold test; De Loera, Rambau and Santos,
     Triangulations, ch. 4).  A point is strictly beyond the wall of sigma
     opposite g_i when its i-th integer coordinate over sigma is negative.
     """
@@ -339,45 +337,23 @@ def _signed_faces(maximal: dict, rays=None) -> list:
     for sigma in faces:
         for tau in _subsets(sigma):
             coeff[tau] += (-1) ** (len(sigma) - len(tau))
-    if rays is None:
-        # A wrong face poset (overlapping, non-facially glued cells) shows
-        # up as a point covered with total weight != 1.  Check the relative
-        # interior of every face and a midpoint sample inside each maximal
-        # cell, scaled by dim + 1 to an integer point of the same ray.
-        samples = [tuple(map(sum, zip(*tau))) for tau in faces if tau]
-        samples += [
-            tuple(sum((i + 1) * g[k] for i, g in enumerate(sigma)) for k in range(len(sigma[0])))
-            for sigma in maximal
-        ]
-        for p in samples:
-            covering = set()
-            for sigma, lattice in maximal.items():
-                t = lattice.coords(p)
-                if t is None or min(t) < 0:
-                    continue
-                support = tuple(g for g, ti in zip(sigma, t) if ti)
-                free = tuple(g for g, ti in zip(sigma, t) if not ti)
-                covering.update(tuple(sorted(support + extra)) for extra in _subsets(free))
-            if sum(coeff[tau] for tau in covering) != 1:
-                raise ValueError("non-complex input")
-    else:
-        walls = {}
-        for sigma in maximal:
-            for i in range(len(sigma)):
-                walls.setdefault(sigma[:i] + sigma[i + 1:], []).append((sigma, i))
-        for (sigma, i), *rest in walls.values():
-            coords = maximal[sigma].coords
-            if rest:
-                t = coords(rest[0][0][rest[0][1]]) if len(rest) == 1 else None
-                ok = t is not None and t[i] < 0
-            else:
-                ok = all(t is not None and t[i] >= 0 for t in map(coords, rays))
-            if not ok:
-                raise ValueError("non-complex input")
-        inside = tuple(map(sum, zip(*next(iter(maximal)))))
-        covering = [lattice.coords(inside) for lattice in maximal.values()]
-        if sum(t is not None and min(t) >= 0 for t in covering) != 1:
+    walls = {}
+    for sigma in maximal:
+        for i in range(len(sigma)):
+            walls.setdefault(sigma[:i] + sigma[i + 1:], []).append((sigma, i))
+    for (sigma, i), *rest in walls.values():
+        coords = maximal[sigma].coords
+        if rest:
+            t = coords(rest[0][0][rest[0][1]]) if len(rest) == 1 else None
+            ok = t is not None and t[i] < 0
+        else:
+            ok = all(t is not None and t[i] >= 0 for t in map(coords, rays))
+        if not ok:
             raise ValueError("non-complex input")
+    inside = tuple(map(sum, zip(*next(iter(maximal)))))
+    covering = [lattice.coords(inside) for lattice in maximal.values()]
+    if sum(t is not None and min(t) >= 0 for t in covering) != 1:
+        raise ValueError("non-complex input")
     return [SignedCell(gens=c, coeff=coeff[c]) for c in faces]
 
 
@@ -385,7 +361,7 @@ def _signed_faces(maximal: dict, rays=None) -> list:
 # vertex operator of a pointed cone
 
 
-def cone_operator(gens, qmat=None, strategy: str = "default", basis=None):
+def cone_operator(gens, qmat=None, strategy: str = "default"):
     """Berline-Vergne vertex operators D_n(C; 0) of a pointed rational cone.
 
     The signed decomposition of the cone is built once: a unimodular
@@ -397,32 +373,29 @@ def cone_operator(gens, qmat=None, strategy: str = "default", basis=None):
     pairs with the span of C.  Its `unimodular` attribute tells whether
     the cone was its own single cell.  Independent rays always span a
     pointed cone; any other cone that is not pointed is rejected by
-    `triangulate_cone`.
-
-    With `basis`, one row b_j of length M per generator coordinate, the
-    operators come out lifted to Q^M, as if composed with xi_j = <xi, b_j>:
-    a cell ray h enters as the form sum_j h_j b_j.  Q is checked and
-    scaled to integers once per call, and each order is one integer sum
-    of the cells' symbols composed straight to these forms.
+    `triangulate_cone`.  Q is checked and scaled to integers once per
+    call, and each order is one integer sum of the cells' symbols.
     Cells with equal Gram matrices share one symbol per order
     (`conecalc._Cell`).
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
-    m = len(rays[0])
-    qmat = inner_product_matrix(qmat, m)
-    if basis is not None and (len(basis) != m or len({len(b) for b in basis}) != 1):
-        raise ValueError("basis must have one row of equal length per generator coordinate")
-    return _cone_operator(rays, qmat, strategy, basis, {})
+    return _cone_operator(rays, inner_product_matrix(qmat, len(rays[0])), strategy, None, {})
 
 
 def _cone_operator(rays: list, qmat, strategy: str, basis, classes: dict):
-    """`cone_operator` on validated input: distinct primitive integer rays,
-    a symmetric positive definite Q and a basis of the right shape or
-    None.  The cells share their symbols with every cell of equal Gram
-    matrix in `classes`, a dict the caller owns (`engine.expansion` keeps
-    one per call)."""
+    """`cone_operator` on validated input: distinct primitive integer rays
+    and a symmetric positive definite Q.  The cells share their symbols
+    with every cell of equal Gram matrix in `classes`, a dict the caller
+    owns (`engine.expansion` keeps one per call).
+
+    With `basis`, one row b_j of length M per generator coordinate (a
+    face's transverse basis in `engine`), the operators come out lifted
+    to Q^M, as if composed with xi_j = <xi, b_j>: a cell ray h enters as
+    the form sum_j h_j b_j, and each cell's symbol is composed straight to
+    these forms.  None keeps the generators' coordinates.
+    """
     qi = _integer_rows(qmat)[0]
     lift, t = _integer_rows(identity_matrix(len(rays[0])) if basis is None else [as_vector(b) for b in basis])
     d = matrix_rank([as_vector(g) for g in rays])

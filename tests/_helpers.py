@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ from emsum.exactcore import (
     MultiPoly,
     as_vector,
     identity_matrix,
+    matrix_inverse,
     matrix_rank,
     nullspace_basis,
     primitive_vector,
@@ -220,6 +222,55 @@ def in_simplicial_cone(point, gens) -> bool:
     columns = [[Fraction(g[i]) for g in gens] for i in range(len(point))]
     coords = solve_unique(columns, [Fraction(x) for x in point])
     return coords is not None and min(coords) >= 0
+
+
+def sample_cover_coefficients(cells) -> dict:
+    """{face: coefficient} of the inclusion-exclusion over the faces of the
+    simplicial cells, r_tau = sum of (-1)^(dim sigma - dim tau) over the
+    faces sigma containing tau, checked by covering samples: the relative
+    interior point of every face and one interior point of every cell
+    must each be covered with total weight 1.  Each sample is tested
+    against every cell by its exact coordinates t over the cell's rays,
+    from the cell's rational Gram inverse, and lies in the faces tau with
+    supp(t) <= tau <= sigma of the cells sigma where t >= 0.  Raises
+    ValueError("non-complex input") otherwise.  Quadratic in the fan and
+    blind to convexity: the reference for `subdivide`'s wall check."""
+    def subsets(cell):
+        return (tau for r in range(len(cell) + 1) for tau in itertools.combinations(cell, r))
+
+    maximal = {tuple(sorted(cell)) for cell in cells}
+    faces = {tau for sigma in maximal for tau in subsets(sigma)}
+    coeff = dict.fromkeys(faces, 0)
+    for sigma in faces:
+        for tau in subsets(sigma):
+            coeff[tau] += (-1) ** (len(sigma) - len(tau))
+    samples = [tuple(map(sum, zip(*tau))) for tau in faces if tau]
+    samples += [
+        tuple(sum((i + 1) * g[k] for i, g in enumerate(sigma)) for k in range(len(sigma[0])))
+        for sigma in maximal
+    ]
+    # scale * t = W p for the integer matrix W = scale (G^T G)^-1 G^T, and
+    # G t = p exactly when p is in the span of the cell's rays G
+    solvers = {}
+    for sigma in maximal:
+        gram_inv = matrix_inverse([[vdot(g, h) for h in sigma] for g in sigma])
+        rows = [[vdot(row, [g[i] for g in sigma]) for i in range(len(sigma[0]))]
+                for row in gram_inv]
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        solvers[sigma] = scale, [[int(x * scale) for x in row] for row in rows]
+    for p in samples:
+        covering = set()
+        for sigma, (scale, rows) in solvers.items():
+            t = [sum(map(operator.mul, row, p)) for row in rows]
+            image = (sum(ti * g[i] for ti, g in zip(t, sigma)) for i in range(len(p)))
+            if min(t) < 0 or any(y != scale * x for y, x in zip(image, p)):
+                continue
+            support = tuple(g for g, ti in zip(sigma, t) if ti)
+            free = tuple(g for g, ti in zip(sigma, t) if not ti)
+            covering.update(tuple(sorted(support + extra)) for extra in subsets(free))
+        if sum(coeff[tau] for tau in covering) != 1:
+            raise ValueError("non-complex input")
+    return coeff
 
 
 def stellar_fan_reference(cells, strategy: str = "default") -> list:

@@ -2,10 +2,13 @@
 
 import hashlib
 import itertools
+import random
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from emsum import engine, exactcore, geometry, subdivide
 from emsum.conecalc import DiffOp, UniCone
@@ -16,11 +19,11 @@ from emsum.engine import (
     closed_form_A2,
     expansion,
 )
-from emsum.exactcore import MultiPoly
+from emsum.exactcore import MultiPoly, matrix_inverse
 from emsum.geometry import build_polytope, integrate_poly_over_face
 from emsum.oracle import coefficients_from_oracle, riemann_sum
 
-from _helpers import built_cell_symbols, run_optimized
+from _helpers import built_cell_symbols, run_optimized, unimodular_matrix
 
 ONE2 = MultiPoly.const(2, F(1))
 ONE3 = MultiPoly.const(3, F(1))
@@ -558,3 +561,55 @@ def test_face_operator_invariant_fires_under_optimize():
     proc = run_optimized(FACE_OPERATOR_INVARIANT_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["Delzant transverse cones must be unimodular"] * 2 + [""]
+
+
+def check_metamorphic_relations(points, phi, t, u, k):
+    """The relations that need no oracle, for the full-dimensional hull P of
+    the points, integer t, U in GL_m(Z) and k >= 1:
+    A_n(P + t; phi(x - t)) = A_n(UP; phi(U^-1 x)) = A_n(P; phi) and
+    A_n(kP; phi(x / k)) = k^(dim P - n) A_n(P; phi)."""
+    m = len(points[0])
+    base = expansion(build_polytope(points), phi).coefficients
+    x = [MultiPoly.variable(m, i) for i in range(m)]
+    moved = build_polytope([tuple(map(sum, zip(p, t))) for p in points])
+    assert expansion(moved, phi.compose([xi - ti for xi, ti in zip(x, t)])).coefficients == base
+    image = build_polytope([tuple(sum(a * c for a, c in zip(row, p)) for row in u) for p in points])
+    pulled = phi.compose([MultiPoly.linear_form(row) for row in matrix_inverse(u)])
+    assert expansion(image, pulled).coefficients == base
+    dilated = build_polytope([tuple(k * c for c in p) for p in points])
+    scaled = expansion(dilated, phi.compose([xi * F(1, k) for xi in x])).coefficients
+    assert scaled == tuple(F(k) ** (m - n) * a for n, a in enumerate(base))
+
+
+@st.composite
+def metamorphic_cases(draw):
+    """A 2-3D hull, Delzant or not, a polynomial of degree at most 2, a
+    translation, a unimodular map and a dilation factor."""
+    m = draw(st.integers(2, 3))
+    coord = st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=m + 1, max_size=m + 3))
+    try:
+        build_polytope(points)
+    except ValueError:
+        assume(False)
+    exps = st.tuples(*[st.integers(0, 2)] * m).filter(lambda e: sum(e) <= 2)
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    t = draw(st.tuples(*[st.integers(-3, 3)] * m))
+    u = unimodular_matrix(random.Random(draw(st.integers(0, 10**6))), m)
+    return points, MultiPoly(m, terms), t, u, draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(metamorphic_cases())
+def test_metamorphic_relations_on_random_hulls(case):
+    check_metamorphic_relations(*case)
+
+
+def test_metamorphic_relations_on_a_cross_polytope_image():
+    # the 4D cross-polytope's vertex cones are not unimodular, so every
+    # relation runs through the signed decompositions
+    u = [[1, 1, 0, 0], [0, 1, 0, 2], [1, 1, 1, 0], [0, 0, 1, 1]]
+    cross = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    image = [tuple(sum(a * x for a, x in zip(row, p)) for row in u) for p in cross]
+    phi = MultiPoly.monomial((1, 0, 0, 1)) + 1
+    check_metamorphic_relations(image, phi, (1, -2, 0, 3), unimodular_matrix(random.Random(7), 4), 2)

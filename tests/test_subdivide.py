@@ -39,6 +39,7 @@ from _helpers import (
     fraction_det,
     in_simplicial_cone,
     run_optimized,
+    sample_cover_coefficients,
     section_fan,
     stellar_fan_reference,
     unimodular_matrix,
@@ -390,8 +391,11 @@ def test_signed_coefficients_non_complex():
         [[(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (1, 1, 0)]],
         # (1,1,1) is interior to the orthant
         [[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1, 1), (0, 1, 0), (0, 0, 1)]],
+        # two quadrants in different planes: a fan, but its support is not
+        # convex, and only fans covering a convex cone are accepted
+        [[(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 0, 1)]],
     ],
-    ids=["lifted-2d-overlap", "3d-overlap"],
+    ids=["lifted-2d-overlap", "3d-overlap", "planes-sharing-a-ray"],
 )
 def test_signed_coefficients_non_complex_beyond_2d(cells):
     with pytest.raises(ValueError, match="non-complex input"):
@@ -412,19 +416,8 @@ def test_signed_coefficients_non_complex_beyond_2d(cells):
                 (): 0,
             },
         ),
-        (
-            [[(1, 0, 0), (0, 1, 0)], [(0, 1, 0), (0, 0, 1)]],
-            {
-                ((0, 0, 1), (0, 1, 0)): 1,
-                ((0, 1, 0), (1, 0, 0)): 1,
-                ((0, 0, 1),): 0,
-                ((0, 1, 0),): -1,
-                ((1, 0, 0),): 0,
-                (): 0,
-            },
-        ),
     ],
-    ids=["flat-fan-in-3d", "planes-sharing-a-ray"],
+    ids=["flat-fan-in-3d"],
 )
 def test_signed_coefficients_lower_dimensional_fans(cells, expected):
     out = signed_coefficients(cells)
@@ -495,6 +488,39 @@ def test_wall_check_accepts_triangulations(cells):
     assert signed == signed_coefficients(cells)
 
 
+@st.composite
+def pointed_cones(draw):
+    """Rays of a 2-4D cone, pointed because every last entry is positive."""
+    d = draw(st.integers(2, 4))
+    ray = st.tuples(*[st.integers(-2, 2)] * (d - 1), st.integers(1, 2))
+    return draw(st.lists(ray, min_size=2, max_size=d + 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pointed_cones(), st.data())
+def test_wall_check_matches_sample_cover_reference(gens, data):
+    # the one check accepts the fans both strategies build, with the
+    # coefficients of the all-pairs sample cover, and rejects whatever the
+    # reference rejects: a cell on the fan's rays mixed in, or the other
+    # strategy's cells
+    fans = [unimodularize(triangulate_cone(gens, strategy=s), strategy=s) for s in STRATEGIES]
+    for fan in fans:
+        signed = signed_coefficients(fan)
+        assert {c.gens: c.coeff for c in signed} == sample_cover_coefficients(fan)
+    rays = sorted({g for cell in fans[0] for g in cell})
+    extra = data.draw(st.lists(st.sampled_from(rays), min_size=len(fans[0][0]),
+                               max_size=len(fans[0][0]), unique=True))
+    broken = [fans[0] + fans[1]]
+    if matrix_rank(as_matrix(extra)) == len(extra):
+        broken.append(fans[0] + [extra])
+    for cells in broken:
+        try:
+            sample_cover_coefficients(cells)
+        except ValueError:
+            with pytest.raises(ValueError, match="non-complex input"):
+                signed_coefficients(cells)
+
+
 @pytest.mark.parametrize(
     "gens, strategy",
     [
@@ -511,8 +537,8 @@ def test_stellar_steps_on_the_star_match_full_scan(gens, strategy):
     assert unimodularize(fan, strategy=strategy) == stellar_fan_reference(fan, strategy)
 
 
-def test_cone_operator_coverage_check_is_linear_in_the_fan(monkeypatch):
-    # the parent's all-pairs check made (faces + cells) * cells calls
+def _counted_coords(monkeypatch) -> list:
+    """Record every point that a cell's `coords` is asked about."""
     calls = []
     real = subdivide._cell_lattice
 
@@ -526,12 +552,32 @@ def test_cone_operator_coverage_check_is_linear_in_the_fan(monkeypatch):
         return lattice._replace(coords=coords)
 
     monkeypatch.setattr(subdivide, "_cell_lattice", counting)
+    return calls
+
+
+def test_cone_operator_coverage_check_is_linear_in_the_fan(monkeypatch):
+    # an all-pairs sample cover would make (faces + cells) * cells calls
+    calls = _counted_coords(monkeypatch)
     per_cell = {}
     for k in (15, 31, 63, 127):
         calls.clear()
         cone_operator(index_cone(k))
         per_cell[k] = len(calls) / (2 * k - 1)
     assert max(per_cell.values()) <= 3, per_cell
+
+
+def test_signed_coefficients_coverage_check_is_linear_in_the_fan(monkeypatch):
+    # an all-pairs sample cover makes (faces + cells) * cells calls; the
+    # wall check makes one per interior wall, one per ray for each of the
+    # three boundary walls and one per cell for the interior point
+    fans = {k: unimodularize(triangulate_cone(index_cone(k))) for k in (15, 31, 63, 127)}
+    calls = _counted_coords(monkeypatch)
+    per_cell = {}
+    for k, fan in fans.items():
+        calls.clear()
+        signed_coefficients(fan)
+        per_cell[k] = len(calls) / len(fan)
+    assert max(per_cell.values()) <= 5, per_cell
 
 
 def test_signed_coefficients_inverts_each_cell_once(monkeypatch):
@@ -693,7 +739,8 @@ def test_lifted_cone_operator_matches_composed_reference(case):
     gens, qmat, basis, n = case
     images = [MultiPoly.linear_form(row) for row in basis]
     for strategy in STRATEGIES:
-        ops = cone_operator(gens, qmat=qmat, strategy=strategy, basis=basis)
+        q = exactcore.inner_product_matrix(qmat, len(gens[0]))
+        ops = subdivide._cone_operator(subdivide._ray_list(gens), q, strategy, basis, {})
         plain = cone_operator(gens, qmat=qmat, strategy=strategy)(n)
         lifted = ops(n)
         assert lifted.dim == len(basis[0]) and lifted.order == plain.order
@@ -714,17 +761,6 @@ def test_cone_operator_checks_inner_product_once(monkeypatch):
     ops = cone_operator(index_cone(15), qmat=skew)
     assert not ops(4).symbol.is_zero()
     assert calls == [3]
-
-
-@pytest.mark.parametrize(
-    "basis",
-    [[], [(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1), (0, 0, 1)],
-     [(1,), (0,), (0,), (0,)]],
-    ids=["empty", "too-few-rows", "ragged", "too-many-rows"],
-)
-def test_cone_operator_rejects_misshapen_basis(basis):
-    with pytest.raises(ValueError, match="basis must have one row"):
-        cone_operator(index_cone(3), basis=basis)
 
 
 def test_cone_operator_builds_each_cell_symbol_once_per_gram_class(monkeypatch):
