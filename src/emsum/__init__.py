@@ -46,7 +46,6 @@ from .exactcore import (
     as_scalar,
     as_vector,
     cyclotomic_polynomial,
-    mpoly_apply_diffop,
     orth_project,
     saturation_basis,
     series_coeffs_todd,
@@ -119,7 +118,6 @@ __all__ = [
     "integrate_poly_over_face",
     "is_delzant",
     "ln_op",
-    "mpoly_apply_diffop",
     "orth_project",
     "p_poly",
     "p_scalar",

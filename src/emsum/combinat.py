@@ -16,6 +16,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .exactcore import (
@@ -64,28 +65,6 @@ class MultiIndex(Mapping):
     def total(self) -> int:
         return sum(self._entries.values())
 
-    def factorial(self) -> int:
-        out = 1
-        for v in self._entries.values():
-            out *= math.factorial(v)
-        return out
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        out = dict(self._entries)
-        for k, v in MultiIndex(other)._entries.items():
-            out[k] = out.get(k, 0) + v
-        return MultiIndex(out)
-
-    def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        out = dict(self._entries)
-        for k, v in MultiIndex(other)._entries.items():
-            out[k] = out.get(k, 0) - v
-        return MultiIndex(out)
-
-    def __le__(self, other: "MultiIndex") -> bool:
-        other = MultiIndex(other)
-        return all(v <= other[k] for k, v in self._entries.items())
-
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiIndex):
             return self._entries == other._entries
@@ -100,27 +79,23 @@ class MultiIndex(Mapping):
         return f"MultiIndex({dict(sorted(self._entries.items()))})"
 
 
+def compositions(total: int, r: int) -> Iterator[tuple]:
+    """The compositions of total into r positive parts, as part tuples read
+    off their r - 1 cut points in lexicographic order; () alone when
+    total == r == 0."""
+    if total == r == 0:
+        yield ()
+    if total < r or not r:
+        return
+    for cut in combinations(range(1, total), r - 1):
+        yield tuple(y - x for x, y in zip((0,) + cut, cut + (total,)))
+
+
 def positive_compositions(total: int, labels: Sequence) -> Iterator[MultiIndex]:
     """All multi-indices on `labels` with every entry >= 1 summing to total."""
     labels = list(labels)
-    if len(labels) > total:
-        return
-    if not labels:
-        if total == 0:
-            yield MultiIndex()
-        return
-
-    def rec(i: int, remaining: int, acc: dict):
-        if i == len(labels) - 1:
-            acc[labels[i]] = remaining
-            yield MultiIndex(acc)
-            return
-        for v in range(1, remaining - (len(labels) - i - 1) + 1):
-            acc[labels[i]] = v
-            yield from rec(i + 1, remaining - v, acc)
-
-    if total >= len(labels) > 0:
-        yield from rec(0, total, {})
+    for parts in compositions(total, len(labels)):
+        yield MultiIndex(dict(zip(labels, parts)))
 
 
 @lru_cache(maxsize=None)

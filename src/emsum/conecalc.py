@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import mul
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .combinat import MultiIndex, p_I_of_nu, p_of_n, positive_compositions
+from .combinat import MultiIndex, compositions, p_I_of_nu, p_of_n, positive_compositions
 from .exactcore import (
     MultiPoly,
     _integer_rows,
@@ -46,7 +46,6 @@ from .exactcore import (
     inner_product_matrix,
     mat_vec,
     matrix_inverse,
-    mpoly_apply_diffop,
     nullspace_basis,
     orth_project,
     qform,
@@ -77,7 +76,13 @@ class DiffOp:
         return self.symbol.is_zero()
 
     def apply(self, phi: MultiPoly) -> MultiPoly:
-        return mpoly_apply_diffop(self, phi)
+        """D phi = sum over the symbol's terms s_b xi^b of s_b d^b phi."""
+        if self.dim != phi.nvars or self.symbol.nvars != phi.nvars:
+            raise ValueError("dimension mismatch")
+        out = MultiPoly.zero(phi.nvars)
+        for beta, coeff in self.symbol.terms.items():
+            out = out + phi.deriv(beta) * coeff
+        return out
 
     def __repr__(self) -> str:
         return "DiffOp(order={}, symbol={!r})".format(self.order, self.symbol)
@@ -476,9 +481,10 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
     D_n(C; C) = 0 for n >= 1.
 
     The weights p_I(nu) depend only on the parts of nu, not on the labels
-    that carry them: each call lists the compositions of n into r parts by
-    their cut points, keeps one table of their nonzero weights as integers
-    over one denominator, and maps it onto every r-subset of the labels.
+    that carry them: each call lists the compositions of n into r parts
+    (`combinat.compositions`), keeps one table of their nonzero weights as
+    integers over one denominator, and maps it onto every r-subset of the
+    labels.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -503,9 +509,8 @@ def _bv_sym(cone: _Cell, out: tuple, n: int) -> tuple:
     a = [0] + [x.numerator * (d // x.denominator) for x in ps]
     rmax, sign, parts = min(n, len(out)), (-1) ** (n - len(out)), []
     for r in range(1, rmax + 1):
-        cuts = combinations(range(1, n), r - 1)
-        comps = (tuple(y - x for x, y in zip((0,) + cut, cut + (n,))) for cut in cuts)
-        table = [(sign * w * d ** (rmax - r), nu) for nu in comps if (w := math.prod(a[k] for k in nu))]
+        weights = ((math.prod(a[k] for k in nu), nu) for nu in compositions(n, r))
+        table = [(sign * w * d ** (rmax - r), nu) for w, nu in weights if w]
         for picked in combinations(out, r):
             for w, nu in table:
                 alpha = tuple((e, k - 1) for e, k in zip(picked, nu) if k > 1)

@@ -5,8 +5,9 @@ N^{-m} sum_{x in P cap Z^m/N} phi(x) has a terminating expansion in 1/N
 whose coefficient A_n is a sum of integrals over the faces of P of
 codimension at most n: each face contributes its transverse cone's
 Berline-Vergne operator, lifted back to the ambient space and applied
-to phi.  The lift is no separate step: `cone_operator` composes each
-cell's symbol straight to the face's lifted generators.  No D_n phi is
+to phi.  The lift is no separate step: `_cone_operator` composes each
+cell's symbol straight to the face's lifted generators through the
+transverse cone's basis B (a vertex has B = I).  No D_n phi is
 built: each integral is read off the operator's symbol, phi's terms and
 the face's moment table (`LatticePolytope.face_moment`), which depends
 on neither phi, Q nor n, and which one integer recursion up the face
@@ -41,6 +42,7 @@ from .exactcore import (
     mat_vec,
     nullspace_basis,
     primitive_vector,
+    qform,
     vdot,
     vscale,
     vsub,
@@ -88,10 +90,6 @@ class ExpansionResult:
     def __repr__(self) -> str:
         coeffs = ", ".join(str(c) for c in self.coefficients)
         return f"ExpansionResult([{coeffs}], complete={self.complete})"
-
-
-def _inner(qmat, x, y) -> Fraction:
-    return vdot(as_vector(x), mat_vec(qmat, as_vector(y)))
 
 
 def expansion(
@@ -143,7 +141,12 @@ def expansion(
             continue
         ops = operators.get(face.index)
         if ops is None:
-            ops = _face_operator(poly, face, qused, strategy, classes)
+            # n -> D_n(C_F; Q) lifted through B, memoized per order; the
+            # induced Q is definite by construction, so it is not re-checked,
+            # and functools.cache copies the `unimodular` attribute
+            tcone = transverse_cone(poly, face, qused)
+            ops = _cone_operator(list(tcone.gens), tcone.qmat, strategy, tcone.basis, classes)
+            ops = functools.cache(ops)
             if not ops.unimodular and not valuation_used and is_delzant(poly):
                 raise AssertionError("Delzant transverse cones must be unimodular")
             operators[face.index] = ops
@@ -178,20 +181,6 @@ def _integrate_operator(poly: LatticePolytope, face, symbol, phi) -> Fraction:
                 falling = math.prod(map(math.perm, alpha, beta))
                 total += s * c * falling * poly.face_moment(face, rest)
     return total
-
-
-def _face_operator(poly: LatticePolytope, face, qmat, strategy: str, classes: dict):
-    """n -> the face's transverse-cone operator D_n(C_F; Q) lifted to the
-    ambient space, memoized per order.  `cone_operator` composes each
-    cell's symbol straight to the lifted generators through the face's
-    basis B, so no symbol is composed here; a vertex has B = I and needs
-    no lift.  The transverse cone's induced Q is positive definite by
-    construction, so the private core skips its check.  The `unimodular`
-    attribute, which `functools.cache` copies from the operator, tells
-    whether the transverse cone was unimodular."""
-    tcone = transverse_cone(poly, face, qmat)
-    ops = _cone_operator(list(tcone.gens), tcone.qmat, strategy, tcone.basis if face.dim else None, classes)
-    return functools.cache(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +270,10 @@ def closed_form_2d(
             if len(normal) != 1:
                 raise AssertionError
             alpha = as_vector(primitive_vector(normal[0]))
-            if _inner(qmat, alpha, e2) < 0:
+            if qform(qmat, alpha, e2) < 0:
                 alpha = vscale(Fraction(-1), alpha)
             u_f = vscale(
-                _inner(qmat, e2, alpha) / _inner(qmat, alpha, alpha), alpha
+                qform(qmat, e2, alpha) / qform(qmat, alpha, alpha), alpha
             )
             coeff = -bern[n] / Fraction(math.factorial(n))
             sym = MultiPoly.linear_form(u_f) ** (n - 1) * coeff
@@ -297,8 +286,8 @@ def closed_form_2d(
         if len(dirs) != 2:
             raise AssertionError
         e1, e2 = as_vector(dirs[0]), as_vector(dirs[1])
-        c1 = _inner(qmat, e1, e2) / _inner(qmat, e2, e2)
-        c2 = _inner(qmat, e1, e2) / _inner(qmat, e1, e1)
+        c1 = qform(qmat, e1, e2) / qform(qmat, e2, e2)
+        c2 = qform(qmat, e1, e2) / qform(qmat, e1, e1)
         u1 = vsub(e1, vscale(c1, e2))
         u2 = vsub(e2, vscale(c2, e1))
         l1, l2, m1, m2 = map(MultiPoly.linear_form, (e1, e2, u1, u2))

@@ -623,22 +623,6 @@ class MultiPoly:
         return "MultiPoly(" + " + ".join(bits) + ")"
 
 
-def mpoly_apply_diffop(op, phi: MultiPoly) -> MultiPoly:
-    """Apply a constant-coefficient differential operator to a polynomial.
-
-    `op` is duck-typed: it must expose `dim` and `symbol`, the symbol being a
-    MultiPoly in the dual variables whose monomial xi^beta acts as the mixed
-    partial d^beta.
-    """
-    symbol = op.symbol
-    if symbol.nvars != phi.nvars or getattr(op, "dim", phi.nvars) != phi.nvars:
-        raise ValueError("dimension mismatch")
-    out = MultiPoly.zero(phi.nvars)
-    for beta, coeff in symbol.terms.items():
-        out = out + phi.deriv(beta) * coeff
-    return out
-
-
 # ---------------------------------------------------------------------------
 # truncated power series
 

@@ -72,15 +72,6 @@ class PointedConeT:
     basis: tuple
     qmat: tuple
 
-    def ambient_gen(self, i: int) -> tuple:
-        g = self.gens[i]
-        m = len(self.basis[0]) if self.basis else 0
-        out = [F(0)] * m
-        for c, bvec in zip(g, self.basis):
-            for j in range(m):
-                out[j] += c * bvec[j]
-        return tuple(out)
-
 
 class LatticePolytope:
     """Full-dimensional lattice polytope with its exact face lattice.

@@ -276,9 +276,10 @@ def _unimodular_fan(cells, strategy: str) -> dict:
             for i, g in enumerate(cell):
                 if g not in tau:
                     continue
+                # w is interior to tau, a face of dimension >= 2, so it is no
+                # ray of an earlier cell and every piece is new
                 piece = _cell_key(cell[:i] + cell[i + 1:] + (w,))
-                if piece not in lattice:
-                    lattice[piece] = _cell_lattice(piece)
+                lattice[piece] = _cell_lattice(piece)
                 if lattice[piece].index >= lattice[cell].index:
                     raise AssertionError("stellar subdivision must decrease the index")
                 work.add(piece)
@@ -305,12 +306,15 @@ def signed_coefficients(cells) -> list:
 
     The input cells must be the maximal cones of a fan covering a convex
     cone, of any dimension, pointed or not; that cone is then the one
-    generated by the cells' rays.  Any other input, a fan with non-convex
-    support included, raises ValueError("non-complex input").  The check
-    is `_signed_faces`' pseudomanifold test over the cells' own rays.
-    Returns SignedCell entries for every face, maximal cells first.
+    generated by the cells' rays.  Any other input, a cell listed twice or
+    a fan with non-convex support included, raises ValueError("non-complex
+    input").  The check is `_signed_faces`' pseudomanifold test over the
+    cells' own rays.  Returns SignedCell entries for every face, maximal
+    cells first.
     """
     maximal = _simplicial_cells(cells)
+    if len(set(maximal)) < len(maximal):
+        raise ValueError("non-complex input")
     rays = sorted({g for cell in maximal for g in cell})
     return _signed_faces({cell: _cell_lattice(cell) for cell in maximal}, rays)
 
@@ -381,7 +385,8 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
-    return _cone_operator(rays, inner_product_matrix(qmat, len(rays[0])), strategy, None, {})
+    m = len(rays[0])
+    return _cone_operator(rays, inner_product_matrix(qmat, m), strategy, identity_matrix(m), {})
 
 
 def _cone_operator(rays: list, qmat, strategy: str, basis, classes: dict):
@@ -390,14 +395,15 @@ def _cone_operator(rays: list, qmat, strategy: str, basis, classes: dict):
     with every cell of equal Gram matrix in `classes`, a dict the caller
     owns (`engine.expansion` keeps one per call).
 
-    With `basis`, one row b_j of length M per generator coordinate (a
-    face's transverse basis in `engine`), the operators come out lifted
-    to Q^M, as if composed with xi_j = <xi, b_j>: a cell ray h enters as
-    the form sum_j h_j b_j, and each cell's symbol is composed straight to
-    these forms.  None keeps the generators' coordinates.
+    `basis` holds one rational row b_j of length M per generator
+    coordinate: the identity in `cone_operator`, a face's transverse
+    basis in `engine`.  The operators come out lifted to Q^M, as if
+    composed with xi_j = <xi, b_j>: a cell ray h enters as the form
+    sum_j h_j b_j, and each cell's symbol is composed straight to these
+    forms.
     """
     qi = _integer_rows(qmat)[0]
-    lift, t = _integer_rows(identity_matrix(len(rays[0])) if basis is None else [as_vector(b) for b in basis])
+    lift, t = _integer_rows(basis)
     d = matrix_rank([as_vector(g) for g in rays])
     unimodular = len(rays) == d and _cell_lattice(tuple(rays)).index == 1
     if unimodular:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from emsum.combinat import (
     MultiIndex,
     c_seq,
     c_seq_twisted,
+    compositions,
     p_I_of_nu,
     p_of_n,
     p_poly,
@@ -210,13 +212,9 @@ def test_multiindex_basics():
     mu = MultiIndex({0: 2, 1: 0, 3: 1})
     assert mu.support == (0, 3)
     assert mu.total() == 3
-    assert mu.factorial() == 2
     assert mu[1] == 0
-    assert MultiIndex({0: 1}) <= mu
-    assert not (MultiIndex({0: 3}) <= mu)
-    assert mu - MultiIndex({0: 1}) == MultiIndex({0: 1, 3: 1})
     with pytest.raises(ValueError):
-        mu - MultiIndex({3: 2})
+        MultiIndex({3: -1})
 
 
 def test_positive_compositions():
@@ -228,6 +226,20 @@ def test_positive_compositions():
     ]
     assert list(positive_compositions(1, [0, 1])) == []
     assert list(positive_compositions(0, [])) == [MultiIndex()]
+
+
+@pytest.mark.parametrize("total", range(9))
+def test_compositions_match_brute_force(total):
+    # the filter of the product is in lexicographic order of the parts,
+    # which is the order of the cut points; r = 0 gives the one empty
+    # composition of 0, and total = 0 < r gives none
+    for r in range(6):
+        brute = [
+            parts
+            for parts in product(range(1, total + 1), repeat=r)
+            if sum(parts) == total
+        ]
+        assert list(compositions(total, r)) == brute, (total, r)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emsum import exactcore
+from emsum.conecalc import DiffOp
 from emsum.exactcore import (
     CycloElem,
     MultiPoly,
@@ -23,7 +24,6 @@ from emsum.exactcore import (
     mat_vec,
     matrix_inverse,
     matrix_rank,
-    mpoly_apply_diffop,
     nullspace_basis,
     orth_project,
     primitive_vector,
@@ -438,23 +438,15 @@ def test_mpoly_deriv():
 
 
 def test_apply_diffop():
-    class Op:
-        dim = 2
-
-    op = Op()
     # symbol xi_0^2 + 2 acts as d^2/dx0^2 + 2
-    op.symbol = MultiPoly(2, {(2, 0): F(1), (0, 0): F(2)})
+    op = DiffOp(2, 2, MultiPoly(2, {(2, 0): F(1), (0, 0): F(2)}))
     x = MultiPoly.variable(2, 0)
     phi = x ** 3
-    out = mpoly_apply_diffop(op, phi)
+    out = op.apply(phi)
     assert out == 6 * x + 2 * x ** 3
 
 
 def test_apply_diffop_dimension_mismatch():
-    class Op:
-        dim = 2
-
-    op = Op()
-    op.symbol = MultiPoly(2, {(0, 0): F(1)})
+    op = DiffOp(2, 0, MultiPoly(2, {(0, 0): F(1)}))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        mpoly_apply_diffop(op, MultiPoly.variable(3, 0))
+        op.apply(MultiPoly.variable(3, 0))

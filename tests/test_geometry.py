@@ -335,7 +335,8 @@ def test_transverse_cone_respects_q():
     t = transverse_cone(p, edge, q)
     # L(f) = span(e1); Q-orthocomplement is spanned by (-1, 2)
     assert t.dim == 1
-    amb = t.ambient_gen(0)
+    # the generator in ambient coordinates, sum_j g_j B_j
+    amb = [sum(g * b[i] for g, b in zip(t.gens[0], t.basis)) for i in range(2)]
     assert amb[1] > 0
     assert 2 * amb[0] + amb[1] == 0 or (q[0][0] * amb[0] + q[0][1] * amb[1]) == 0
 

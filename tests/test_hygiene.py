@@ -1,6 +1,6 @@
 """Repository hygiene: every module-level function and class in the package,
 and every non-dunder method and property of its classes, is used somewhere,
-every dataclass field and `__slots__` name of its classes is read somewhere,
+and outside the tests unless it is kept on purpose, every dataclass field and `__slots__` name of its classes is read somewhere,
 every module of the package and the tests uses what it imports, and
 `emsum.__all__` lists exactly the package's public names, so dead helpers,
 fields, leftover imports and stale exports cannot accumulate unnoticed."""
@@ -36,14 +36,22 @@ def _method_names(tree: ast.Module) -> list:
     ]
 
 
-def _unnamed(definitions) -> list:
-    """The qualified names whose last part appears nowhere but in its own
-    definition lines."""
-    texts = [
-        path.read_text(encoding="utf-8")
-        for folder in SEARCHED
+def _sources(folders) -> list:
+    return [
+        path
+        for folder in folders
         for path in sorted((ROOT / folder).rglob("*"))
         if path.suffix in (".py", ".sh") and "__pycache__" not in path.parts
+    ]
+
+
+def _unnamed(definitions, paths=None) -> list:
+    """The qualified names whose last part appears nowhere in `paths`
+    (default: every source file of SEARCHED) but in its own definition
+    lines."""
+    texts = [
+        path.read_text(encoding="utf-8")
+        for path in (_sources(SEARCHED) if paths is None else paths)
     ]
     unused = []
     for module in sorted(PACKAGE.glob("*.py")):
@@ -72,6 +80,36 @@ def test_every_top_level_definition_is_named_elsewhere():
 def test_every_method_and_property_is_named_elsewhere():
     unused = _unnamed(_method_names)
     assert unused == [], f"defined but never named elsewhere: {unused}"
+
+
+# Definitions that only tests call, each kept on purpose.
+TEST_ONLY = {
+    "combinat.py:p_poly": "p(n,k;z) as a polynomial, for acceptance criterion 3",
+    "combinat.py:c_seq": "the half-line corrections c_n, for acceptance criterion 1",
+    "combinat.py:c_seq_twisted": "the twisted corrections c_n^omega, for acceptance criterion 2",
+    "conecalc.py:ibp_symbol": "the symbol route that checks ibp_op, for acceptance criterion 4",
+    "conecalc.py:ln_op": "the paper's face operators L_n(C; I), a kept reference",
+    "conecalc.py:dual_projection": "the projection that fixes outer-set symbols, a kept reference",
+    "geometry.py:euler_brion_window_check": "the Brion window identity, for acceptance criterion 10",
+    "oracle.py:szasz_eval": "the Szasz functions, for acceptance criterion 10",
+    "oracle.py:twisted_riemann_1d": "the twisted half-line sums, the reference for c_seq_twisted",
+    "exactcore.py:CycloElem.as_rational": "reads off rational values of the twisted checks",
+    "geometry.py:LatticePolytope.face_by_vertex_ids": "names a face by its vertices, for callers",
+}
+
+
+def test_no_definition_lives_for_tests_alone():
+    # the package and the demos, without the package's re-exports, must
+    # name every definition but the kept ones
+    paths = [
+        path for path in _sources(("src", "demos"))
+        if path != PACKAGE / "__init__.py"
+    ]
+    unused = _unnamed(lambda tree: _top_level_names(tree) + _method_names(tree), paths)
+    assert sorted(unused) == sorted(TEST_ONLY), (
+        f"named only by tests: {sorted(set(unused) - set(TEST_ONLY))}; "
+        f"no longer test-only: {sorted(set(TEST_ONLY) - set(unused))}"
+    )
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -6,9 +6,10 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from emsum import conecalc, exactcore, geometry, subdivide
@@ -16,6 +17,7 @@ from emsum.conecalc import UniCone, bv_op_unimodular, ibp_op, vertex_op
 from emsum.exactcore import (
     MultiPoly,
     as_matrix,
+    identity_matrix,
     mat_mul,
     matrix_inverse,
     matrix_rank,
@@ -403,6 +405,21 @@ def test_signed_coefficients_non_complex_beyond_2d(cells):
 
 
 @pytest.mark.parametrize(
+    "cells",
+    [
+        [[(1, 0), (0, 1)], [(0, 1), (1, 0)]],
+        [[(1, 0), (0, 1)], [(0, 1), (1, 0)], [(0, 1), (-1, 0)]],
+    ],
+    ids=["one-cell-twice", "repeat-beside-a-neighbour"],
+)
+def test_signed_coefficients_rejects_a_repeated_cell(cells):
+    # a cell listed twice covers its points twice, even though it has the
+    # same sorted rays as its copy
+    with pytest.raises(ValueError, match="non-complex input"):
+        signed_coefficients(cells)
+
+
+@pytest.mark.parametrize(
     "cells, expected",
     [
         (
@@ -519,6 +536,27 @@ def test_wall_check_matches_sample_cover_reference(gens, data):
         except ValueError:
             with pytest.raises(ValueError, match="non-complex input"):
                 signed_coefficients(cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pointed_cones())
+@example(index_cone(15))
+def test_every_stellar_piece_is_new(gens):
+    # each stellar point is interior to a face of dimension >= 2 of the
+    # worst cell, so it is no ray of the fan and every piece it makes is a
+    # cell never seen before: no Smith form is taken twice
+    real = subdivide.smith_normal_form
+    for strategy in STRATEGIES:
+        cells = triangulate_cone(gens, strategy=strategy)
+        calls = []
+
+        def counting(mat):
+            calls.append(tuple(map(tuple, mat)))
+            return real(mat)
+
+        with mock.patch.object(subdivide, "smith_normal_form", counting):
+            fan = unimodularize(cells, strategy=strategy)
+        assert len(calls) == len(set(calls)) >= len(fan)
 
 
 @pytest.mark.parametrize(
@@ -799,7 +837,7 @@ def test_shared_cell_symbols_match_cell_by_cell_sum(case):
     classes = {}
     for qmat, strategy in product((None, tridiagonal), STRATEGIES):
         q = exactcore.inner_product_matrix(qmat, d)
-        shared = subdivide._cone_operator(subdivide._ray_list(gens), q, strategy, None, classes)(n)
+        shared = subdivide._cone_operator(subdivide._ray_list(gens), q, strategy, identity_matrix(d), classes)(n)
         fan = unimodularize(triangulate_cone(gens, strategy=strategy), strategy=strategy)
         reference = MultiPoly.zero(d)
         for cell in signed_coefficients(fan):
