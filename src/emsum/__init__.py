@@ -19,7 +19,6 @@ from .combinat import (
     c_seq_twisted,
     p_poly,
     p_scalar,
-    todd_coefficients,
 )
 from .conecalc import (
     DiffOp,
@@ -127,7 +126,6 @@ __all__ = [
     "series_coeffs_twisted_todd",
     "signed_coefficients",
     "szasz_eval",
-    "todd_coefficients",
     "transverse_cone",
     "triangulate_cone",
     "unimodularize",

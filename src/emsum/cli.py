@@ -24,9 +24,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .combinat import todd_coefficients
 from .engine import expansion
-from .exactcore import MultiPoly, series_coeffs_twisted_todd
+from .exactcore import MultiPoly, series_coeffs_todd, series_coeffs_twisted_todd
 from .geometry import LatticePolytope, build_polytope
 from .oracle import (
     DEFAULT_BUDGET,
@@ -207,7 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_todd(args: argparse.Namespace) -> int:
-    bs = todd_coefficients(6 if args.nmax is None else args.nmax)
+    bs = series_coeffs_todd(6 if args.nmax is None else args.nmax)
     lines = [f"b_{n} = {b}" for n, b in enumerate(bs)]
     _emit(args.fmt, lines, {"b": [str(b) for b in bs]})
     return 0

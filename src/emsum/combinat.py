@@ -23,7 +23,6 @@ from .exactcore import (
     CycloElem,
     MultiPoly,
     _check_twist,
-    series_coeffs_todd,
 )
 
 
@@ -123,15 +122,8 @@ def p_poly(n: int, k: int) -> MultiPoly:
 
 
 def p_scalar(n: int, k: int, z):
-    """p(n,k;z) evaluated at a rational or cyclotomic z."""
-    if not 0 <= k <= n:
-        raise ValueError("p(n,k;z) requires 0 <= k <= n")
-    total = Fraction(0)
-    for t in range(k + 1):
-        coeff = math.comb(n, t) * (-1) ** t * stirling2(n - t, k - t)
-        if coeff:
-            total = total + coeff * z ** (k - t)
-    return total
+    """p(n,k;z) at a rational or cyclotomic z: `p_poly` evaluated there."""
+    return p_poly(n, k).eval((z,))
 
 
 @lru_cache(maxsize=None)
@@ -244,8 +236,3 @@ def J_mu(mu, labels: Optional[Sequence] = None) -> MultiPoly:
     if not out.is_zero() and out.degree() > mu.total() // 2:
         raise AssertionError("J_mu must have degree at most [|mu|/2]")
     return out
-
-
-def todd_coefficients(n_max: int) -> list:
-    """Convenience re-export of the Todd coefficients b_0..b_{n_max}."""
-    return series_coeffs_todd(n_max)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .combinat import todd_coefficients
 from .conecalc import DiffOp
 from .exactcore import (
     MultiPoly,
@@ -43,6 +42,7 @@ from .exactcore import (
     nullspace_basis,
     primitive_vector,
     qform,
+    series_coeffs_todd,
     vdot,
     vscale,
     vsub,
@@ -220,7 +220,8 @@ def closed_form_A2(poly: LatticePolytope, phi: MultiPoly, qmat=None):
     total = Fraction(0)
     for facet in poly.faces_of_dim(poly.dim - 1):
         alpha = as_vector(poly.facets[facet.facet_ids[0]][0])
-        val = integrate_poly_over_face(poly, facet, phi.directional_deriv(alpha))
+        grad = DiffOp(poly.ambient_dim, 1, MultiPoly.linear_form(alpha)).apply(phi)
+        val = integrate_poly_over_face(poly, facet, grad)
         total -= Fraction(1, 12) * val / vdot(alpha, alpha)
     for ridge in poly.faces_of_dim(poly.dim - 2):
         if len(ridge.facet_ids) != 2:
@@ -251,7 +252,7 @@ def closed_form_2d(
     if n < 2:
         raise ValueError("closed form applies to order two and higher")
     qmat = inner_product_matrix(qmat, 2)
-    bern = todd_coefficients(n)
+    bern = series_coeffs_todd(n)
     total = Fraction(0)
 
     # Edge terms.  The normal direction is taken Q-orthogonal to the

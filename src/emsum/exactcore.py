@@ -270,16 +270,15 @@ def orth_project(qmat: Sequence[Sequence[Fraction]], basis: Sequence[Sequence[Fr
 # integer lattices: Smith normal form
 
 
-def _require_integer_vectors(generators: Sequence[Sequence[ScalarLike]]) -> list:
-    gens = []
-    for g in generators:
-        vec = as_vector(g)
-        if any(x.denominator != 1 for x in vec):
-            raise ValueError("lattice generators must have integer entries")
-        gens.append(tuple(int(x) for x in vec))
-    if gens and any(len(g) != len(gens[0]) for g in gens):
-        raise ValueError("lattice generators must share one ambient dimension")
-    return gens
+def _integer_vectors(vectors: Iterable[Sequence[ScalarLike]], what: str) -> list:
+    """The vectors as integer tuples, all of one length; `what` names them
+    in the error raised otherwise."""
+    vecs = [as_vector(v) for v in vectors]
+    if any(x.denominator != 1 for v in vecs for x in v):
+        raise ValueError(f"{what} must have integer entries")
+    if any(len(v) != len(vecs[0]) for v in vecs):
+        raise ValueError(f"{what} must all have the same length")
+    return [tuple(map(int, v)) for v in vecs]
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple:
@@ -364,7 +363,7 @@ def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
     """A basis of span_Q(generators) cap Z^m: the first r columns of U^-1
     in one Smith normal form U G V = D of the generator matrix G, r the
     rank of G."""
-    gens = _require_integer_vectors(generators)
+    gens = _integer_vectors(generators, "lattice generators")
     if not gens or all(all(x == 0 for x in g) for g in gens):
         raise ValueError("empty generating set")
     u, dmat, _ = smith_normal_form(transpose(gens))  # m x k
@@ -546,37 +545,17 @@ class MultiPoly:
             total = total + term
         return total
 
-    def partial(self, i: int) -> "MultiPoly":
-        out = {}
-        for exps, coeff in self.terms.items():
-            if exps[i]:
-                e = list(exps)
-                e[i] -= 1
-                out[tuple(e)] = coeff * exps[i]
-        return MultiPoly(self.nvars, out)
-
     def deriv(self, beta: Sequence[int]) -> "MultiPoly":
-        """Mixed partial derivative of multi-order beta."""
+        """Mixed partial derivative of multi-order beta: a term c x^e goes to
+        c (prod_i e_i! / (e_i - beta_i)!) x^(e - beta), and to 0 unless
+        e >= beta, where the falling factorial `math.perm` is 0."""
         if len(beta) != self.nvars:
             raise ValueError("dimension mismatch")
         out = {}
         for exps, coeff in self.terms.items():
-            if all(e >= b for e, b in zip(exps, beta)):
-                factor = 1
-                for e, b in zip(exps, beta):
-                    for t in range(e - b + 1, e + 1):
-                        factor *= t
-                out[tuple(e - b for e, b in zip(exps, beta))] = coeff * factor
+            if falling := math.prod(map(math.perm, exps, beta)):
+                out[tuple(e - b for e, b in zip(exps, beta))] = coeff * falling
         return MultiPoly(self.nvars, out)
-
-    def directional_deriv(self, u: Sequence[Fraction]) -> "MultiPoly":
-        """Derivative along the vector u: sum_i u_i d/dx_i."""
-        u = as_vector(u)
-        out = MultiPoly.zero(self.nvars)
-        for i, c in enumerate(u):
-            if c:
-                out = out + self.partial(i) * c
-        return out
 
     def compose(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute x_i -> images[i] (all images share one variable count)."""
@@ -643,16 +622,6 @@ class PowerSeries:
 
     def coeff(self, n: int):
         return self.coeffs[n]
-
-    def mul(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.order, other.order)
-        out = []
-        for n in range(order + 1):
-            acc = self.coeffs[0] * other.coeffs[n]
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[n - k]
-            out.append(acc)
-        return PowerSeries(tuple(out))
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; the constant term must be invertible."""

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 from .exactcore import (
     MultiPoly,
     _eliminate,
+    _integer_vectors,
     _scaled_inverse,
     as_matrix,
     as_vector,
@@ -292,19 +293,9 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     alpha) is the facet <alpha, x> >= c of P, its extreme rays are the
     vertices and its face lattice is P's.
     """
-    seen = []
-    for p in points:
-        vec = as_vector(p)
-        if any(x.denominator != 1 for x in vec):
-            raise ValueError("polytope vertices must have integer entries")
-        tup = tuple(int(x) for x in vec)
-        if tup not in seen:
-            seen.append(tup)
-    if not seen:
+    pts = sorted(dict.fromkeys(_integer_vectors(points, "polytope vertices")))
+    if not pts:
         raise ValueError("empty vertex set")
-    if len({len(p) for p in seen}) != 1:
-        raise ValueError("polytope vertices must all have the same length")
-    pts = sorted(seen)
     m = len(pts[0])
     rank = _affine_rank(pts)
     if rank < m:

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 from .conecalc import DiffOp, _bv_sym, _Cell, _poly, _to_ambient, _ysum
 from .exactcore import (
     _integer_rows,
-    as_vector,
+    _integer_vectors,
     identity_matrix,
     inner_product_matrix,
     matrix_rank,
@@ -61,21 +61,12 @@ class SignedCell:
 
 def _ray_list(gens) -> list:
     """Primitivized, deduplicated integer generators (order preserved)."""
-    vecs = [as_vector(g) for g in gens]
-    if any(len(vec) != len(vecs[0]) for vec in vecs):
-        raise ValueError("generators must all have the same length")
-    rays = []
-    for vec in vecs:
-        if any(x.denominator != 1 for x in vec):
-            raise ValueError("generators must be integer vectors")
-        if all(x == 0 for x in vec):
-            raise ValueError("zero vector is not a cone generator")
-        ray = primitive_vector(vec)
-        if ray not in rays:
-            rays.append(ray)
-    if not rays:
+    vecs = _integer_vectors(gens, "generators")
+    if not vecs:
         raise ValueError("empty generating set")
-    return rays
+    if not all(map(any, vecs)):
+        raise ValueError("zero vector is not a cone generator")
+    return list(dict.fromkeys(map(primitive_vector, vecs)))
 
 
 def _cell_key(gens) -> tuple:
@@ -139,7 +130,10 @@ def _cell_lattice(cell: Sequence[tuple]) -> _Lattice:
 
 
 def _simplicial_cells(data) -> list:
-    """Normalize unimodularize input: one cone or a list of cells."""
+    """Normalize unimodularize and signed_coefficients input, one cone or a
+    list of cells, to sorted cells of primitive rays.  A cell listed twice
+    raises ValueError("non-complex input"): its copies cover its points
+    twice."""
     items = list(data)
     if not items:
         raise ValueError("empty generating set")
@@ -151,11 +145,13 @@ def _simplicial_cells(data) -> list:
     cells = []
     for raw in raw_cells:
         rays = _ray_list(raw)
-        if matrix_rank([as_vector(r) for r in rays]) != len(rays):
+        if matrix_rank(rays) != len(rays):
             raise ValueError("cells must be simplicial cones")
         cells.append(_cell_key(rays))
     if len({len(cell[0]) for cell in cells}) > 1:
         raise ValueError("generators must all have the same length")
+    if len(set(cells)) < len(cells):
+        raise ValueError("non-complex input")
     return cells
 
 
@@ -185,7 +181,7 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
-    k = matrix_rank([as_vector(g) for g in rays])
+    k = matrix_rank(rays)
     if k == len(rays):
         # independent rays are pointed and every one of them is extreme
         return [_cell_key(rays)]
@@ -228,8 +224,9 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
     """Refine simplicial cones into a fan of unimodular cones.
 
     Accepts either the generators of one simplicial cone or a list of
-    cells forming a fan.  Repeatedly picks a cell of maximal index,
-    stellar-subdivides the whole fan at a primitive lattice point w from
+    cells forming a fan; a cell listed twice raises ValueError("non-complex
+    input").  Repeatedly picks a cell of maximal index, stellar-subdivides
+    the whole fan at a primitive lattice point w from
     that cell's half-open fundamental parallelepiped (chosen to minimize
     the largest barycentric coordinate, ties broken by vector order),
     and stops when every cell is unimodular.  Each stellar step strictly
@@ -308,13 +305,11 @@ def signed_coefficients(cells) -> list:
     cone, of any dimension, pointed or not; that cone is then the one
     generated by the cells' rays.  Any other input, a cell listed twice or
     a fan with non-convex support included, raises ValueError("non-complex
-    input").  The check is `_signed_faces`' pseudomanifold test over the
-    cells' own rays.  Returns SignedCell entries for every face, maximal
-    cells first.
+    input"): a repeat from `_simplicial_cells`, anything else from
+    `_signed_faces`' pseudomanifold test over the cells' own rays.
+    Returns SignedCell entries for every face, maximal cells first.
     """
     maximal = _simplicial_cells(cells)
-    if len(set(maximal)) < len(maximal):
-        raise ValueError("non-complex input")
     rays = sorted({g for cell in maximal for g in cell})
     return _signed_faces({cell: _cell_lattice(cell) for cell in maximal}, rays)
 
@@ -404,7 +399,7 @@ def _cone_operator(rays: list, qmat, strategy: str, basis, classes: dict):
     """
     qi = _integer_rows(qmat)[0]
     lift, t = _integer_rows(basis)
-    d = matrix_rank([as_vector(g) for g in rays])
+    d = matrix_rank(rays)
     unimodular = len(rays) == d and _cell_lattice(tuple(rays)).index == 1
     if unimodular:
         signed = [SignedCell(gens=tuple(rays), coeff=1)]

@@ -20,7 +20,6 @@ from emsum.combinat import (
     c_seq,
     c_seq_twisted,
     p_poly,
-    todd_coefficients,
 )
 from emsum.conecalc import UniCone, ibp_op, ibp_symbol
 from emsum.engine import (
@@ -32,6 +31,7 @@ from emsum.engine import (
 from emsum.exactcore import (
     CycloElem,
     MultiPoly,
+    series_coeffs_todd,
     series_coeffs_twisted_todd,
 )
 from emsum.geometry import build_polytope, euler_brion_window_check
@@ -100,7 +100,7 @@ def _report(num: int, label: str, started: float, budget: float) -> None:
 def test_criterion_01_half_line_corrections_match_todd():
     started = time.perf_counter()
     cs = c_seq(12)
-    bs = todd_coefficients(12)
+    bs = series_coeffs_todd(12)
     for n in range(1, 13):
         assert cs[n - 1] == -bs[n] / math.factorial(n)
     _report(1, "c_n = -b_n/n! for n <= 12", started, 1.0)

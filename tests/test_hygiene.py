@@ -46,9 +46,11 @@ def _sources(folders) -> list:
 
 
 def _unnamed(definitions, paths=None) -> list:
-    """The qualified names whose last part appears nowhere in `paths`
-    (default: every source file of SEARCHED) but in its own definition
-    lines."""
+    """The qualified names that no file of `paths` (default: every source
+    file of SEARCHED) uses: a function or class is used where its name
+    appears outside its own definition lines, a method or property only
+    where it is read off an object as `.name`, so a namesake such as
+    `operator.mul` imported as `mul` does not count."""
     texts = [
         path.read_text(encoding="utf-8")
         for path in (_sources(SEARCHED) if paths is None else paths)
@@ -57,17 +59,12 @@ def _unnamed(definitions, paths=None) -> list:
     for module in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(module.read_text(encoding="utf-8"))
         for qualname in definitions(tree):
-            name = qualname.rpartition(".")[2]
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            name = re.escape(qualname.rpartition(".")[2])
+            use = re.compile(rf"\.{name}\b" if "." in qualname else rf"\b{name}\b")
             definition = re.compile(
-                rf"^[ \t]*(?:async\s+def|def|class)\s+{re.escape(name)}\b",
-                re.MULTILINE,
+                rf"^[ \t]*(?:async\s+def|def|class)\s+{name}\b", re.MULTILINE
             )
-            uses = sum(
-                len(word.findall(t)) - len(definition.findall(t))
-                for t in texts
-            )
-            if uses == 0:
+            if not any(use.search(definition.sub("", t)) for t in texts):
                 unused.append(f"{module.name}:{qualname}")
     return unused
 
@@ -84,7 +81,6 @@ def test_every_method_and_property_is_named_elsewhere():
 
 # Definitions that only tests call, each kept on purpose.
 TEST_ONLY = {
-    "combinat.py:p_poly": "p(n,k;z) as a polynomial, for acceptance criterion 3",
     "combinat.py:c_seq": "the half-line corrections c_n, for acceptance criterion 1",
     "combinat.py:c_seq_twisted": "the twisted corrections c_n^omega, for acceptance criterion 2",
     "conecalc.py:ibp_symbol": "the symbol route that checks ibp_op, for acceptance criterion 4",
@@ -95,6 +91,8 @@ TEST_ONLY = {
     "oracle.py:twisted_riemann_1d": "the twisted half-line sums, the reference for c_seq_twisted",
     "exactcore.py:CycloElem.as_rational": "reads off rational values of the twisted checks",
     "geometry.py:LatticePolytope.face_by_vertex_ids": "names a face by its vertices, for callers",
+    "exactcore.py:MultiPoly.coefficient": "reads one coefficient of p(n,k;z), for acceptance criterion 3",
+    "engine.py:ExpansionResult.coefficient": "reads one A_n, for acceptance criteria 6 and 7",
 }
 
 

@@ -253,7 +253,7 @@ def test_twisted_riemann_matches_expansion(q):
             for k in range(1, deg + 2):
                 # c_k^omega phi^{(k-1)}(0) / N^k
                 rhs = rhs + c[k - 1] * deriv.eval((F(0),)) * F(1, n ** k)
-                deriv = deriv.partial(0)
+                deriv = deriv.deriv((1,))
             assert lhs == rhs
 
 

@@ -404,19 +404,26 @@ def test_signed_coefficients_non_complex_beyond_2d(cells):
         signed_coefficients(cells)
 
 
+REPEATED_CELLS = {
+    "one-cell-twice": [[(1, 0), (0, 1)], [(0, 1), (1, 0)]],
+    "repeat-beside-a-neighbour": [[(1, 0), (0, 1)], [(0, 1), (1, 0)], [(0, 1), (-1, 0)]],
+    "non-unimodular-cell-twice": [[(1, 0), (1, 2)], [(1, 2), (1, 0)]],
+}
+
+
 @pytest.mark.parametrize(
-    "cells",
+    "function, cells",
     [
-        [[(1, 0), (0, 1)], [(0, 1), (1, 0)]],
-        [[(1, 0), (0, 1)], [(0, 1), (1, 0)], [(0, 1), (-1, 0)]],
+        pytest.param(function, cells, id=prefix + name)
+        for prefix, function in (("", signed_coefficients), ("unimodularize-", unimodularize))
+        for name, cells in REPEATED_CELLS.items()
     ],
-    ids=["one-cell-twice", "repeat-beside-a-neighbour"],
 )
-def test_signed_coefficients_rejects_a_repeated_cell(cells):
+def test_signed_coefficients_rejects_a_repeated_cell(function, cells):
     # a cell listed twice covers its points twice, even though it has the
     # same sorted rays as its copy
     with pytest.raises(ValueError, match="non-complex input"):
-        signed_coefficients(cells)
+        function(cells)
 
 
 @pytest.mark.parametrize(
@@ -506,7 +513,7 @@ def test_wall_check_accepts_triangulations(cells):
 
 
 @st.composite
-def pointed_cones(draw):
+def small_pointed_cones(draw):
     """Rays of a 2-4D cone, pointed because every last entry is positive."""
     d = draw(st.integers(2, 4))
     ray = st.tuples(*[st.integers(-2, 2)] * (d - 1), st.integers(1, 2))
@@ -514,7 +521,7 @@ def pointed_cones(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(pointed_cones(), st.data())
+@given(small_pointed_cones(), st.data())
 def test_wall_check_matches_sample_cover_reference(gens, data):
     # the one check accepts the fans both strategies build, with the
     # coefficients of the all-pairs sample cover, and rejects whatever the
@@ -539,7 +546,7 @@ def test_wall_check_matches_sample_cover_reference(gens, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(pointed_cones())
+@given(small_pointed_cones())
 @example(index_cone(15))
 def test_every_stellar_piece_is_new(gens):
     # each stellar point is interior to a face of dimension >= 2 of the
