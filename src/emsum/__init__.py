@@ -40,7 +40,6 @@ from .engine import (
 from .exactcore import (
     CycloElem,
     MultiPoly,
-    PowerSeries,
     as_matrix,
     as_scalar,
     as_vector,
@@ -91,7 +90,6 @@ __all__ = [
     "LatticePolytope",
     "MultiPoly",
     "PointedConeT",
-    "PowerSeries",
     "SignedCell",
     "UniCone",
     "WeightedEhrhart",

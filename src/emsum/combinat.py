@@ -13,7 +13,6 @@ p(n,k) abbreviates the evaluation p(n,k;1).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -26,56 +25,13 @@ from .exactcore import (
 )
 
 
-class MultiIndex(Mapping):
-    """Finitely supported multi-index keyed by generator labels.
-
-    Missing labels read as 0; zero entries are never stored, so equality is
-    equality of the supported parts.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Optional[Mapping] = None):
-        clean = {}
-        for label, value in (entries or {}).items():
-            value = int(value)
-            if value < 0:
-                raise ValueError("multi-index entries must be nonnegative")
-            if value:
-                clean[label] = value
-        self._entries = clean
-
-    def __getitem__(self, label) -> int:
-        return self._entries.get(label, 0)
-
-    def __iter__(self) -> Iterator:
-        return iter(sorted(self._entries))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, label) -> bool:
-        return label in self._entries
-
-    @property
-    def support(self) -> tuple:
-        return tuple(sorted(self._entries))
-
-    def total(self) -> int:
-        return sum(self._entries.values())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MultiIndex):
-            return self._entries == other._entries
-        if isinstance(other, Mapping):
-            return self == MultiIndex(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
-
-    def __repr__(self) -> str:
-        return f"MultiIndex({dict(sorted(self._entries.items()))})"
+def _multi_index(entries) -> tuple:
+    """A multi-index, given as a mapping or a list of (label, exponent)
+    pairs, as the sorted tuple of its pairs with a positive exponent."""
+    entries = dict(entries)
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in entries.values()):
+        raise ValueError("multi-index entries must be non-negative integers")
+    return tuple(sorted((label, x) for label, x in entries.items() if x))
 
 
 def compositions(total: int, r: int) -> Iterator[tuple]:
@@ -88,13 +44,6 @@ def compositions(total: int, r: int) -> Iterator[tuple]:
         return
     for cut in combinations(range(1, total), r - 1):
         yield tuple(y - x for x, y in zip((0,) + cut, cut + (total,)))
-
-
-def positive_compositions(total: int, labels: Sequence) -> Iterator[MultiIndex]:
-    """All multi-indices on `labels` with every entry >= 1 summing to total."""
-    labels = list(labels)
-    for parts in compositions(total, len(labels)):
-        yield MultiIndex(dict(zip(labels, parts)))
 
 
 @lru_cache(maxsize=None)
@@ -140,20 +89,6 @@ def p_of_n(n: int) -> Fraction:
         weight = Fraction(math.factorial(mu - n), math.factorial(mu))
         total += (-1) ** mu * weight * p_scalar(mu, mu - n, Fraction(1))
     return total
-
-
-def p_I_of_nu(nu) -> Fraction:
-    """The product p_I(nu) = prod_e p(nu(e)) over the support of nu.
-
-    Every entry of nu must be >= 1.
-    """
-    nu = MultiIndex(nu)
-    if not len(nu):
-        raise ValueError("p_I requires a nonempty multi-index")
-    out = Fraction(1)
-    for label in nu:
-        out *= p_of_n(nu[label])
-    return out
 
 
 def c_seq(n_max: int) -> list:
@@ -209,18 +144,17 @@ def J_mu(mu, labels: Optional[Sequence] = None) -> MultiPoly:
 
     Terms beyond total degree [|mu|/2] vanish automatically because
     p(n,k) = 0 for [n/2]+1 <= k <= n.  Variables follow `labels`
-    (default: the support of mu).
+    (default: the support of mu).  mu is a mapping or a list of
+    (label, exponent) pairs with non-negative int exponents.
     """
-    mu = MultiIndex(mu)
-    if labels is None:
-        labels = mu.support
-    labels = list(labels)
-    if any(e not in labels for e in mu.support):
+    mu = dict(_multi_index(mu))
+    labels = sorted(mu) if labels is None else list(labels)
+    if any(e not in labels for e in mu):
         raise ValueError("labels must cover the support of mu")
     nvars = len(labels)
     out = MultiPoly.const(nvars, Fraction(1))
     for i, e in enumerate(labels):
-        n = mu[e]
+        n = mu.get(e, 0)
         if n == 0:
             continue
         factor = MultiPoly(
@@ -233,6 +167,6 @@ def J_mu(mu, labels: Optional[Sequence] = None) -> MultiPoly:
             },
         )
         out = out * factor
-    if not out.is_zero() and out.degree() > mu.total() // 2:
+    if not out.is_zero() and out.degree() > sum(mu.values()) // 2:
         raise AssertionError("J_mu must have degree at most [|mu|/2]")
     return out

@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import mul
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .combinat import MultiIndex, compositions, p_I_of_nu, p_of_n, positive_compositions
+from .combinat import _multi_index, compositions, p_of_n
 from .exactcore import (
     MultiPoly,
     _integer_rows,
@@ -206,28 +206,24 @@ def deco(cone: UniCone, labels: Iterable[int]) -> Deco:
     return Deco(u, coeff)
 
 
-def _as_alpha(alpha, inner: tuple) -> MultiIndex:
-    idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(dict(alpha))
-    if any(v < 0 for v in idx.values()):
-        raise ValueError("alpha entries must be non-negative")
-    if not set(idx.support) <= set(inner):
+def _as_alpha(alpha, inner: tuple) -> tuple:
+    idx = _multi_index(alpha)
+    if not {e for e, _ in idx} <= set(inner):
         raise ValueError("alpha must be supported on the inner label set")
     return idx
 
 
 def _check_ibp_args(cone: UniCone, inner, outer, alpha):
+    """(I, J, alpha, order) of L(E; inner, outer; alpha), alpha a `_multi_index` tuple."""
     I = _subset(cone, inner, nonempty=True)
     J = _subset(cone, outer)
     if not set(I) <= set(J):
         raise ValueError("inner label set must be contained in the outer one")
     a = _as_alpha(alpha, I)
-    if len(J) > a.total() + len(I):
+    order = sum(x for _, x in a) - len(J) + len(I)
+    if order < 0:
         raise ValueError("operator undefined: need |outer| <= |alpha| + |inner|")
-    return I, J, a
-
-
-def _alpha_key(alpha: MultiIndex) -> tuple:
-    return tuple(sorted(alpha.items()))
+    return I, J, a, order
 
 
 def _ymul(terms: dict, form: Mapping[int, int]) -> dict:
@@ -312,12 +308,14 @@ def ibp_op(cone: UniCone, inner, outer, alpha, pivot_rule: str = "min") -> DiffO
     that.  The operator is homogeneous of order
     |alpha| - |outer| + |inner| and differentiates only along
     directions perpendicular to the span of the outer complement.
+    alpha maps inner labels to int exponents, as a mapping or a list of
+    (label, exponent) pairs; any other exponent raises ValueError.
     """
     if pivot_rule not in ("min", "max"):
         raise ValueError("pivot_rule must be 'min' or 'max'")
-    I, J, a = _check_ibp_args(cone, inner, outer, alpha)
-    sym = _to_ambient(cone, _ibp_rec(cone, I, J, _alpha_key(a), pivot_rule))
-    return DiffOp(cone.ambient_dim, a.total() - len(J) + len(I), _poly(sym, cone._den, cone.ambient_dim))
+    I, J, a, order = _check_ibp_args(cone, inner, outer, alpha)
+    sym = _to_ambient(cone, _ibp_rec(cone, I, J, a, pivot_rule))
+    return DiffOp(cone.ambient_dim, order, _poly(sym, cone._den, cone.ambient_dim))
 
 
 def divide_by_linear_form(poly: MultiPoly, coeffs: Sequence) -> MultiPoly:
@@ -356,8 +354,9 @@ def divide_by_linear_form(poly: MultiPoly, coeffs: Sequence) -> MultiPoly:
     return quotient.compose(back)
 
 
-def _symbol_rec(cone: UniCone, I: tuple, J: tuple, alpha: MultiIndex) -> MultiPoly:
-    key = (I, J, _alpha_key(alpha))
+def _symbol_rec(cone: UniCone, I: tuple, J: tuple, alpha: tuple) -> MultiPoly:
+    # alpha is the sorted tuple of (label, positive exponent) pairs
+    key = (I, J, alpha)
     hit = cone._sym_cache.get(key)
     if hit is not None:
         return hit
@@ -365,8 +364,8 @@ def _symbol_rec(cone: UniCone, I: tuple, J: tuple, alpha: MultiIndex) -> MultiPo
     if J == I:
         dec = deco(cone, I)
         sym = MultiPoly.const(m, Fraction(1))
-        for e in I:
-            sym = sym * MultiPoly.linear_form(dec.u[e]) ** alpha[e]
+        for e, x in alpha:
+            sym = sym * MultiPoly.linear_form(dec.u[e]) ** x
     else:
         dec = deco(cone, J)
         uvecs = [dec.u[e] for e in J]
@@ -382,8 +381,8 @@ def _symbol_rec(cone: UniCone, I: tuple, J: tuple, alpha: MultiIndex) -> MultiPo
         qu = [mat_vec(cone.qmat, uf) for uf in uvecs]
         to_t = [MultiPoly.linear_form([qu[f][i] for f in range(nv)]) for i in range(m)]
         num = MultiPoly.const(nv, Fraction(1))
-        for e in I:
-            num = num * pairing(e) ** alpha[e]
+        for e, x in alpha:
+            num = num * pairing(e) ** x
         inner = set(I)
         rest = [e for e in J if e not in inner]
         for size in range(len(I), len(J)):
@@ -418,11 +417,10 @@ def ibp_symbol(cone: UniCone, inner, outer, alpha) -> DiffOp:
     already known lower symbols are subtracted, and the remainder is
     divided exactly by the pairings with the extra generators.  This
     route never consults the peeling recursion of `ibp_op`; agreement
-    of the two is a correctness check.
+    of the two is a correctness check.  alpha is taken as by `ibp_op`.
     """
-    I, J, a = _check_ibp_args(cone, inner, outer, alpha)
-    sym = _symbol_rec(cone, I, J, a)
-    return DiffOp(cone.ambient_dim, a.total() - len(J) + len(I), sym)
+    I, J, a, order = _check_ibp_args(cone, inner, outer, alpha)
+    return DiffOp(cone.ambient_dim, order, _symbol_rec(cone, I, J, a))
 
 
 def dual_projection(cone: UniCone, outer) -> tuple:
@@ -444,9 +442,11 @@ def ln_op(cone: UniCone, labels, n: int) -> DiffOp:
     """Euler-Maclaurin face operator with derivatives along generators.
 
     L_n(C; I) = (-1)^n sum over positive nu on I with |nu| = n of
-    p_I(nu) times the mixed derivative of multi-order nu - e(I) along
-    the generators.  L_0(C; {}) = 1; the operator is zero when the
-    label set is empty (n >= 1) or larger than n.
+    p_I(nu) = prod_e p(nu_e) times the mixed derivative of multi-order
+    nu - e(I) along the generators; nu runs over the compositions of n
+    into |I| parts, the e-th part on the e-th label of I.  L_0(C; {}) = 1;
+    the operator is zero when the label set is empty (n >= 1) or larger
+    than n.
     """
     if n < 0:
         raise ValueError("order must be non-negative")
@@ -459,13 +459,13 @@ def ln_op(cone: UniCone, labels, n: int) -> DiffOp:
         return DiffOp(m, 0, MultiPoly.zero(m))
     sign = Fraction(-1) ** n
     sym = MultiPoly.zero(m)
-    for nu in positive_compositions(n, I):
-        c = p_I_of_nu(nu) * sign
+    for nu in compositions(n, len(I)):
+        c = math.prod(map(p_of_n, nu)) * sign
         if c == 0:
             continue
         term = MultiPoly.const(m, c)
-        for e in I:
-            term = term * MultiPoly.linear_form(cone.gens[e]) ** (nu[e] - 1)
+        for e, k in zip(I, nu):
+            term = term * MultiPoly.linear_form(cone.gens[e]) ** (k - 1)
         sym = sym + term
     return DiffOp(m, n - len(I), sym)
 

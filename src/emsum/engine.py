@@ -19,7 +19,8 @@ The totals are independent of the inner product used to realize the
 quotient spaces; the per-face pieces are not.
 
 Closed-form fast paths cover A_0 and A_1 (any Delzant polytope), A_2
-(Delzant, standard inner product), and every order in dimension two
+(Delzant; the formula uses the dot product of the facet normals, and A_2 is
+the same under every inner product), and every order in dimension two
 (Delzant, any inner product).
 """
 
@@ -34,9 +35,7 @@ from typing import Optional
 from .conecalc import DiffOp
 from .exactcore import (
     MultiPoly,
-    as_matrix,
     as_vector,
-    identity_matrix,
     inner_product_matrix,
     mat_vec,
     nullspace_basis,
@@ -196,7 +195,7 @@ def _check_closed_form(poly: LatticePolytope, phi: MultiPoly) -> None:
         )
 
 
-def closed_form_A0_A1(poly: LatticePolytope, phi: MultiPoly, qmat=None):
+def closed_form_A0_A1(poly: LatticePolytope, phi: MultiPoly):
     """(A_0, A_1) for Delzant P: the integral over P and half the sum of
     the lattice-normalized facet integrals.  Both values are independent
     of the inner product."""
@@ -208,15 +207,12 @@ def closed_form_A0_A1(poly: LatticePolytope, phi: MultiPoly, qmat=None):
     return a0, Fraction(1, 2) * a1
 
 
-def closed_form_A2(poly: LatticePolytope, phi: MultiPoly, qmat=None):
-    """A_2 for Delzant P in the standard inner product: a facet term with
-    the primitive inward normals and a codimension-two term from the
-    two-dimensional transverse operators."""
+def closed_form_A2(poly: LatticePolytope, phi: MultiPoly):
+    """A_2 for Delzant P: a facet term with the primitive inward normals and
+    a codimension-two term from the two-dimensional transverse operators,
+    both through the standard dot product of the normals.  A_2 is the same
+    under every inner product Q, so the formula takes none."""
     _check_closed_form(poly, phi)
-    if qmat is not None:
-        q = as_matrix(qmat)
-        if q != identity_matrix(poly.ambient_dim):
-            raise ValueError("closed form requires the standard inner product")
     total = Fraction(0)
     for facet in poly.faces_of_dim(poly.dim - 1):
         alpha = as_vector(poly.facets[facet.facet_ids[0]][0])

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: rational linear algebra, the integer Smith
-normal form, sparse multivariate polynomials, truncated power series, and
-small cyclotomic fields.
+normal form, sparse multivariate polynomials, the inverse of a truncated
+power series, and small cyclotomic fields.
 
 Every computation in this package routes through the types defined here and
 all of them are exact.  Scalars are `fractions.Fraction`; vectors are tuples
@@ -13,7 +13,6 @@ point appears anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -606,36 +605,16 @@ class MultiPoly:
 # truncated power series
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated power series sum_{n<=order} coeffs[n] z^n.
-
-    Coefficients live in Q or a cyclotomic field; the ring just needs +,*,/
-    and a truthiness test on elements.
-    """
-
-    coeffs: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, n: int):
-        return self.coeffs[n]
-
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; the constant term must be invertible."""
-        a0 = self.coeffs[0]
-        if not a0:
-            raise ValueError("series with zero constant term has no inverse")
-        inv0 = 1 / a0 if isinstance(a0, Fraction) else a0.inverse()
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[1] * out[n - 1]
-            for k in range(2, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-(inv0 * acc) if isinstance(a0, Fraction) else -(acc * inv0))
-        return PowerSeries(tuple(out))
+def _series_inverse(coeffs: Sequence) -> list:
+    """The coefficients of 1 / (sum_n coeffs[n] z^n) up to the same order,
+    over Q or a cyclotomic field; the constant term must be nonzero."""
+    if not coeffs[0]:
+        raise ValueError("series with zero constant term has no inverse")
+    inv0 = 1 / coeffs[0]
+    out = [inv0]
+    for n in range(1, len(coeffs)):
+        out.append(-(sum(coeffs[k] * out[n - k] for k in range(1, n + 1)) * inv0))
+    return out
 
 
 def series_coeffs_todd(n_max: int) -> list:
@@ -645,11 +624,8 @@ def series_coeffs_todd(n_max: int) -> list:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    denom = PowerSeries(
-        tuple(Fraction(1, math.factorial(j + 1)) for j in range(n_max + 1))
-    )
-    inv = denom.inverse()
-    return [math.factorial(n) * inv.coeff(n) for n in range(n_max + 1)]
+    inv = _series_inverse([Fraction(1, math.factorial(j + 1)) for j in range(n_max + 1)])
+    return [math.factorial(n) * inv[n] for n in range(n_max + 1)]
 
 
 def _check_twist(q: int, omega) -> CycloElem:
@@ -682,9 +658,9 @@ def series_coeffs_twisted_todd(q: int, omega, n_max: int) -> list:
     for k in range(1, n_max):
         sign = Fraction((-1) ** (k + 1), math.factorial(k))
         denom.append(omega * sign)
-    inv = PowerSeries(tuple(denom)).inverse()
-    # tau = s * inv, so the coefficient of s^n is inv.coeff(n-1)
-    return [inv.coeff(n - 1) for n in range(1, n_max + 1)]
+    # tau = s * inv, so the coefficient of s^n is inv[n-1]
+    inv = _series_inverse(denom)
+    return [inv[n - 1] for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,7 @@ def _simplicial_cells(data) -> list:
         if matrix_rank(rays) != len(rays):
             raise ValueError("cells must be simplicial cones")
         cells.append(_cell_key(rays))
-    if len({len(cell[0]) for cell in cells}) > 1:
-        raise ValueError("generators must all have the same length")
+    _integer_vectors([cell[0] for cell in cells], "generators")
     if len(set(cells)) < len(cells):
         raise ValueError("non-complex input")
     return cells

@@ -12,15 +12,13 @@ from hypothesis import strategies as st
 
 from emsum.combinat import (
     J_mu,
-    MultiIndex,
+    _multi_index,
     c_seq,
     c_seq_twisted,
     compositions,
-    p_I_of_nu,
     p_of_n,
     p_poly,
     p_scalar,
-    positive_compositions,
     stirling2,
 )
 from emsum.exactcore import (
@@ -173,13 +171,6 @@ def test_p_of_n_values():
         assert p_of_n(n) == (-1) ** n * b[n] / math.factorial(n)
 
 
-def test_p_I_of_nu():
-    assert p_I_of_nu({0: 1, 1: 2}) == F(1, 24)
-    assert p_I_of_nu({0: 1, 2: 1}) == F(1, 4)
-    with pytest.raises(ValueError):
-        p_I_of_nu({})
-
-
 def test_c_seq_twisted_values():
     omega = CycloElem.omega(2)
     c = c_seq_twisted(2, omega, 3)
@@ -208,24 +199,16 @@ def test_c_seq_twisted_rejects_pole():
 # multi-indices
 
 
-def test_multiindex_basics():
-    mu = MultiIndex({0: 2, 1: 0, 3: 1})
-    assert mu.support == (0, 3)
-    assert mu.total() == 3
-    assert mu[1] == 0
-    with pytest.raises(ValueError):
-        MultiIndex({3: -1})
-
-
-def test_positive_compositions():
-    got = sorted(tuple(sorted(m.items())) for m in positive_compositions(4, [0, 1]))
-    assert got == [
-        ((0, 1), (1, 3)),
-        ((0, 2), (1, 2)),
-        ((0, 3), (1, 1)),
-    ]
-    assert list(positive_compositions(1, [0, 1])) == []
-    assert list(positive_compositions(0, [])) == [MultiIndex()]
+def test_multi_index():
+    # a mapping and a list of pairs give one sorted tuple of positive entries;
+    # a repeated label in the pairs keeps its last exponent, as dict() does
+    assert _multi_index({3: 1, 0: 2, 1: 0}) == ((0, 2), (3, 1))
+    assert _multi_index([(3, 1), (0, 2), (1, 0)]) == ((0, 2), (3, 1))
+    assert _multi_index([(0, 5), (0, 2)]) == ((0, 2),)
+    assert _multi_index({}) == ()
+    for bad in (-1, 1.5, "2", True, F(2)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            _multi_index({0: bad})
 
 
 @pytest.mark.parametrize("total", range(9))

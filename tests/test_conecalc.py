@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import fraction_det, random_spd, unimodular_matrix
-from emsum.combinat import MultiIndex
+from emsum.combinat import J_mu
 from emsum.conecalc import (
     UniCone,
     _schur,
@@ -22,12 +22,14 @@ from emsum.conecalc import (
     vertex_op,
 )
 from emsum.exactcore import (
+    CycloElem,
     MultiPoly,
     mat_vec,
     matrix_rank,
     orth_project,
     qform,
     series_coeffs_todd,
+    series_coeffs_twisted_todd,
     solve_unique,
 )
 
@@ -133,6 +135,22 @@ def test_ibp_argument_validation():
         ibp_op(SKEW, [0], [0, 5], {0: 1})
 
 
+@pytest.mark.parametrize("exponent", [1.5, "2", True, -1], ids=["float", "str", "bool", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: ibp_op(SKEW, [0], [0], {0: x}),
+        lambda x: ibp_symbol(SKEW, [0], [0], [(0, x)]),
+        lambda x: J_mu({0: x}),
+    ],
+    ids=["ibp_op", "ibp_symbol", "J_mu"],
+)
+def test_exponents_other_than_non_negative_ints_rejected(call, exponent):
+    # an exponent is never coerced: 1.5 is not read as 1, nor "2" as 2
+    with pytest.raises(ValueError, match="multi-index entries must be non-negative integers"):
+        call(exponent)
+
+
 def _all_ibp_cases(cone, max_alpha):
     labels = list(cone.labels())
     for ri in range(1, cone.dim + 1):
@@ -142,7 +160,7 @@ def _all_ibp_cases(cone, max_alpha):
                 for extra in combinations(rest, rj):
                     outer = tuple(sorted(inner + extra))
                     for alpha in _alphas(inner, max_alpha):
-                        if len(outer) <= alpha.total() + len(inner):
+                        if len(outer) <= sum(alpha.values()) + len(inner):
                             yield inner, outer, alpha
 
 
@@ -151,7 +169,7 @@ def _alphas(inner, max_total):
 
     for exps in product(range(max_total + 1), repeat=len(inner)):
         if 0 < sum(exps) <= max_total:
-            yield MultiIndex({e: v for e, v in zip(inner, exps) if v})
+            yield {e: v for e, v in zip(inner, exps) if v}
 
 
 FRAME_CONES = [
@@ -175,7 +193,7 @@ def test_recursion_matches_symbol_construction():
 def test_branch_rule_independence():
     for cone in FRAME_CONES:
         for inner, outer, alpha in _all_ibp_cases(cone, 3):
-            if len(alpha.support) < 2:
+            if len(alpha) < 2:
                 continue
             a = ibp_op(cone, inner, outer, alpha, pivot_rule="min")
             b = ibp_op(cone, inner, outer, alpha, pivot_rule="max")
@@ -193,13 +211,13 @@ def test_symbol_reconstruction_identity():
                 for alpha in _alphas(inner, 3):
                     lhs = MultiPoly.const(cone.ambient_dim, F(1))
                     for e in inner:
-                        lhs = lhs * lf(cone.gens[e]) ** alpha[e]
+                        lhs = lhs * lf(cone.gens[e]) ** alpha.get(e, 0)
                     rhs = MultiPoly.zero(cone.ambient_dim)
                     rest = [v for v in labels if v not in inner]
                     for rj in range(0, len(rest) + 1):
                         for extra in combinations(rest, rj):
                             outer = tuple(sorted(inner + extra))
-                            if len(outer) > alpha.total() + len(inner):
+                            if len(outer) > sum(alpha.values()) + len(inner):
                                 continue
                             term = ibp_op(cone, inner, outer, alpha).symbol
                             for e in extra:
@@ -212,7 +230,7 @@ def test_order_and_homogeneity():
     for cone in FRAME_CONES:
         for inner, outer, alpha in _all_ibp_cases(cone, 3):
             op = ibp_op(cone, inner, outer, alpha)
-            assert op.order == alpha.total() - len(outer) + len(inner)
+            assert op.order == sum(alpha.values()) - len(outer) + len(inner)
             for exps, _ in op.symbol.iter_terms():
                 assert sum(exps) == op.order
 
@@ -441,3 +459,44 @@ def test_cell_operators_match_pinned_digest():
                     )
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == PINNED_OPERATORS_SHA256
+
+
+PINNED_REFERENCES_SHA256 = (
+    "008369da2aae5acd88fec3037f4348166dabc42c09fcfc10b6cd9b0c950b5e96"
+)
+
+
+def test_reference_routes_match_pinned_digest():
+    # the kept reference routes: the symbol construction, L_n(C; I), D_n(C; F)
+    # at every face but the vertex, the Szasz moments and both Todd series
+    rng = random.Random(11)
+    lines = []
+    for gens in _pinned_cells():
+        d, m = len(gens), len(gens[0])
+        for qname, qmat in (("I", None), ("tridiagonal", _tridiagonal(m))):
+            cone = UniCone(gens, qmat=qmat)
+            cases = list(_all_ibp_cases(cone, 2))
+            for inner, outer, alpha in rng.sample(cases, min(len(cases), 6)):
+                op = ibp_symbol(cone, inner, outer, alpha)
+                lines.append(
+                    f"{gens} {qname} {inner} {outer} {sorted(alpha.items())} "
+                    f"{op.order} {sorted(op.symbol.terms.items())}"
+                )
+            for r in range(d):
+                for labels in combinations(range(d), r):
+                    for n in range(r, r + 3):
+                        for name, op in (("L", ln_op(cone, labels, n)),
+                                         ("D", bv_op_unimodular(cone, labels, n))):
+                            lines.append(
+                                f"{gens} {qname} {name} {labels} {n} "
+                                f"{op.order} {sorted(op.symbol.terms.items())}"
+                            )
+    for mu in ({0: 1}, {0: 4}, {0: 2, 1: 3}, {1: 5, 2: 0}, {0: 1, 1: 2, 2: 3}):
+        for labels in (None, [0, 1, 2]):
+            lines.append(f"J {mu} {labels} {sorted(J_mu(mu, labels).terms.items())}")
+    lines.append(f"todd {series_coeffs_todd(24)}")
+    for q in range(2, 13):
+        twisted = series_coeffs_twisted_todd(q, CycloElem.omega(q), 8)
+        lines.append(f"twisted {q} {[b.coeffs for b in twisted]}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_REFERENCES_SHA256

@@ -232,8 +232,6 @@ def test_closed_form_a2_matches_engine():
 def test_closed_form_a2_guards():
     with pytest.raises(ValueError, match="Delzant"):
         closed_form_A2(TRIANGLE_NON_DELZANT, ONE2)
-    with pytest.raises(ValueError, match="standard inner product"):
-        closed_form_A2(SQUARE, ONE2, qmat=((2, 1), (1, 2)))
 
 
 def test_closed_form_2d_matches_engine():

@@ -14,7 +14,7 @@ from emsum.conecalc import DiffOp
 from emsum.exactcore import (
     CycloElem,
     MultiPoly,
-    PowerSeries,
+    _series_inverse,
     as_matrix,
     as_vector,
     cyclotomic_polynomial,
@@ -423,11 +423,14 @@ def test_cyclo_arith_matches_reduction():
 
 
 def test_series_inverse_roundtrip():
-    s = PowerSeries(tuple(F(1, k + 1) for k in range(6)))
-    inv = s.inverse()
-    prod = [sum(s.coeffs[k] * inv.coeffs[n - k] for k in range(n + 1)) for n in range(6)]
-    assert prod[0] == 1
-    assert all(c == 0 for c in prod[1:])
+    # over Q and over Q(omega), q = 5
+    rational = [F(1, k + 1) for k in range(6)]
+    omega = CycloElem.omega(5)
+    for s in (rational, [omega ** k + c for k, c in enumerate(rational)]):
+        inv = _series_inverse(s)
+        prod = [sum(s[k] * inv[n - k] for k in range(n + 1)) for n in range(6)]
+        assert prod[0] == 1
+        assert all(c == 0 for c in prod[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Repository hygiene: every module-level function and class in the package,
 and every non-dunder method and property of its classes, is used somewhere,
 and outside the tests unless it is kept on purpose, every dataclass field and `__slots__` name of its classes is read somewhere,
+every parameter of its functions is read in the function's body,
 every module of the package and the tests uses what it imports, and
 `emsum.__all__` lists exactly the package's public names, so dead helpers,
-fields, leftover imports and stale exports cannot accumulate unnoticed."""
+fields, parameters, leftover imports and stale exports cannot accumulate
+unnoticed."""
 
 import ast
 import inspect
@@ -259,3 +261,39 @@ def test_invariant_modules_have_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements that python -O strips: {found}"
+
+
+def _unread_parameters(path: Path) -> list:
+    """`file:function(parameter)` for each parameter, other than self and
+    cls, that its function's body never reads as a name."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, FUNCTIONS + (ast.Lambda,)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            sub.id
+            for stmt in body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        unread += [
+            f"{path.name}:{name}({p.arg})"
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter that nothing reads is a knob that does nothing
+    unread = [
+        case
+        for path in sorted(PACKAGE.glob("*.py"))
+        for case in _unread_parameters(path)
+    ]
+    assert unread == [], f"parameters never read: {unread}"

@@ -682,9 +682,10 @@ RAGGED = "generators must all have the same length"
         lambda: triangulate_cone([(1, 0), (0, 1, 2)]),
         lambda: signed_coefficients([[(1, 0), (0, 1, 2)]]),
         lambda: unimodularize([[(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0)]]),
+        lambda: signed_coefficients([[(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0)]]),
         lambda: cone_operator([(1, 0), (0, 1, 2)]),
     ],
-    ids=["triangulate", "signed", "unimodularize-mixed-cells", "operator"],
+    ids=["triangulate", "signed", "unimodularize-mixed-cells", "signed-mixed-cells", "operator"],
 )
 def test_ragged_generators_rejected(call):
     with pytest.raises(ValueError, match=RAGGED):
