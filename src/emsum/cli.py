@@ -289,11 +289,6 @@ def cmd_subdivide_cone(args: argparse.Namespace) -> int:
 # the required choice between --vertices and --polytope-file.
 _OPTIONS = {
     "--format": dict(choices=("table", "json"), default="table", dest="fmt"),
-    "--tolerance": dict(
-        default="1/1000000000",
-        help="tolerance for numeric comparisons (reserved; all shipped "
-             "commands are exact)",
-    ),
     "--vertices": dict(help="polytope JSON or vertex list"),
     "--polytope-file": dict(help="path to a polytope JSON file"),
     "--phi": dict(help='polynomial term list JSON (default: constant 1)'),
@@ -309,7 +304,7 @@ _OPTIONS = {
 }
 
 _POLYTOPE = ("polytope", "--phi")
-# subcommand -> (command, help, options after --format and --tolerance)
+# subcommand -> (command, help, options after --format)
 _COMMANDS = {
     "expand": (cmd_expand, "expansion coefficients A_n",
                _POLYTOPE + ("--Q", "--nmax", "--per-face", "--strategy")),
@@ -341,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (run, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        for flag in ("--format", "--tolerance") + options:
+        for flag in ("--format",) + options:
             if flag == "polytope":
                 group = p.add_mutually_exclusive_group(required=True)
                 for source in ("--vertices", "--polytope-file"):
@@ -354,12 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> None:
     """Validate the options and parse the JSON inputs into `args`.
 
-    The checks run in one fixed order (tolerance, polytope, phi, Q,
-    generators, nmax, budget), so input with several errors reports the
-    first of them whatever the subcommand.
+    The checks run in one fixed order (polytope, phi, Q, generators,
+    nmax, budget), so input with several errors reports the first of them
+    whatever the subcommand.
     """
-    if _parse_fraction(args.tolerance, "tolerance") <= 0:
-        raise ValueError("tolerance must be positive")
     if "vertices" in args:
         text = args.vertices
         if text is None:

@@ -170,12 +170,14 @@ class UniCone(_Cell):
 
 
 def _subset(cone: UniCone, labels: Iterable[int], nonempty: bool = False) -> tuple:
-    out = tuple(sorted(set(int(x) for x in labels)))
-    if out and (out[0] < 0 or out[-1] >= cone.dim):
+    out = set(labels)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in out):
+        raise ValueError("generator labels must be integers")
+    if any(not 0 <= x < cone.dim for x in out):
         raise ValueError("generator label out of range")
     if nonempty and not out:
         raise ValueError("label subset must be nonempty")
-    return out
+    return tuple(sorted(out))
 
 
 def _schur(cone: _Cell, subset: tuple) -> tuple:

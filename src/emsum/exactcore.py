@@ -358,19 +358,24 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> tuple:
     return umat, dmat, vmat
 
 
-def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
-    """A basis of span_Q(generators) cap Z^m: the first r columns of U^-1
-    in one Smith normal form U G V = D of the generator matrix G, r the
-    rank of G."""
-    gens = _integer_vectors(generators, "lattice generators")
-    if not gens or all(all(x == 0 for x in g) for g in gens):
-        raise ValueError("empty generating set")
+def _lattice_frame(gens: Sequence[Sequence[int]]) -> tuple:
+    """(basis, rows) from one Smith form U G V = D of an integer m x k G of
+    rank r: the first r columns of U^-1 are a basis of span_Q(G) cap Z^m,
+    and the last m - r rows of U map Z^m onto Z^(m - r) with that kernel."""
     u, dmat, _ = smith_normal_form(transpose(gens))  # m x k
     r = sum(1 for i in range(min(len(dmat), len(dmat[0]))) if dmat[i][i])
     uinv, delta = _scaled_inverse(u)
     if abs(delta) != 1:
         raise AssertionError("U is unimodular")
-    return [tuple(row[j] * delta for row in uinv) for j in range(r)]
+    return [tuple(row[j] * delta for row in uinv) for j in range(r)], u[r:]
+
+
+def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
+    """A basis of span_Q(generators) cap Z^m, from `_lattice_frame`."""
+    gens = _integer_vectors(generators, "lattice generators")
+    if not gens or all(all(x == 0 for x in g) for g in gens):
+        raise ValueError("empty generating set")
+    return _lattice_frame(gens)[0]
 
 
 def primitive_vector(v: Sequence[ScalarLike]) -> tuple:

@@ -26,6 +26,7 @@ from .exactcore import (
     MultiPoly,
     _eliminate,
     _integer_vectors,
+    _lattice_frame,
     _scaled_inverse,
     as_matrix,
     as_vector,
@@ -33,7 +34,6 @@ from .exactcore import (
     matrix_rank,
     primitive_vector,
     saturation_basis,
-    smith_normal_form,
     solve_unique,
     transpose,
     vdot,
@@ -49,13 +49,15 @@ F = Fraction
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a lattice polytope, recorded by its vertex indices."""
+    """A face of a lattice polytope, recorded by its vertex indices, with
+    the lattice frame of one Smith form of its edge matrix."""
 
     index: int
     dim: int
     vertex_ids: tuple
     ref_vertex: tuple
     lineality_basis: tuple  # saturated basis of the direction space L(f)
+    quotient_rows: tuple  # integer rows R onto Z^m / (Z^m cap L(f)); I at a vertex
     facet_ids: tuple  # facets of the polytope containing this face
 
 
@@ -324,13 +326,13 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     extreme = _extreme_rays(cone, len(rays), m + 1)
     vertices = tuple(pts[i] for i in extreme)
     facets = sorted((normal[1:], -normal[0], tight) for normal, tight in cone.items())
-    faces = []
+    faces, eye = [], tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
     for index, (fdim, vids) in enumerate(_face_lattice(rays, cone, extreme)):
         ref, ids = vertices[vids[0]], {extreme[v] for v in vids}
-        lin = saturation_basis([vsub(vertices[v], ref) for v in vids[1:]]) if fdim else ()
+        lin, rows = _lattice_frame([vsub(vertices[v], ref) for v in vids[1:]]) if fdim else ((), eye)
         fid = tuple(h for h, (_, _, tight) in enumerate(facets) if ids <= tight)
         faces.append(Face(index=index, dim=fdim, vertex_ids=vids, ref_vertex=ref,
-                          lineality_basis=tuple(lin), facet_ids=fid))
+                          lineality_basis=tuple(lin), quotient_rows=rows, facet_ids=fid))
 
     if sum((-1) ** f.dim for f in faces) != 1:
         raise AssertionError("face lattice must satisfy the Euler relation")
@@ -374,14 +376,14 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     direction space L(f), in integer coordinates of the quotient lattice
     Z^m / (Z^m cap L(f)).
 
-    One Smith normal form U L V = D of the saturated m x k lineality
-    matrix L gives them: the last d = m - k rows R of U map Z^m onto Z^d
-    with kernel Z^m cap L(f), so the generators are the primitive
-    nonzero vectors R g over the tangent generators g.  The induced inner
-    product is G = (R Q^-1 R^T)^-1, and B = Q^-1 R^T G is the unique
-    basis of the Q-orthocomplement of L(f) with R B = I; it spans the
-    image of Z^m under the Q-orthogonal projection, and B^T Q B = G.  A
-    vertex gets R = I, hence its ambient coordinates and Q itself.
+    The face's quotient rows R (the last d = m - k rows of U in the Smith
+    form U E V = D of its edge matrix E that `build_polytope` takes) map
+    Z^m onto Z^d with kernel Z^m cap L(f), so the generators are the
+    primitive nonzero vectors R g over the tangent generators g.  The
+    induced inner product is G = (R Q^-1 R^T)^-1, and B = Q^-1 R^T G is
+    the unique basis of the Q-orthocomplement of L(f) with R B = I; it
+    spans the image of Z^m under the Q-orthogonal projection, and B^T Q B
+    = G.  A vertex has R = I, hence its ambient coordinates and Q itself.
 
     Everything runs in integers: one fraction-free elimination of [Q | I]
     gives Q^-1 = A / delta with A integer, so N = R A R^T is an integer
@@ -392,9 +394,7 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     qmat = inner_product_matrix(qmat, m)
     if face.dim == poly.dim:
         return PointedConeT(dim=0, gens=(), basis=(), qmat=())
-    lin = face.lineality_basis
-    u, _, _ = smith_normal_form([[b[i] for b in lin] for i in range(m)])
-    rows = u[len(lin):]
+    rows = face.quotient_rows
     gens, _ = tangent_cone(poly, face)
     images = ([sum(map(mul, r, g)) for r in rows] for g in gens)
     coord_gens = sorted({primitive_vector(y) for y in images if any(y)})

@@ -286,14 +286,6 @@ def test_polytope_file_input(capsys, tmp_path):
     assert out.splitlines() == ["n=0: 1", "n=1: 2", "n=2: 1"]
 
 
-def test_tolerance_must_be_positive(capsys):
-    code, _, err = run(
-        capsys, ["expand", "--vertices", SQUARE, "--tolerance", "0"]
-    )
-    assert code == 2
-    assert "tolerance" in err
-
-
 def test_deterministic_json_output(capsys):
     argv = ["expand", "--vertices", SQUARE, "--format", "json", "--per-face"]
     _, out1, _ = run(capsys, argv)
@@ -302,18 +294,17 @@ def test_deterministic_json_output(capsys):
 
 
 HELP_OPTIONS = {
-    "expand": ["--format", "--tolerance", "--vertices", "--polytope-file",
-               "--phi", "--Q", "--nmax", "--per-face", "--strategy"],
-    "verify": ["--format", "--tolerance", "--vertices", "--polytope-file",
-               "--phi", "--Q", "--nmax", "--strategy", "--budget"],
-    "todd": ["--format", "--tolerance", "--nmax"],
-    "twisted-todd": ["--format", "--tolerance", "--q", "--nmax"],
-    "ehrhart": ["--format", "--tolerance", "--vertices", "--polytope-file",
-                "--phi", "--budget"],
-    "riemann-sum": ["--format", "--tolerance", "--vertices",
-                    "--polytope-file", "--phi", "--N", "--budget"],
-    "subdivide-cone": ["--format", "--tolerance", "--generators",
-                       "--strategy"],
+    "expand": ["--format", "--vertices", "--polytope-file", "--phi", "--Q",
+               "--nmax", "--per-face", "--strategy"],
+    "verify": ["--format", "--vertices", "--polytope-file", "--phi", "--Q",
+               "--nmax", "--strategy", "--budget"],
+    "todd": ["--format", "--nmax"],
+    "twisted-todd": ["--format", "--q", "--nmax"],
+    "ehrhart": ["--format", "--vertices", "--polytope-file", "--phi",
+                "--budget"],
+    "riemann-sum": ["--format", "--vertices", "--polytope-file", "--phi",
+                    "--N", "--budget"],
+    "subdivide-cone": ["--format", "--generators", "--strategy"],
 }
 
 

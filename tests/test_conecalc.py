@@ -151,6 +151,22 @@ def test_exponents_other_than_non_negative_ints_rejected(call, exponent):
         call(exponent)
 
 
+@pytest.mark.parametrize("label", [0.7, "1", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: ibp_op(UniCone([(1, 0), (0, 1)]), [x], [0], {0: 1}),
+        lambda x: bv_op_unimodular(UniCone([(1, 0), (0, 1)]), [x], 2),
+        lambda x: ln_op(UniCone([(1, 0), (0, 1)]), [x], 2),
+    ],
+    ids=["ibp_op", "bv_op_unimodular", "ln_op"],
+)
+def test_labels_other_than_ints_rejected(call, label):
+    # a label is never coerced: 0.7 is not read as 0, nor "1" or True as 1
+    with pytest.raises(ValueError, match="generator labels must be integers"):
+        call(label)
+
+
 def _all_ibp_cases(cone, max_alpha):
     labels = list(cone.labels())
     for ri in range(1, cone.dim + 1):

@@ -156,13 +156,27 @@ def test_face_moments_triangulate_nothing(monkeypatch):
     octahedron = build_polytope(OCTAHEDRON.vertices)
     calls = [
         _count_calls(monkeypatch, geometry, "_pulling_triangulation"),
-        _count_calls(monkeypatch, geometry, "smith_normal_form"),
         _count_calls(monkeypatch, exactcore, "smith_normal_form"),
     ]
     for face in octahedron.faces:
         for e in itertools.product(range(3), repeat=3):
             octahedron.face_moment(face, e)
-    assert calls == [[]] * 3
+    assert calls == [[]] * 2
+
+
+def test_one_smith_form_per_face(monkeypatch):
+    # build_polytope takes one Smith normal form per face of positive
+    # dimension, which gives both its lineality basis and its quotient rows;
+    # expansion takes none outside subdivide, which imports its own name
+    # (geometry does not, so the counter sees every Smith form it takes)
+    assert not hasattr(geometry, "smith_normal_form")
+    calls = _count_calls(monkeypatch, exactcore, "smith_normal_form")
+    octahedron = build_polytope(OCTAHEDRON.vertices)
+    assert len(calls) == sum(1 for f in octahedron.faces if f.dim > 0) == 21
+    fresh = build_polytope(OCTAHEDRON.vertices)
+    calls.clear()
+    expansion(fresh, ONE3)
+    assert calls == []
 
 
 def test_q_independence_of_totals():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction
@@ -324,6 +325,21 @@ def test_edge_table_matches_scan_of_edges(poly):
         assert list(geometry._edges_at_vertex(poly, i)) == scan
         vertex = poly.face_by_vertex_ids([i])
         assert tangent_cone(poly, vertex) == (tuple(scan), ())
+
+
+@settings(max_examples=30, deadline=None)
+@given(hulls_2d_to_4d())
+def test_face_frame_splits_the_lattice(poly):
+    # the quotient rows R of a face map Z^m onto Z^(m - dim) with kernel
+    # spanned by its lineality basis, all in Python ints
+    m = poly.ambient_dim
+    for face in poly.faces:
+        rows, lin = face.quotient_rows, face.lineality_basis
+        assert len(rows) == m - face.dim and len(lin) == face.dim
+        assert all(sum(map(operator.mul, r, l)) == 0 for r in rows for l in lin)
+        _, dmat, _ = smith_normal_form(rows)
+        assert all(dmat[i][i] == 1 for i in range(len(rows)))
+        assert all(type(x) is int for v in rows + lin for x in v)
 
 
 def test_transverse_cone_respects_q():
