@@ -34,12 +34,7 @@ from .oracle import (
     riemann_sum,
     weighted_ehrhart,
 )
-from .subdivide import (
-    STRATEGIES,
-    signed_coefficients,
-    triangulate_cone,
-    unimodularize,
-)
+from .subdivide import STRATEGIES, _signed_faces, _unimodular_fan, triangulate_cone
 
 
 def _parse_json(text: str, what: str):
@@ -255,11 +250,10 @@ def cmd_riemann_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_subdivide_cone(args: argparse.Namespace) -> int:
-    fan = unimodularize(
-        triangulate_cone(args.generators, strategy=args.strategy),
-        strategy=args.strategy,
-    )
-    signed = signed_coefficients(fan)
+    # `subdivide.cone_operator`'s pipeline: one Smith form per cell
+    cells = triangulate_cone(args.generators, strategy=args.strategy)
+    fan = _unimodular_fan(cells, args.strategy)
+    signed = _signed_faces(fan, sorted({g for cell in cells for g in cell}))
     lines = [f"unimodular cells: {len(fan)}"]
     for cell in fan:
         lines.append("cell: " + ", ".join(str(g) for g in cell))

@@ -50,7 +50,6 @@ from .geometry import (
     LatticePolytope,
     integrate_poly_over_face,
     is_delzant,
-    tangent_cone,
     transverse_cone,
 )
 from .subdivide import STRATEGIES, _cone_operator
@@ -258,8 +257,7 @@ def closed_form_2d(
             # the tangent directions and the edge's basis vector are all
             # primitive, so the directions along the edge are +-line
             line = edge.lineality_basis[0]
-            dirs, _ = tangent_cone(poly, edge)
-            trans = [d for d in dirs if d not in (line, tuple(-x for x in line))]
+            trans = [d for d in edge.tangent_gens if d not in (line, tuple(-x for x in line))]
             if len(trans) != 1:
                 raise AssertionError("an edge of a polygon has one inward edge")
             e2 = as_vector(trans[0])
@@ -279,10 +277,9 @@ def closed_form_2d(
 
     # Vertex terms, evaluated at the vertex itself.
     for vert in poly.faces_of_dim(0):
-        dirs, _ = tangent_cone(poly, vert)
-        if len(dirs) != 2:
+        if len(vert.tangent_gens) != 2:
             raise AssertionError
-        e1, e2 = as_vector(dirs[0]), as_vector(dirs[1])
+        e1, e2 = map(as_vector, vert.tangent_gens)
         c1 = qform(qmat, e1, e2) / qform(qmat, e2, e2)
         c2 = qform(qmat, e1, e2) / qform(qmat, e1, e1)
         u1 = vsub(e1, vscale(c1, e2))

@@ -1,8 +1,10 @@
-"""Lattice polytopes: exact hulls, face lattices, tangent cones, transverse
-cones in integer quotient coordinates, Delzant tests, and exact integration
-of polynomials over faces against their lattice measure, by one integer
+"""Lattice polytopes: exact hulls, face lattices, transverse cones in
+integer quotient coordinates, Delzant tests, and exact integration of
+polynomials over faces against their lattice measure, by one integer
 recursion up the face lattice that each polytope runs once per moment and
-keeps.
+keeps.  `build_polytope` gives every face its whole frame, which depends
+on neither Q, phi nor n: its lattice frame, the generators of its tangent
+cone and the facets, with their lattice heights, that the recursion reads.
 
 Everything is computed in exact rational arithmetic over Z^m / Q^m.  A
 polytope P is the cone over {1} x P, so one set of cone routines serves
@@ -14,12 +16,11 @@ double description) gives the facets and the rays tight on each,
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, mul, sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .exactcore import (
@@ -50,7 +51,9 @@ F = Fraction
 @dataclass(frozen=True)
 class Face:
     """A face of a lattice polytope, recorded by its vertex indices, with
-    the lattice frame of one Smith form of its edge matrix."""
+    all of its data that depends on neither Q, phi nor n: the lattice frame
+    of one Smith form of its edge matrix, its tangent cone's generators
+    and the facets that `LatticePolytope.face_moment` recurses over."""
 
     index: int
     dim: int
@@ -59,6 +62,8 @@ class Face:
     lineality_basis: tuple  # saturated basis of the direction space L(f)
     quotient_rows: tuple  # integer rows R onto Z^m / (Z^m cap L(f)); I at a vertex
     facet_ids: tuple  # facets of the polytope containing this face
+    tangent_gens: tuple  # sorted primitive edge directions at ref_vertex
+    pyramid: tuple  # (face index, lattice height) of the facets missing ref_vertex
 
 
 @dataclass(frozen=True)
@@ -82,12 +87,14 @@ class LatticePolytope:
     Facets are stored as pairs (alpha, c) of a primitive integer inward
     normal and integer offset, so P = {x : <alpha, x> >= c for all facets}.
     Faces are sorted by (dim, vertex_ids); the polytope itself is the last
-    face.  `face_operators` keeps the lifted transverse-cone operators that
-    `engine.expansion` builds, as {(Q, strategy): {face index: operator}},
-    so that each call looks its (Q, strategy) table up once, and
-    `face_moment` keeps the moments int_F x^e of each face, keyed by (face
-    index, e), for as long as the polytope lives, with the integers and
-    facet heights that its recursion up the face lattice reads them from.
+    face.  Each face holds its own Q-independent frame; the polytope keeps
+    only tables that its callers fill.  `face_operators` keeps the lifted
+    transverse-cone operators that `engine.expansion` builds, as {(Q,
+    strategy): {face index: operator}}, so that each call looks its (Q,
+    strategy) table up once, and `face_moment` keeps the moments int_F x^e
+    of each face, keyed by (face index, e), for as long as the polytope
+    lives, with the integers that its recursion up the face lattice reads
+    them from.
     """
 
     def __init__(self, vertices, facets, faces, affine_data=None):
@@ -97,8 +104,6 @@ class LatticePolytope:
         self.facets = facets
         self.faces = faces
         self.affine_data = affine_data
-        self._edges = None
-        self._bases: dict = {}
         self._scaled: dict = {}
         self._moments: dict = {}
         self.face_operators: dict = {}
@@ -138,7 +143,7 @@ class LatticePolytope:
         N_F(e) = sum_G h_G sum_{f <= e} (|e - f|! / (e - f)!) x_0^(e - f) N_G(f),
         a Beta integral collapsing the double binomial sum.  Only facets
         that miss x_0 count (the others have h_G = 0); multinomials,
-        integer vertices and integer heights (`_pyramid_bases`) keep every
+        integer vertices and integer heights (`Face.pyramid`) keep every
         N_F an integer.
         """
         key = (face.index, exps)
@@ -155,32 +160,12 @@ class LatticePolytope:
             if face.dim == 0:
                 value = _multinomial_power(x0, exps)
             else:
-                bases = self._pyramid_bases(face)
                 value = 0
                 for f in itertools.product(*(range(x + 1) for x in exps)):
-                    s = sum(h * self._scaled_moment(g, f) for g, h in bases)
+                    s = sum(h * self._scaled_moment(self.faces[g], f) for g, h in face.pyramid)
                     value += s * _multinomial_power(x0, tuple(map(sub, exps, f)))
             self._scaled[key] = value
         return self._scaled[key]
-
-    def _pyramid_bases(self, face: Face) -> tuple:
-        """The facets G of a face F that miss its reference vertex x_0, as
-        (G, h_G) pairs, built once per face.  For a facet <a, x> >= c of P
-        through G but not F, <a, x> - c vanishes on G and takes the values
-        g Z on F's lattice, g = gcd{<a, l> : l in L(F)}, so x_0's lattice
-        distance to G in F's lattice is h_G = (<a, x_0> - c) / g."""
-        if face.index not in self._bases:
-            x0, vids = face.vertex_ids[0], set(face.vertex_ids)
-            lo, hi = (bisect.bisect_left(self.faces, d, key=attrgetter("dim"))
-                      for d in (face.dim - 1, face.dim))
-            out = []
-            for g in self.faces[lo:hi]:
-                if vids.issuperset(g.vertex_ids) and x0 not in g.vertex_ids:
-                    alpha, c = self.facets[min(set(g.facet_ids) - set(face.facet_ids))]
-                    step = math.gcd(*(sum(map(mul, alpha, l)) for l in face.lineality_basis))
-                    out.append((g, (sum(map(mul, alpha, face.ref_vertex)) - c) // step))
-            self._bases[face.index] = tuple(out)
-        return self._bases[face.index]
 
     def __repr__(self) -> str:
         return (
@@ -197,14 +182,6 @@ def _multinomial_power(x: tuple, d: tuple) -> int:
 
 # ---------------------------------------------------------------------------
 # convex hull and face lattice
-
-
-def _affine_rank(points: Sequence[tuple]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    diffs = [vsub(as_vector(p), as_vector(base)) for p in points[1:]]
-    return matrix_rank(diffs)
 
 
 def _cone_facets(rays: Sequence[tuple]) -> dict:
@@ -293,13 +270,25 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
 
     The faces of P are those of the cone over {(1, p)}: its facet (-c,
     alpha) is the facet <alpha, x> >= c of P, its extreme rays are the
-    vertices and its face lattice is P's.
+    vertices, its rank is one more than the affine rank of the points and
+    its face lattice is P's.  Each face F gets its whole frame here: the
+    tangent generators at its reference vertex x_0 come from one pass over
+    the edges, shared by the faces with that vertex, and its pyramid
+    facets, the facets G of F that miss x_0, from the same pass over P's
+    facets that finds those containing F: G is the meet of F with every
+    facet <a, x> >= c of P through G but not F.  <a, x> - c vanishes on G
+    and takes the values g Z on F's lattice, g = gcd{<a, l> : l in L(F)},
+    so x_0's lattice distance to G in F's lattice is h_G = (<a, x_0> - c)
+    / g, whichever such facet gives it.
     """
     pts = sorted(dict.fromkeys(_integer_vectors(points, "polytope vertices")))
     if not pts:
         raise ValueError("empty vertex set")
     m = len(pts[0])
-    rank = _affine_rank(pts)
+    if not m:
+        raise ValueError("polytope vertices need at least one coordinate")
+    rays = [(1,) + p for p in pts]
+    rank = matrix_rank(rays) - 1
     if rank < m:
         if not affine_hull or rank == 0:
             raise ValueError("not full-dimensional")
@@ -321,18 +310,37 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
             affine_data=(origin, tuple(basis)),
         )
 
-    rays = [(1,) + p for p in pts]
     cone = _cone_facets(rays)
     extreme = _extreme_rays(cone, len(rays), m + 1)
     vertices = tuple(pts[i] for i in extreme)
     facets = sorted((normal[1:], -normal[0], tight) for normal, tight in cone.items())
-    faces, eye = [], tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    for index, (fdim, vids) in enumerate(_face_lattice(rays, cone, extreme)):
-        ref, ids = vertices[vids[0]], {extreme[v] for v in vids}
+    lattice = _face_lattice(rays, cone, extreme)
+    star = [[] for _ in vertices]
+    for fdim, vids in lattice:
+        if fdim == 1:
+            d = primitive_vector(vsub(vertices[vids[1]], vertices[vids[0]]))
+            star[vids[0]].append(d)
+            star[vids[1]].append(tuple(-x for x in d))
+    star = [tuple(sorted(dirs)) for dirs in star]
+    faces, number = [], {}
+    eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    for index, (fdim, vids) in enumerate(lattice):
+        ref, ids = vertices[vids[0]], frozenset(extreme[v] for v in vids)
         lin, rows = _lattice_frame([vsub(vertices[v], ref) for v in vids[1:]]) if fdim else ((), eye)
-        fid = tuple(h for h, (_, _, tight) in enumerate(facets) if ids <= tight)
+        fid, pyramid = [], {}
+        for h, (alpha, c, tight) in enumerate(facets):
+            if ids <= tight:
+                fid.append(h)
+            elif extreme[vids[0]] not in tight:
+                # F meets the facet in a face that misses x_0, a facet G of F or smaller
+                g = number.get(ids & tight)
+                if g is not None and lattice[g][0] == fdim - 1 and g not in pyramid:
+                    step = math.gcd(*(sum(map(mul, alpha, l)) for l in lin))
+                    pyramid[g] = (sum(map(mul, alpha, ref)) - c) // step
+        number[ids] = index
         faces.append(Face(index=index, dim=fdim, vertex_ids=vids, ref_vertex=ref,
-                          lineality_basis=tuple(lin), quotient_rows=rows, facet_ids=fid))
+                          lineality_basis=tuple(lin), quotient_rows=rows, facet_ids=tuple(fid),
+                          tangent_gens=star[vids[0]], pyramid=tuple(sorted(pyramid.items()))))
 
     if sum((-1) ** f.dim for f in faces) != 1:
         raise AssertionError("face lattice must satisfy the Euler relation")
@@ -344,31 +352,6 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
 
 # ---------------------------------------------------------------------------
 # tangent and transverse cones
-
-
-def _edges_at_vertex(poly: LatticePolytope, vertex_id: int) -> tuple:
-    """Primitive directions, sorted, of the polytope edges leaving a vertex,
-    read off the polytope's edge table, which one pass over the edges
-    builds for every vertex on first use."""
-    if poly._edges is None:
-        table = [[] for _ in poly.vertices]
-        for f in poly.faces_of_dim(1):
-            a, b = f.vertex_ids
-            d = primitive_vector(vsub(poly.vertices[b], poly.vertices[a]))
-            table[a].append(d)
-            table[b].append(tuple(-x for x in d))
-        poly._edges = tuple(tuple(sorted(dirs)) for dirs in table)
-    return poly._edges[vertex_id]
-
-
-def tangent_cone(poly: LatticePolytope, face: Face) -> tuple:
-    """Tangent cone of the polytope along a face, at its reference vertex.
-
-    Returns (generators, lineality_basis): the cone is
-    cone(generators) + span(lineality_basis), generators being the primitive
-    edge directions at the reference vertex.
-    """
-    return _edges_at_vertex(poly, face.vertex_ids[0]), face.lineality_basis
 
 
 def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedConeT:
@@ -395,8 +378,7 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     if face.dim == poly.dim:
         return PointedConeT(dim=0, gens=(), basis=(), qmat=())
     rows = face.quotient_rows
-    gens, _ = tangent_cone(poly, face)
-    images = ([sum(map(mul, r, g)) for r in rows] for g in gens)
+    images = ([sum(map(mul, r, g)) for r in rows] for g in face.tangent_gens)
     coord_gens = sorted({primitive_vector(y) for y in images if any(y)})
     a, delta = _scaled_inverse(qmat)
     ra = [[sum(map(mul, r, col)) for col in zip(*a)] for r in rows]  # R A
@@ -416,8 +398,7 @@ def is_delzant(poly: LatticePolytope) -> bool:
     directions whose fraction-free elimination (`_eliminate`) finds m
     pivots, the last, |delta|, being the |determinant|, equal to 1."""
     m = poly.ambient_dim
-    for i in range(len(poly.vertices)):
-        dirs = _edges_at_vertex(poly, i)
+    for dirs in (vertex.tangent_gens for vertex in poly.faces_of_dim(0)):
         if len(dirs) != m:
             return False
         _, pivots, delta = _eliminate(dirs)
@@ -484,7 +465,6 @@ def integrate_poly_over_face(poly: LatticePolytope, face: Face, phi: MultiPoly) 
 def euler_brion_window_check(
     poly: LatticePolytope,
     n_values: Sequence[int] = (1, 2, 3),
-    margin: int = 1,
 ) -> bool:
     """Verify, on a window of sample points, the inclusion-exclusion identity
 
@@ -492,7 +472,7 @@ def euler_brion_window_check(
 
     where C^+(N g) imposes the inequalities of exactly the facets containing
     g (the polytope face itself imposes none).  Points sampled are the
-    integer points of a margin-padded bounding box of N*P together with
+    integer points of the bounding box of N*P, padded by 1, together with
     their shifts by the rational offset (1/2, 1/3, 1/5, ...).
     """
     m = poly.ambient_dim
@@ -506,8 +486,8 @@ def euler_brion_window_check(
         )
 
     for n in n_values:
-        lo = [min(v[i] for v in poly.vertices) * n - margin for i in range(m)]
-        hi = [max(v[i] for v in poly.vertices) * n + margin for i in range(m)]
+        lo = [min(v[i] for v in poly.vertices) * n - 1 for i in range(m)]
+        hi = [max(v[i] for v in poly.vertices) * n + 1 for i in range(m)]
         for base in itertools.product(
             *[range(lo[i], hi[i] + 1) for i in range(m)]
         ):

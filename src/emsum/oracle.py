@@ -73,8 +73,6 @@ def riemann_sum(
     hi = [n * max(v[i] for v in poly.vertices) for i in range(m)]
     if math.prod(b - a + 1 for a, b in zip(lo, hi)) > budget:
         raise BudgetExceeded("desk-scale exceeded")
-    if m == 0:  # a point in Z^0: no axis to sweep along
-        return F(phi.eval(()))
     # scale * N^deg * phi(g/N) has integer coefficients in g
     deg = phi.degree()
     scale = math.lcm(*(c.denominator for c in phi.terms.values()))
@@ -183,17 +181,17 @@ def coefficients_from_oracle(
 # rational exponentials and Szasz functions
 
 
-def exp_rational(s: Fraction, rel_tol: Fraction = F(1, 10 ** 30)) -> Fraction:
-    """Rational approximation of e^s with relative error below rel_tol.
+def exp_rational(s: Fraction) -> Fraction:
+    """Rational approximation of e^s with relative error below 10^-30.
 
     For s >= 0 the Taylor partial sum through order K has tail at most
     2 s^{K+1}/(K+1)! once K + 2 >= 2s, which is driven below
-    rel_tol * e^s (and e^s >= 1); negative s uses the reciprocal, which
+    10^-30 e^s (and e^s >= 1); negative s uses the reciprocal, which
     preserves relative error up to a factor absorbed in the margin.
     """
     s = F(s)
     if s < 0:
-        return 1 / exp_rational(-s, rel_tol)
+        return 1 / exp_rational(-s)
     term = F(1)
     total = F(1)
     k = 0
@@ -201,7 +199,7 @@ def exp_rational(s: Fraction, rel_tol: Fraction = F(1, 10 ** 30)) -> Fraction:
         k += 1
         term = term * s / k
         total += term
-        if k + 2 >= 2 * s and 2 * term <= rel_tol * total:
+        if k + 2 >= 2 * s and 2 * term * 10 ** 30 <= total:
             return total
 
 

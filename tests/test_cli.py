@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from emsum import cli
+from emsum import cli, subdivide
 from emsum.subdivide import STRATEGIES
 
 SQUARE = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
@@ -61,6 +61,16 @@ def test_expand_rejects_non_integer_vertices(capsys):
     )
     assert code == 2
     assert "vertices must be integers" in err
+
+
+@pytest.mark.parametrize("command", ["expand", "verify", "riemann-sum"])
+def test_vertices_without_coordinates_are_invalid_input(capsys, command):
+    code, out, err = run(capsys, [command, "--vertices", "[[]]"])
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (
+        "error: polytope vertices need at least one coordinate"
+    )
 
 
 def test_expand_with_inner_product_and_nmax(capsys):
@@ -268,6 +278,37 @@ def test_subdivide_cone_json(capsys):
     assert data["cells"] == [[[1, 0], [1, 1]], [[1, 1], [1, 2]]]
     signed = {tuple(map(tuple, e["gens"])): e["coeff"] for e in data["signed"]}
     assert signed[((1, 1),)] == -1
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_subdivide_cone_takes_one_smith_form_per_cell(capsys, monkeypatch, strategy):
+    # the command refines the triangulation and signs its faces as
+    # `cone_operator` does, and its output is that of `unimodularize`
+    # followed by `signed_coefficients`
+    gens = [[1, 0, 0], [1, 7, 0], [0, 0, 1], [1, 2, 5]]
+    expected_fan = subdivide.unimodularize(
+        subdivide.triangulate_cone(gens, strategy), strategy
+    )
+    expected_signed = subdivide.signed_coefficients(expected_fan)
+    seen = []
+    real = subdivide._cell_lattice
+    monkeypatch.setattr(
+        subdivide, "_cell_lattice", lambda cell: seen.append(cell) or real(cell)
+    )
+    code, out, _ = run(
+        capsys,
+        ["subdivide-cone", "--generators", json.dumps(gens),
+         "--strategy", strategy, "--format", "json"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["cells"] == [[list(g) for g in cell] for cell in expected_fan]
+    assert data["signed"] == [
+        {"gens": [list(g) for g in sc.gens], "coeff": sc.coeff, "dim": sc.dim}
+        for sc in expected_signed
+    ]
+    assert len(seen) == len(set(seen))
+    assert set(expected_fan) <= set(seen)
 
 
 def test_subdivide_cone_rejects_non_pointed(capsys):

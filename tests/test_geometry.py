@@ -21,6 +21,7 @@ from emsum.exactcore import (
     as_vector,
     identity_matrix,
     mat_vec,
+    matrix_rank,
     orth_project,
     primitive_vector,
     qform,
@@ -33,13 +34,13 @@ from emsum.geometry import (
     euler_brion_window_check,
     integrate_poly_over_face,
     is_delzant,
-    tangent_cone,
     transverse_cone,
 )
 
 from _helpers import (
     compose_integral,
     facet_candidates,
+    fraction_det,
     random_spd,
     run_optimized,
 )
@@ -104,6 +105,14 @@ def test_not_full_dimensional():
         build_polytope([(1, 1)], affine_hull=True)
 
 
+@pytest.mark.parametrize("affine_hull", [False, True])
+def test_points_without_coordinates_rejected(affine_hull):
+    with pytest.raises(
+        ValueError, match="polytope vertices need at least one coordinate"
+    ):
+        build_polytope([()], affine_hull=affine_hull)
+
+
 def test_ragged_points_rejected():
     with pytest.raises(
         ValueError, match="polytope vertices must all have the same length"
@@ -141,9 +150,8 @@ def test_tangent_cone_at_vertex():
     p = build_polytope(SQUARE)
     v = p.face_by_vertex_ids([0])
     assert p.vertices[0] == (0, 0)
-    gens, lin = tangent_cone(p, v)
-    assert gens == ((0, 1), (1, 0))
-    assert lin == ()
+    assert v.tangent_gens == ((0, 1), (1, 0))
+    assert v.lineality_basis == ()
 
 
 def test_tangent_cone_at_edge():
@@ -151,9 +159,8 @@ def test_tangent_cone_at_edge():
     edge = p.face_by_vertex_ids(
         [p.vertices.index((0, 0)), p.vertices.index((1, 0))]
     )
-    gens, lin = tangent_cone(p, edge)
-    assert lin == ((1, 0),)
-    assert (0, 1) in gens
+    assert edge.lineality_basis == ((1, 0),)
+    assert (0, 1) in edge.tangent_gens
 
 
 def test_transverse_cone_of_edge():
@@ -250,8 +257,7 @@ def test_transverse_cone_matches_projection_definition(case):
         assert t.qmat == tuple(
             tuple(qform(q, bi, bj) for bj in t.basis) for bi in t.basis
         )
-        gens, _ = tangent_cone(poly, face)
-        projected = (coords(g) for g in gens)
+        projected = (coords(g) for g in face.tangent_gens)
         assert list(t.gens) == sorted(
             {primitive_vector(y) for y in projected if any(y)}
         )
@@ -313,18 +319,49 @@ def hulls_2d_to_4d(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(hulls_2d_to_4d())
-def test_edge_table_matches_scan_of_edges(poly):
-    # the table built in one pass holds, at every vertex, the sorted
-    # primitive directions of the edges through it
+def test_tangent_gens_match_scan_of_edges(poly):
+    # every face holds the sorted primitive directions of the edges through
+    # its reference vertex, one tuple shared by the faces at that vertex
     for i, v in enumerate(poly.vertices):
         scan = sorted(
             primitive_vector([w - x for w, x in zip(poly.vertices[j], v)])
             for f in poly.faces_of_dim(1) if i in f.vertex_ids
             for j in f.vertex_ids if j != i
         )
-        assert list(geometry._edges_at_vertex(poly, i)) == scan
-        vertex = poly.face_by_vertex_ids([i])
-        assert tangent_cone(poly, vertex) == (tuple(scan), ())
+        at_vertex = [f for f in poly.faces if f.vertex_ids[0] == i]
+        assert at_vertex[0].tangent_gens == tuple(scan)
+        assert all(f.tangent_gens is at_vertex[0].tangent_gens for f in at_vertex)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hulls_2d_to_4d())
+def test_pyramid_heights_match_lattice_determinants(poly):
+    # the pyramid facets of a face F are its facets G that miss its
+    # reference vertex x_0, and h_G is the lattice distance from x_0 to G
+    # in F's lattice: |det(w_1, ..., w_(k-1), y)| in F's lattice
+    # coordinates, w a lattice basis of G's directions and y a vertex of G
+    # less x_0
+    for face in poly.faces:
+        x0, k = face.ref_vertex, face.dim
+        frame = as_matrix(transpose(face.lineality_basis)) if k else ()
+
+        def coords(direction):
+            y = solve_unique(frame, direction)
+            assert all(c.denominator == 1 for c in y)
+            return y
+
+        expected = {
+            g.index: abs(fraction_det(
+                [coords(w) for w in g.lineality_basis]
+                + [coords([a - b for a, b in zip(g.ref_vertex, x0)])]
+            ))
+            for g in poly.faces
+            if g.dim == k - 1 and set(g.vertex_ids) <= set(face.vertex_ids)
+            and face.vertex_ids[0] not in g.vertex_ids
+        }
+        assert dict(face.pyramid) == expected
+        assert len(face.pyramid) == len(expected)
+        assert all(h > 0 for _, h in face.pyramid)
 
 
 @settings(max_examples=30, deadline=None)
@@ -567,9 +604,7 @@ def test_euler_brion_octahedron():
 )
 @settings(max_examples=50, deadline=None)
 def test_random_2d_hulls(pts):
-    from emsum.geometry import _affine_rank
-
-    if _affine_rank(sorted(set(tuple(p) for p in pts))) != 2:
+    if matrix_rank([(1,) + tuple(p) for p in pts]) != 3:
         return
     p = build_polytope(pts)
     # every input point satisfies every facet inequality
