@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import expansion
-from .exactcore import MultiPoly, series_coeffs_todd, series_coeffs_twisted_todd
+from .exactcore import MultiPoly, _is_int, series_coeffs_todd, series_coeffs_twisted_todd
 from .geometry import LatticePolytope, build_polytope
 from .oracle import (
     DEFAULT_BUDGET,
@@ -51,11 +51,6 @@ def _parse_fraction(value, what: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"invalid {what}: {value!r}") from exc
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which subclasses int.
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_vertices(text: str) -> LatticePolytope:

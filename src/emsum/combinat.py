@@ -22,6 +22,7 @@ from .exactcore import (
     CycloElem,
     MultiPoly,
     _check_twist,
+    _is_int,
 )
 
 
@@ -29,7 +30,7 @@ def _multi_index(entries) -> tuple:
     """A multi-index, given as a mapping or a list of (label, exponent)
     pairs, as the sorted tuple of its pairs with a positive exponent."""
     entries = dict(entries)
-    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in entries.values()):
+    if not all(_is_int(x) and x >= 0 for x in entries.values()):
         raise ValueError("multi-index entries must be non-negative integers")
     return tuple(sorted((label, x) for label, x in entries.items() if x))
 

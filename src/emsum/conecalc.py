@@ -40,6 +40,7 @@ from .combinat import _multi_index, compositions, p_of_n
 from .exactcore import (
     MultiPoly,
     _integer_rows,
+    _is_int,
     as_scalar,
     as_vector,
     bareiss,
@@ -171,7 +172,7 @@ class UniCone(_Cell):
 
 def _subset(cone: UniCone, labels: Iterable[int], nonempty: bool = False) -> tuple:
     out = set(labels)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in out):
+    if not all(map(_is_int, out)):
         raise ValueError("generator labels must be integers")
     if any(not 0 <= x < cone.dim for x in out):
         raise ValueError("generator label out of range")

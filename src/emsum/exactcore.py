@@ -7,7 +7,8 @@ all of them are exact.  Scalars are `fractions.Fraction`; vectors are tuples
 of Fractions; matrices are tuples of row tuples.  The two coefficient rings
 that occur are Q (Fraction) and the cyclotomic fields Q(omega) for omega a
 primitive q-th root of unity with 2 <= q <= 12 (CycloElem).  No floating
-point appears anywhere.
+point appears anywhere: `as_scalar` rejects floats, and `MultiPoly` sends
+through it every coefficient that is not a Fraction or CycloElem.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ CYCLO_MAX_ORDER = 12
 
 # ---------------------------------------------------------------------------
 # scalar / vector / matrix construction
+
+
+def _is_int(x) -> bool:
+    """The package's one integer test: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def as_scalar(x: ScalarLike) -> Fraction:
@@ -398,12 +404,27 @@ def _monomial_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, in the ring whose unit
+    is `one` (MultiPoly and CycloElem share it)."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class MultiPoly:
     """Sparse multivariate polynomial: {exponent tuple: coefficient}.
 
-    Coefficients are Fractions (or CycloElem for twisted series work); terms
-    with zero coefficient are never stored.  Instances are treated as
-    immutable.
+    Coefficients are Fractions (or CycloElem for twisted series work);
+    any other coefficient goes through `as_scalar`, so a float raises
+    TypeError.  Exponents must pass `_is_int` and be nonnegative, else
+    ValueError.  Terms with zero coefficient are never stored.  Instances
+    are treated as immutable.
     """
 
     __slots__ = ("nvars", "terms")
@@ -412,17 +433,12 @@ class MultiPoly:
         self.nvars = nvars
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != nvars or not all(_is_int(e) and e >= 0 for e in exps):
                 raise ValueError("exponent tuples must be nonnegative and match nvars")
-            if isinstance(coeff, (int, str)):
+            if not isinstance(coeff, (Fraction, CycloElem)):
                 coeff = as_scalar(coeff)
-            if exps in clean:
-                coeff = clean[exps] + coeff
             if coeff:
                 clean[exps] = coeff
-            else:
-                clean.pop(exps, None)
         self.terms = clean
 
     @classmethod
@@ -435,6 +451,8 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MultiPoly":
+        if not (_is_int(i) and 0 <= i < nvars):
+            raise ValueError("variable index out of range")
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exps: Fraction(1)})
 
@@ -453,8 +471,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, exps: Sequence[int], coeff=Fraction(1)) -> "MultiPoly":
-        exps = tuple(int(e) for e in exps)
-        return cls(len(exps), {exps: coeff})
+        return cls(len(exps), {tuple(exps): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -499,8 +516,6 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
-            if not other:
-                return MultiPoly.zero(self.nvars)
             return MultiPoly(
                 self.nvars, {e: c * other for e, c in self.terms.items()}
             )
@@ -522,15 +537,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.nvars, Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, MultiPoly.const(self.nvars, Fraction(1)))
 
     def eval(self, point: Sequence) -> object:
         """Evaluate at a point (entries rational or CycloElem)."""
@@ -691,23 +698,15 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
 
 
 def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple:
-    num = list(num)
-    den = _poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    rem = _poly_trim(num)
+    """(quotient, remainder) of num by the monic den, coefficients low to high."""
+    rem, quot = list(num), []
     while len(rem) >= len(den):
-        f = rem[-1] / den[-1]
-        shift = len(rem) - len(den)
-        quot[shift] += f
-        rem = _poly_trim(
-            [
-                r - f * den[i - shift] if 0 <= i - shift < len(den) else r
-                for i, r in enumerate(rem)
-            ]
-        )
-    return _poly_trim(quot), rem
+        f = rem[-1]
+        for i, c in enumerate(den, len(rem) - len(den)):
+            rem[i] -= f * c
+        rem.pop()
+        quot.append(f)
+    return _poly_trim(quot[::-1]), _poly_trim(rem)
 
 
 @lru_cache(maxsize=None)
@@ -745,7 +744,7 @@ class CycloElem:
         phi = cyclotomic_polynomial(q)
         deg = len(phi) - 1
         poly = [as_scalar(c) for c in coeffs]
-        _, rem = _poly_divmod(poly, list(phi))
+        _, rem = _poly_divmod(poly, phi)
         rem = rem + [Fraction(0)] * (deg - len(rem))
         self.order = q
         self.coeffs = tuple(rem)
@@ -819,31 +818,17 @@ class CycloElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloElem":
-        """Field inverse via the extended Euclidean algorithm in Q[x].
-
-        Phi_q is irreducible over Q, so any nonzero residue is a unit.
-        """
+        """The y with self * y = 1, from `solve_unique` on the columns
+        self * omega^j, j < deg Phi_q.  Phi_q is irreducible over Q, so
+        every nonzero element is a unit and the columns are independent."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-
-        def poly_sub(a: list, b: list) -> list:
-            n = max(len(a), len(b))
-            a = a + [Fraction(0)] * (n - len(a))
-            b = b + [Fraction(0)] * (n - len(b))
-            return _poly_trim([x - y for x, y in zip(a, b)])
-
-        phi = list(cyclotomic_polynomial(self.order))
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            quot, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_sub(s0, _poly_mul(quot, s1))
-            if not r1:
-                raise ArithmeticError("gcd degenerated; Phi_q should be irreducible")
-        lead = r1[0]
-        inv_poly = [c / lead for c in s1]
-        return CycloElem(self.order, inv_poly)
+        omega = CycloElem.omega(self.order)
+        columns = [self]
+        while len(columns) < len(self.coeffs):
+            columns.append(columns[-1] * omega)
+        rows = transpose([c.coeffs for c in columns])
+        return CycloElem(self.order, solve_unique(rows, CycloElem.one(self.order).coeffs))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -860,14 +845,7 @@ class CycloElem:
     def __pow__(self, n: int) -> "CycloElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycloElem.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CycloElem.one(self.order))
 
     def is_primitive_root(self) -> bool:
         """True when self is a primitive root of unity of exactly its order."""

@@ -180,7 +180,12 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
-    k = matrix_rank(rays)
+    return _triangulate(rays, matrix_rank(rays), strategy)
+
+
+def _triangulate(rays: list, k: int, strategy: str) -> list:
+    """`triangulate_cone` on checked input: the distinct primitive rays of
+    `_ray_list`, their rank k and a known strategy."""
     if k == len(rays):
         # independent rays are pointed and every one of them is extreme
         return [_cell_key(rays)]
@@ -371,7 +376,7 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     pairs with the span of C.  Its `unimodular` attribute tells whether
     the cone was its own single cell.  Independent rays always span a
     pointed cone; any other cone that is not pointed is rejected by
-    `triangulate_cone`.  Q is checked and scaled to integers once per
+    `_triangulate`.  Q is checked and scaled to integers once per
     call, and each order is one integer sum of the cells' symbols.
     Cells with equal Gram matrices share one symbol per order
     (`conecalc._Cell`).
@@ -403,7 +408,7 @@ def _cone_operator(rays: list, qmat, strategy: str, basis, classes: dict):
     if unimodular:
         signed = [SignedCell(gens=tuple(rays), coeff=1)]
     else:
-        fan = _unimodular_fan(triangulate_cone(rays, strategy=strategy), strategy)
+        fan = _unimodular_fan(_triangulate(rays, d, strategy), strategy)
         signed = _signed_faces(fan, rays)
     size = len(lift[0])
     forms = {h: {k: x for k, col in enumerate(zip(*lift)) if (x := sum(map(mul, h, col)))}

@@ -136,7 +136,7 @@ def test_octahedron_triangulates_each_cone_once(monkeypatch):
     # 12 edges and 6 vertices, each with a non-unimodular transverse cone;
     # the decomposition serves every order, and the polytope keeps it.
     octahedron = build_polytope(OCTAHEDRON.vertices)
-    calls = _count_calls(monkeypatch, subdivide, "triangulate_cone")
+    calls = _count_calls(monkeypatch, subdivide, "_triangulate")
     expansion(octahedron, ONE3)
     assert len(calls) == 18
     calls.clear()

@@ -35,7 +35,9 @@ from emsum.exactcore import (
     solve_unique,
     transpose,
 )
+from emsum.engine import expansion
 from emsum.geometry import build_polytope
+from emsum.oracle import coefficients_from_oracle
 from emsum.subdivide import cone_operator, triangulate_cone
 
 from _helpers import fraction_det, fraction_rref
@@ -399,6 +401,31 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (F(1), F(0), F(1))
     assert cyclotomic_polynomial(6) == (F(1), F(-1), F(1))
     assert cyclotomic_polynomial(12) == (F(1), F(0), F(-1), F(0), F(1))
+    # Phi_q times the lower cyclotomic polynomials Phi_d, d | q, is x^q - 1
+    for q in range(1, 13):
+        product = MultiPoly.const(1, 1)
+        for d in range(1, q + 1):
+            if q % d == 0:
+                phi = cyclotomic_polynomial(d)
+                product = product * MultiPoly(1, {(i,): c for i, c in enumerate(phi)})
+        assert product == MultiPoly(1, {(q,): 1, (0,): -1})
+
+
+@st.composite
+def cyclo_units(draw):
+    q = draw(st.integers(2, 12))
+    deg = len(cyclotomic_polynomial(q)) - 1
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    coeffs = draw(st.lists(entries, min_size=deg, max_size=deg).filter(any))
+    return CycloElem(q, coeffs)
+
+
+@given(cyclo_units(), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_cyclo_inverse_and_negative_powers(a, k):
+    one = CycloElem.one(a.order)
+    assert a * a.inverse() == one
+    assert a ** -k == (a ** k).inverse()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 8, 12])
@@ -444,6 +471,60 @@ def test_mpoly_basic_arith():
     assert p.coefficient((1, 1)) == 2
     assert p.eval((F(1), F(2))) == 9
     assert p.degree() == 2
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_power_agrees_with_repeated_products(n):
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    omega = CycloElem.omega(5)
+    for base, one in (
+        (x + 2 * y - F(1, 3), MultiPoly.const(2, 1)),
+        (omega + F(3, 7), CycloElem.one(5)),
+    ):
+        product = one
+        for _ in range(n):
+            product = product * base
+        assert exactcore._power(base, n, one) == product
+        assert base ** n == product
+
+
+@pytest.mark.parametrize("exps", [(1.5, 0), (1.0, 0), (True, 0), ("1", 0), (F(1), 0), (-1, 0)])
+def test_mpoly_rejects_exponents_that_are_not_nonnegative_ints(exps):
+    with pytest.raises(ValueError, match="exponent tuples"):
+        MultiPoly(2, {exps: 1})
+    with pytest.raises(ValueError, match="exponent tuples"):
+        MultiPoly.monomial(exps)
+
+
+@pytest.mark.parametrize("i", [5, 2, -1, True, 1.0])
+def test_mpoly_variable_rejects_bad_indices(i):
+    with pytest.raises(ValueError, match="variable index"):
+        MultiPoly.variable(2, i)
+
+
+def test_float_coefficients_never_enter_a_polynomial():
+    x = MultiPoly.variable(2, 0)
+    makers = [
+        lambda: MultiPoly(1, {(1,): 0.5}),
+        lambda: MultiPoly(2, {(1, 0): 0.1}),
+        lambda: MultiPoly.const(2, 0.5),
+        lambda: MultiPoly.monomial((1, 0), 0.1),
+        lambda: MultiPoly.linear_form([0.1, 0]),
+        lambda: x * 0.1,
+        lambda: 0.0 * x,
+        lambda: x + 0.1,
+        lambda: x - 0.1,
+        lambda: 0.1 - x,
+    ]
+    for make in makers:
+        with pytest.raises(TypeError):
+            make()
+    # so a float phi reaches neither the engine nor the oracle
+    square = build_polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    for route in (expansion, coefficients_from_oracle):
+        with pytest.raises(TypeError):
+            route(square, MultiPoly(2, {(1, 0): 0.1}))
+    assert MultiPoly(2, {(1, 0): "1/10"}) == F(1, 10) * x
 
 
 def test_mpoly_compose():

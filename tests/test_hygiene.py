@@ -263,6 +263,44 @@ def test_invariant_modules_have_no_assert_statement():
     assert found == [], f"assert statements that python -O strips: {found}"
 
 
+# The `math` names the package uses, each exact on integers.
+EXACT_MATH = {"comb", "factorial", "gcd", "lcm", "perm", "prod"}
+
+
+def _inexact_nodes(tree: ast.AST) -> list:
+    """(line, what) for each float or complex literal, call to `float` or
+    `round`, and `math` name outside EXACT_MATH in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("float", "round"):
+            found.append((node.lineno, f"{node.func.id}()"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "math" and node.attr not in EXACT_MATH:
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{a.name}") for a in node.names
+                      if a.name not in EXACT_MATH]
+    return found
+
+
+def test_package_source_has_no_floating_point():
+    # the static half of the no-floating-point rule; at run time
+    # `as_scalar` and `MultiPoly` reject float input
+    probe = "x = 0.5 + 2j\ny = round(x) + float(1)\nmath.sqrt(math.gcd(4, 6))\nfrom math import pi, prod\n"
+    assert sorted(_inexact_nodes(ast.parse(probe))) == [
+        (1, "0.5"), (1, "2j"), (2, "float()"), (2, "round()"),
+        (3, "math.sqrt"), (4, "math.pi")]
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, what in _inexact_nodes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [], f"floating point in the package source: {found}"
+
+
 def _unread_parameters(path: Path) -> list:
     """`file:function(parameter)` for each parameter, other than self and
     cls, that its function's body never reads as a name."""

@@ -657,6 +657,21 @@ def test_cone_operator_validates_its_fan_once(monkeypatch):
     assert len(calls) == 0
 
 
+def test_cone_operator_checks_its_rays_once(monkeypatch):
+    # cone_operator normalizes and ranks the rays; the triangulation it
+    # asks for takes them as they are
+    calls = []
+    real = subdivide._ray_list
+
+    def counting(gens):
+        calls.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(subdivide, "_ray_list", counting)
+    assert not cone_operator(index_cone(7)).unimodular
+    assert len(calls) == 1
+
+
 def test_unimodular_cone_operator_runs_no_pointedness_lp(monkeypatch):
     # independent rays need no facets to be pointed
     calls = []
