@@ -313,7 +313,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """Every subcommand, but only the one argv names gets its options."""
+    named = next((a for a in argv if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="emsum",
         description=(
@@ -325,6 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (run, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
+        if name != named:
+            continue
         for flag in ("--format",) + options:
             if flag == "polytope":
                 group = p.add_mutually_exclusive_group(required=True)
@@ -363,7 +367,8 @@ def _load(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         _load(args)
         return args.run(args)

@@ -15,6 +15,10 @@ lattice fills, from the facets of each face and their lattice heights.
 The lifted operator of a face of codimension c is homogeneous of order
 n - c, so it kills phi once n > c + deg(phi): those entries are 0, and
 no operator of such an order is built for them.
+Antipodal faces share one operator: -I is in GL_d(Z) and keeps every G,
+so cone equivariance gives D_n(-C; G)(xi) = D_n(C; G)(-xi), and a face
+whose transverse cone is -C (same G and B) for a C built earlier in the
+call takes C's operator with the sign (-1)^(n - codim) and builds none.
 The totals are independent of the inner product used to realize the
 quotient spaces; the per-face pieces are not.
 
@@ -106,7 +110,9 @@ def expansion(
     contributes int_P phi to A_0.  A face's entry past order codim +
     deg(phi) is 0, and no operator of that order is built for it.  Each
     face's operator is built once per polytope, Q and strategy, and each
-    face moment once per polytope; both live as long as the polytope.
+    face moment once per polytope; both live as long as the polytope.  A
+    face whose transverse cone is the negative of one built earlier in
+    this call takes that operator, with the sign (-1)^order.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -126,8 +132,8 @@ def expansion(
     per_face = {}
     valuation_used = False
     operators = poly.face_operators.setdefault((qused, strategy), {})
-    # the faces built in this call share their Gram classes
-    classes = {}
+    # per call: Gram classes, and the built operators by transverse cone
+    classes, built = {}, {}
     for face in poly.faces:
         codim = poly.dim - face.dim
         if codim == 0:
@@ -143,8 +149,13 @@ def expansion(
             # induced Q is definite by construction, so it is not re-checked,
             # and functools.cache copies the `unimodular` attribute
             tcone = transverse_cone(poly, face, qused)
-            ops = _cone_operator(list(tcone.gens), tcone.qmat, strategy, tcone.basis, classes)
-            ops = functools.cache(ops)
+            frame = (tcone.qmat, tcone.basis)
+            twin = built.get((tuple(sorted(vscale(-1, g) for g in tcone.gens)), frame))
+            if twin is not None:
+                ops = functools.cache(_antipode(twin))
+            else:
+                ops = _cone_operator(list(tcone.gens), tcone.qmat, strategy, tcone.basis, classes)
+                ops = built[tcone.gens, frame] = functools.cache(ops)
             if not ops.unimodular and not valuation_used and is_delzant(poly):
                 raise AssertionError("Delzant transverse cones must be unimodular")
             operators[face.index] = ops
@@ -165,6 +176,17 @@ def expansion(
         complete=complete,
         valuation_used=valuation_used,
     )
+
+
+def _antipode(ops):
+    """n -> D_n(-C) from n -> D_n(C): the symbol negated at odd orders."""
+
+    def operator(n: int) -> DiffOp:
+        op = ops(n)
+        return DiffOp(op.dim, op.order, -op.symbol) if op.order % 2 else op
+
+    operator.unimodular = ops.unimodular
+    return operator
 
 
 def _integrate_operator(poly: LatticePolytope, face, symbol, phi) -> Fraction:

@@ -422,14 +422,16 @@ class MultiPoly:
 
     Coefficients are Fractions (or CycloElem for twisted series work);
     any other coefficient goes through `as_scalar`, so a float raises
-    TypeError.  Exponents must pass `_is_int` and be nonnegative, else
-    ValueError.  Terms with zero coefficient are never stored.  Instances
-    are treated as immutable.
+    TypeError.  The number of variables and the exponents must pass
+    `_is_int` and be nonnegative, else ValueError.  Terms with zero
+    coefficient are never stored.  Instances are treated as immutable.
     """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
+        if not (_is_int(nvars) and nvars >= 0):
+            raise ValueError("nvars must be a non-negative integer")
         self.nvars = nvars
         clean = {}
         for exps, coeff in (terms or {}).items():
@@ -540,9 +542,10 @@ class MultiPoly:
         return _power(self, n, MultiPoly.const(self.nvars, Fraction(1)))
 
     def eval(self, point: Sequence) -> object:
-        """Evaluate at a point (entries rational or CycloElem)."""
+        """Evaluate at a point (entries CycloElem, or else `as_scalar`'s)."""
         if len(point) != self.nvars:
             raise ValueError("dimension mismatch")
+        point = [x if isinstance(x, (Fraction, CycloElem)) else as_scalar(x) for x in point]
         total = Fraction(0)
         powers = [{0: Fraction(1)} for _ in range(self.nvars)]
         for exps, coeff in self.terms.items():

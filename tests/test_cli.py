@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -396,3 +397,38 @@ def test_subdivide_cone_rejects_ragged_generators(capsys):
     assert code == 2
     assert out == ""
     assert err.strip() == "error: generators must all have the same length"
+
+
+# help, usage errors and a few runs whose output and exit codes must stay
+# byte-identical however the parser is built
+PARSER_ARGV = (
+    [["-h"], ["--help"], ["-h", "verify"], [], ["frobnicate"], ["--format", "json", "todd"]]
+    + [[command, "-h"] for command in HELP_OPTIONS]
+    + [
+        ["verify"],
+        ["subdivide-cone"],
+        ["verify", "--vertices", SQUARE, "--bogus"],
+        ["expand", "--vertices", SQUARE, "--format", "xml"],
+        ["todd", "--format", "xml"],
+        ["expand", "--vertices", SQUARE, "--polytope-file", "square.json"],
+        ["riemann-sum", "--vertices", SQUARE, "--N", "two"],
+        ["verify", "--vertices", SQUARE, "--strategy", "best"],
+        ["expand", "--vert", SQUARE, "--form", "json"],
+        ["twisted-todd", "--q", "3", "--format", "json"],
+        ["verify", "--vertices", SQUARE],
+    ]
+)
+PARSER_DIGEST = "8411772373cc32f68016e916d3577615ef6cfcf532ed4863db924e456e8dedd5"
+
+
+def test_parser_output_and_exit_codes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in PARSER_ARGV:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        digest.update(repr((argv, code, captured.out, captured.err)).encode())
+    assert digest.hexdigest() == PARSER_DIGEST

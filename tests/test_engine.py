@@ -135,10 +135,12 @@ def _count_calls(monkeypatch, module, name) -> list:
 def test_octahedron_triangulates_each_cone_once(monkeypatch):
     # 12 edges and 6 vertices, each with a non-unimodular transverse cone;
     # the decomposition serves every order, and the polytope keeps it.
+    # Each face's antipode has the negated cone and takes its operator,
+    # so only 6 edges and 3 vertices are decomposed.
     octahedron = build_polytope(OCTAHEDRON.vertices)
     calls = _count_calls(monkeypatch, subdivide, "_triangulate")
     expansion(octahedron, ONE3)
-    assert len(calls) == 18
+    assert len(calls) == 9
     calls.clear()
     expansion(octahedron, ONE3)
     assert calls == []
@@ -318,12 +320,14 @@ def test_face_operators_built_once_per_polytope_and_inner_product(monkeypatch):
     phi = MultiPoly.variable(3, 0) ** 3
     tcones = _count_calls(monkeypatch, engine, "transverse_cone")
     operators = _count_calls(monkeypatch, engine, "_cone_operator")
-    for qmat, built in ((None, 26), (None, 0), (TRIDIAGONAL3, 26),
-                        (TRIDIAGONAL3, 0)):
+    # every face has its transverse cone taken, and half of them, the
+    # antipodes of faces met earlier, take the negated cone's operator
+    for qmat, cones, built in ((None, 26, 13), (None, 0, 0),
+                               (TRIDIAGONAL3, 26, 13), (TRIDIAGONAL3, 0, 0)):
         tcones.clear()
         operators.clear()
         expansion(cube, phi, qmat=qmat)
-        assert (len(tcones), len(operators)) == (built, built)
+        assert (len(tcones), len(operators)) == (cones, built)
 
 
 def test_fresh_expansion_builds_no_order_past_degree_of_phi(monkeypatch):
@@ -421,10 +425,76 @@ def test_kept_operators_match_fresh_polytope_under_every_key(monkeypatch):
         q, s = keys[i]
         operators.clear()
         res = expansion(kept, phi, qmat=q, strategy=s)
-        assert len(operators) == (0 if i in seen else 26)
+        assert len(operators) == (0 if i in seen else 13)
         seen.add(i)
         assert res.coefficients == fresh[i].coefficients
         assert res.per_face == fresh[i].per_face
+
+
+def check_kept_operators_are_fresh(points, qmat, strategy):
+    """Every operator that expansion keeps for the hull of the points,
+    built or taken from an antipodal face, equals a fresh `_cone_operator`
+    on the face's own transverse cone, at even and odd orders."""
+    poly = build_polytope(points)
+    m = poly.ambient_dim
+    expansion(poly, MultiPoly.monomial((2,) + (0,) * (m - 1)) + 1, qmat=qmat, strategy=strategy)
+    [kept] = poly.face_operators.values()
+    assert sorted(kept) == [f.index for f in poly.faces if f.dim < poly.dim]
+    for face in (f for f in poly.faces if f.dim < poly.dim):
+        tcone = geometry.transverse_cone(poly, face, qmat)
+        fresh = subdivide._cone_operator(list(tcone.gens), tcone.qmat, strategy, tcone.basis, {})
+        assert kept[face.index].unimodular == fresh.unimodular
+        codim = poly.dim - face.dim
+        for n in range(codim, codim + 3):
+            assert kept[face.index](n) == fresh(n)
+
+
+def _tridiagonal(m):
+    return [[2 if i == j else int(abs(i - j) == 1) for j in range(m)] for i in range(m)]
+
+
+@st.composite
+def symmetric_images(draw):
+    """A GL_m(Z) image of [-1,1]^m or of the m-dimensional cross-polytope,
+    moved by an integer vector, m = 2..4, with an inner product and a
+    strategy."""
+    m = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        points = list(itertools.product((-1, 1), repeat=m))
+    else:
+        points = [tuple(s * int(i == j) for j in range(m)) for i in range(m) for s in (1, -1)]
+    u = unimodular_matrix(random.Random(draw(st.integers(0, 10**6))), m)
+    t = draw(st.tuples(*[st.integers(-3, 3)] * m))
+    image = [tuple(sum(a * c for a, c in zip(row, p)) + s for row, s in zip(u, t)) for p in points]
+    qmat = draw(st.sampled_from([None, _tridiagonal(m)]))
+    return image, qmat, draw(st.sampled_from(["default", "alternate"]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(symmetric_images())
+def test_kept_operators_equal_fresh_ones_on_symmetric_images(case):
+    check_kept_operators_are_fresh(*case)
+
+
+PRISM = [(x, y, z) for x, y in ((0, 0), (2, 0), (0, 1)) for z in (0, 1)]
+
+
+@pytest.mark.parametrize("qmat", [None, TRIDIAGONAL3])
+@pytest.mark.parametrize("strategy", ["default", "alternate"])
+def test_kept_operators_equal_fresh_ones_on_a_prism(qmat, strategy):
+    check_kept_operators_are_fresh(PRISM, qmat, strategy)
+
+
+@pytest.mark.parametrize("qmat", [None, TRIDIAGONAL3])
+def test_only_antipodal_faces_share_operators(monkeypatch, qmat):
+    # a simplex has no two faces with opposite transverse cones, so it
+    # builds the operator of each of its 14 proper faces; of the prism's
+    # 20, only the second of its two parallel triangles takes the first's
+    operators = _count_calls(monkeypatch, engine, "_cone_operator")
+    for points, built in ((PER_FACE_CORPUS["simplex3"], 14), (PRISM, 19)):
+        operators.clear()
+        expansion(build_polytope(points), ONE3, qmat=qmat)
+        assert len(operators) == built
 
 
 @pytest.mark.parametrize(

@@ -502,6 +502,23 @@ def test_mpoly_variable_rejects_bad_indices(i):
         MultiPoly.variable(2, i)
 
 
+@pytest.mark.parametrize("nvars", [2.0, -1, True, "2", F(2)])
+def test_mpoly_rejects_nvars_that_is_not_a_nonnegative_int(nvars):
+    with pytest.raises(ValueError, match="nvars"):
+        MultiPoly(nvars, {})
+
+
+def test_mpoly_eval_keeps_points_exact():
+    x = MultiPoly.variable(2, 0)
+    with pytest.raises(TypeError):
+        x.eval((0.5, 1))
+    value = (x ** 2 + 1).eval((1, "1/2"))
+    assert value == 2 and type(value) is F
+    assert x.eval(("1/3", 0)) == F(1, 3)
+    omega = CycloElem.omega(3)
+    assert (x ** 3).eval((omega, F(1))) == CycloElem.one(3)
+
+
 def test_float_coefficients_never_enter_a_polynomial():
     x = MultiPoly.variable(2, 0)
     makers = [
