@@ -373,7 +373,7 @@ def _lattice_frame(gens: Sequence[Sequence[int]]) -> tuple:
     uinv, delta = _scaled_inverse(u)
     if abs(delta) != 1:
         raise AssertionError("U is unimodular")
-    return [tuple(row[j] * delta for row in uinv) for j in range(r)], u[r:]
+    return tuple(tuple(row[j] * delta for row in uinv) for j in range(r)), u[r:]
 
 
 def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
@@ -381,7 +381,7 @@ def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
     gens = _integer_vectors(generators, "lattice generators")
     if not gens or all(all(x == 0 for x in g) for g in gens):
         raise ValueError("empty generating set")
-    return _lattice_frame(gens)[0]
+    return list(_lattice_frame(gens)[0])
 
 
 def primitive_vector(v: Sequence[ScalarLike]) -> tuple:

@@ -3,8 +3,8 @@ integer quotient coordinates, Delzant tests, and exact integration of
 polynomials over faces against their lattice measure, by one integer
 recursion up the face lattice that each polytope runs once per moment and
 keeps.  `build_polytope` gives every face its whole frame, which depends
-on neither Q, phi nor n: its lattice frame, the generators of its tangent
-cone and the facets, with their lattice heights, that the recursion reads.
+on neither Q, phi nor n: its direction space's lattice frame, its tangent
+cone's generators and the facets and heights that the recursion reads.
 
 Everything is computed in exact rational arithmetic over Z^m / Q^m.  A
 polytope P is the cone over {1} x P, so one set of cone routines serves
@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 from .exactcore import (
     MultiPoly,
     _eliminate,
+    _integer_rows,
     _integer_vectors,
     _lattice_frame,
     _scaled_inverse,
@@ -34,6 +35,7 @@ from .exactcore import (
     inner_product_matrix,
     matrix_rank,
     primitive_vector,
+    rref,
     saturation_basis,
     solve_unique,
     transpose,
@@ -51,9 +53,9 @@ F = Fraction
 @dataclass(frozen=True)
 class Face:
     """A face of a lattice polytope, recorded by its vertex indices, with
-    all of its data that depends on neither Q, phi nor n: the lattice frame
-    of one Smith form of its edge matrix, its tangent cone's generators
-    and the facets that `LatticePolytope.face_moment` recurses over."""
+    all of its data that depends on neither Q, phi nor n: its direction
+    space's lattice frame, its tangent cone's generators and the facets
+    that `LatticePolytope.face_moment` recurses over."""
 
     index: int
     dim: int
@@ -271,9 +273,11 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     The faces of P are those of the cone over {(1, p)}: its facet (-c,
     alpha) is the facet <alpha, x> >= c of P, its extreme rays are the
     vertices, its rank is one more than the affine rank of the points and
-    its face lattice is P's.  Each face F gets its whole frame here: the
-    tangent generators at its reference vertex x_0 come from one pass over
-    the edges, shared by the faces with that vertex, and its pyramid
+    its face lattice is P's.  Each face F gets its whole frame here.  Its
+    lattice frame is its direction space's, which the nonzero rows of the
+    rref of its edges name: one Smith form per space (`_lattice_frame`).
+    The tangent generators at its reference vertex x_0 come from one pass
+    over the edges, shared by the faces with that vertex, and its pyramid
     facets, the facets G of F that miss x_0, from the same pass over P's
     facets that finds those containing F: G is the meet of F with every
     facet <a, x> >= c of P through G but not F.  <a, x> - c vanishes on G
@@ -323,10 +327,13 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
             star[vids[1]].append(tuple(-x for x in d))
     star = [tuple(sorted(dirs)) for dirs in star]
     faces, number = [], {}
-    eye = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    frames = {(): ((), tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))}
     for index, (fdim, vids) in enumerate(lattice):
         ref, ids = vertices[vids[0]], frozenset(extreme[v] for v in vids)
-        lin, rows = _lattice_frame([vsub(vertices[v], ref) for v in vids[1:]]) if fdim else ((), eye)
+        edges = [vsub(vertices[v], ref) for v in vids[1:]]
+        if (space := rref(edges)[0][:fdim]) not in frames:
+            frames[space] = _lattice_frame(edges)
+        lin, rows = frames[space]
         fid, pyramid = [], {}
         for h, (alpha, c, tight) in enumerate(facets):
             if ids <= tight:
@@ -339,7 +346,7 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
                     pyramid[g] = (sum(map(mul, alpha, ref)) - c) // step
         number[ids] = index
         faces.append(Face(index=index, dim=fdim, vertex_ids=vids, ref_vertex=ref,
-                          lineality_basis=tuple(lin), quotient_rows=rows, facet_ids=tuple(fid),
+                          lineality_basis=lin, quotient_rows=rows, facet_ids=tuple(fid),
                           tangent_gens=star[vids[0]], pyramid=tuple(sorted(pyramid.items()))))
 
     if sum((-1) ** f.dim for f in faces) != 1:
@@ -359,19 +366,15 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     direction space L(f), in integer coordinates of the quotient lattice
     Z^m / (Z^m cap L(f)).
 
-    The face's quotient rows R (the last d = m - k rows of U in the Smith
-    form U E V = D of its edge matrix E that `build_polytope` takes) map
-    Z^m onto Z^d with kernel Z^m cap L(f), so the generators are the
-    primitive nonzero vectors R g over the tangent generators g.  The
-    induced inner product is G = (R Q^-1 R^T)^-1, and B = Q^-1 R^T G is
-    the unique basis of the Q-orthocomplement of L(f) with R B = I; it
-    spans the image of Z^m under the Q-orthogonal projection, and B^T Q B
-    = G.  A vertex has R = I, hence its ambient coordinates and Q itself.
-
-    Everything runs in integers: one fraction-free elimination of [Q | I]
-    gives Q^-1 = A / delta with A integer, so N = R A R^T is an integer
-    matrix, one of [N | I] gives N^-1 = C / nu, and then G = delta C / nu
-    and the rows of B are those of C R A / nu.
+    The quotient rows R of the face's direction space map Z^m onto Z^d
+    with kernel Z^m cap L(f), so the generators are the primitive nonzero
+    vectors R g over the tangent generators g.  The basis B is defined by
+    R B = I and l^T Q B = 0 for l in the lineality basis: it spans the
+    image of Z^m under the Q-orthogonal projection, and G = B^T Q B is the
+    induced inner product.  A vertex has R = I, hence B = I and G = Q.
+    With sQ = s Q in integers, one fraction-free inverse of [R; l^T sQ]
+    gives delta B as its first d columns, and G = (delta B)^T sQ (delta B)
+    / (s delta^2); Q itself is never inverted.
     """
     m = poly.ambient_dim
     qmat = inner_product_matrix(qmat, m)
@@ -380,16 +383,15 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     rows = face.quotient_rows
     images = ([sum(map(mul, r, g)) for r in rows] for g in face.tangent_gens)
     coord_gens = sorted({primitive_vector(y) for y in images if any(y)})
-    a, delta = _scaled_inverse(qmat)
-    ra = [[sum(map(mul, r, col)) for col in zip(*a)] for r in rows]  # R A
-    c, nu = _scaled_inverse([[sum(map(mul, x, r)) for r in rows] for x in ra])
+    sq, s = _integer_rows(qmat)
+    lq = [[sum(map(mul, q, l)) for q in sq] for l in face.lineality_basis]  # l^T sQ
+    inverse, delta = _scaled_inverse(list(rows) + lq)
+    cols = list(zip(*inverse))[:len(rows)]  # delta B_j
+    qcols = [[sum(map(mul, q, c)) for q in sq] for c in cols]  # sQ delta B_j
     return PointedConeT(
-        dim=len(rows),
-        gens=tuple(coord_gens),
-        basis=tuple(
-            tuple(F(sum(map(mul, x, col)), nu) for col in zip(*ra)) for x in c
-        ),
-        qmat=tuple(tuple(F(delta * x, nu) for x in row) for row in c),
+        dim=len(rows), gens=tuple(coord_gens),
+        basis=tuple(tuple(F(x, delta) for x in c) for c in cols),
+        qmat=tuple(tuple(F(sum(map(mul, c, qc)), s * delta**2) for qc in qcols) for c in cols),
     )
 
 

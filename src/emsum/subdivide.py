@@ -367,9 +367,9 @@ def _signed_faces(maximal: dict, rays) -> list:
 def cone_operator(gens, qmat=None, strategy: str = "default"):
     """Berline-Vergne vertex operators D_n(C; 0) of a pointed rational cone.
 
-    The signed decomposition of the cone is built once: a unimodular
-    cone is its own single cell with coefficient 1; any other cone is
-    triangulated and refined to a unimodular fan.  Returns a callable
+    The signed decomposition of the cone is built once, from its
+    triangulation refined to a unimodular fan; a cone that is its own fan
+    is unimodular, its own single cell with coefficient 1.  Returns a callable
     n -> D_n(C; 0) = sum of r_sigma * D_{n - d + dim sigma}(sigma; 0)
     over the nonzero signed cells, where d = dim C.  The callable
     requires n >= d; its result is homogeneous of order n - d and only
@@ -404,12 +404,9 @@ def _cone_operator(rays: list, qmat, strategy: str, basis, classes: dict):
     qi = _integer_rows(qmat)[0]
     lift, t = _integer_rows(basis)
     d = matrix_rank(rays)
-    unimodular = len(rays) == d and _cell_lattice(tuple(rays)).index == 1
-    if unimodular:
-        signed = [SignedCell(gens=tuple(rays), coeff=1)]
-    else:
-        fan = _unimodular_fan(_triangulate(rays, d, strategy), strategy)
-        signed = _signed_faces(fan, rays)
+    fan = _unimodular_fan(_triangulate(rays, d, strategy), strategy)
+    unimodular = list(fan) == [_cell_key(rays)]
+    signed = [SignedCell(gens=tuple(rays), coeff=1)] if unimodular else _signed_faces(fan, rays)
     size = len(lift[0])
     forms = {h: {k: x for k, col in enumerate(zip(*lift)) if (x := sum(map(mul, h, col)))}
              for c in signed for h in c.gens}

@@ -133,14 +133,16 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 def test_octahedron_triangulates_each_cone_once(monkeypatch):
-    # 12 edges and 6 vertices, each with a non-unimodular transverse cone;
-    # the decomposition serves every order, and the polytope keeps it.
+    # 8 facets with a unimodular transverse cone, and 12 edges and 6
+    # vertices with a non-unimodular one; each built cone passes through
+    # the triangulation once, which also tells whether it is unimodular.
+    # The decomposition serves every order, and the polytope keeps it.
     # Each face's antipode has the negated cone and takes its operator,
-    # so only 6 edges and 3 vertices are decomposed.
+    # so only 4 facets, 6 edges and 3 vertices are decomposed.
     octahedron = build_polytope(OCTAHEDRON.vertices)
     calls = _count_calls(monkeypatch, subdivide, "_triangulate")
     expansion(octahedron, ONE3)
-    assert len(calls) == 9
+    assert len(calls) == 13
     calls.clear()
     expansion(octahedron, ONE3)
     assert calls == []
@@ -166,15 +168,17 @@ def test_face_moments_triangulate_nothing(monkeypatch):
     assert calls == [[]] * 2
 
 
-def test_one_smith_form_per_face(monkeypatch):
-    # build_polytope takes one Smith normal form per face of positive
-    # dimension, which gives both its lineality basis and its quotient rows;
-    # expansion takes none outside subdivide, which imports its own name
-    # (geometry does not, so the counter sees every Smith form it takes)
+def test_one_smith_form_per_direction_space(monkeypatch):
+    # build_polytope takes one Smith normal form per direction space of
+    # positive dimension, which gives the lineality basis and the quotient
+    # rows of every face parallel to it: the octahedron's 12 edges span 6
+    # lines, its 8 facets 4 planes and the polytope is one space; expansion
+    # takes none outside subdivide, which imports its own name (geometry
+    # does not, so the counter sees every Smith form it takes)
     assert not hasattr(geometry, "smith_normal_form")
     calls = _count_calls(monkeypatch, exactcore, "smith_normal_form")
     octahedron = build_polytope(OCTAHEDRON.vertices)
-    assert len(calls) == sum(1 for f in octahedron.faces if f.dim > 0) == 21
+    assert len(calls) == 6 + 4 + 1 == 11
     fresh = build_polytope(OCTAHEDRON.vertices)
     calls.clear()
     expansion(fresh, ONE3)
@@ -495,6 +499,23 @@ def test_only_antipodal_faces_share_operators(monkeypatch, qmat):
         operators.clear()
         expansion(build_polytope(points), ONE3, qmat=qmat)
         assert len(operators) == built
+
+
+@pytest.mark.parametrize("m, seed", [(3, 3), (3, 5), (4, 0), (4, 3), (4, 4), (4, 5)])
+@pytest.mark.parametrize("tridiagonal", [False, True])
+def test_antipodal_faces_of_cross_polytope_images_share_operators(monkeypatch, m, seed, tridiagonal):
+    # antipodal faces are parallel, so they share one lattice frame and
+    # their transverse cones are negatives of each other in the same R, G
+    # and B: every proper face but the first of its pair takes the other's
+    # operator, on these images too, where one Smith form per face gave the
+    # two faces different bases of the same quotient lattice
+    u = unimodular_matrix(random.Random(seed), m)
+    image = build_polytope([
+        tuple(s * row[i] for row in u) for i in range(m) for s in (1, -1)
+    ])
+    operators = _count_calls(monkeypatch, engine, "_cone_operator")
+    expansion(image, MultiPoly.const(m, F(1)), qmat=_tridiagonal(m) if tridiagonal else None)
+    assert len(operators) == (len(image.faces) - 1) // 2
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from emsum import geometry
+from emsum import exactcore, geometry
 from emsum.exactcore import (
     MultiPoly,
     as_matrix,
@@ -249,6 +249,10 @@ def test_transverse_cone_matches_projection_definition(case):
             assert y is not None and all(c.denominator == 1 for c in y)
             return y
 
+        rows = face.quotient_rows
+        assert [[sum(map(operator.mul, r, b)) for b in t.basis] for r in rows] == [
+            [int(i == j) for j in range(d)] for i in range(d)
+        ]
         images = [coords(e) for e in identity_matrix(poly.dim)]
         _, dmat, _ = smith_normal_form(list(zip(*images)))
         assert t.dim == d
@@ -303,6 +307,36 @@ def test_transverse_cones_match_pinned_digest():
             ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TRANSVERSE_SHA256
+
+
+# The same cones past the corpus above: every transverse cone of [0,1]^5
+# and of the 5D cross-polytope under the same three inner products.
+TRANSVERSE_5D_SHA256 = (
+    "3cf262f7e1e5952afa299f3f1d94e9a5f391c518e061036c31f93e99e8b33fef"
+)
+
+
+def test_five_dimensional_transverse_cones_match_pinned_digest():
+    lines = []
+    for name, vertices in (
+        ("cube5", list(itertools.product((0, 1), repeat=5))),
+        ("cross5", [tuple(s * int(i == j) for j in range(5)) for i in range(5) for s in (1, -1)]),
+    ):
+        poly = build_polytope(vertices)
+        qmats = {
+            "I": None,
+            "tridiagonal": [[2 if i == j else int(abs(i - j) == 1) for j in range(5)]
+                            for i in range(5)],
+            "fractional": [[F(3, 2) if i == j else (F(1, 3) if abs(i - j) == 1 else 0)
+                            for j in range(5)] for i in range(5)],
+        }
+        for qname, q in qmats.items():
+            lines += [
+                f"{name} {qname} {f.vertex_ids} {transverse_cone(poly, f, q)!r}"
+                for f in poly.faces
+            ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == TRANSVERSE_5D_SHA256
 
 
 @st.composite
@@ -377,6 +411,55 @@ def test_face_frame_splits_the_lattice(poly):
         _, dmat, _ = smith_normal_form(rows)
         assert all(dmat[i][i] == 1 for i in range(len(rows)))
         assert all(type(x) is int for v in rows + lin for x in v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hulls_2d_to_4d())
+@example(build_polytope(CUBE))
+@example(build_polytope(OCTAHEDRON))
+def test_parallel_faces_share_one_lattice_frame(poly):
+    # faces with the same direction space hold the same lineality basis and
+    # quotient rows, as objects, and a build takes one Smith form per
+    # direction space of positive dimension
+    spaces = []  # (dim, lineality basis, frame) of each distinct space
+    for face in poly.faces:
+        frame = (face.lineality_basis, face.quotient_rows)
+        same = [s for s in spaces if s[0] == face.dim
+                and matrix_rank(list(s[1]) + list(face.lineality_basis)) == face.dim]
+        if same:
+            assert len(same) == 1
+            assert all(x is y for x, y in zip(same[0][2], frame))
+        else:
+            spaces.append((face.dim, face.lineality_basis, frame))
+    real = exactcore.smith_normal_form
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    with mock.patch.object(exactcore, "smith_normal_form", counting):
+        build_polytope(poly.vertices)
+    assert len(calls) == sum(1 for s in spaces if s[0])
+
+
+def test_transverse_cone_inverts_one_matrix_per_face_and_never_q(monkeypatch):
+    # B solves R B = I and l^T Q B = 0 from one fraction-free inverse per
+    # proper face, of [R; l^T sQ]; Q itself is never inverted
+    poly = build_polytope(OCTAHEDRON)
+    q = as_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+    calls = []
+    real = geometry._scaled_inverse
+
+    def counting(mat):
+        calls.append(as_matrix(mat))
+        return real(mat)
+
+    monkeypatch.setattr(geometry, "_scaled_inverse", counting)
+    for face in poly.faces:
+        transverse_cone(poly, face, q)
+    assert len(calls) == len(poly.faces) - 1 == 26
+    assert q not in calls
 
 
 def test_transverse_cone_respects_q():
@@ -686,7 +769,7 @@ def test_five_dimensional_hull_within_budget(points, nfacets):
 INVARIANT_SCRIPT = """
 import sys
 from fractions import Fraction
-from emsum import geometry
+from emsum import exactcore, geometry
 
 if not sys.flags.optimize:
     raise SystemExit("expected to run under python -O")

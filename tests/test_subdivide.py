@@ -269,9 +269,10 @@ def test_unimodularize_one_smith_form_per_cell(monkeypatch):
 
 
 def test_cone_operator_one_smith_form_per_fan_cell(monkeypatch):
-    # one for the unimodularity check and one per cell that the stellar
-    # refinement meets; the inclusion-exclusion pass reuses the final
-    # cells' data instead of recomputing it
+    # one per cell that the stellar refinement meets, the cone itself
+    # included, which is also the unimodularity check; the
+    # inclusion-exclusion pass reuses the final cells' data instead of
+    # recomputing it
     calls = []
     real = subdivide.smith_normal_form
 
@@ -551,19 +552,24 @@ def test_wall_check_matches_sample_cover_reference(gens, data):
 def test_every_stellar_piece_is_new(gens):
     # each stellar point is interior to a face of dimension >= 2 of the
     # worst cell, so it is no ray of the fan and every piece it makes is a
-    # cell never seen before: no Smith form is taken twice
+    # cell never seen before: no Smith form is taken twice, by the stellar
+    # refinement or by the cone operator, whose fan also tells whether the
+    # cone is unimodular; a matrix is recorded by its set of columns, so a
+    # cell met with its rays in another order counts as the same cell
     real = subdivide.smith_normal_form
     for strategy in STRATEGIES:
         cells = triangulate_cone(gens, strategy=strategy)
-        calls = []
+        fan = unimodularize(cells, strategy=strategy)
+        for build, data in ((unimodularize, cells), (cone_operator, gens)):
+            calls = []
 
-        def counting(mat):
-            calls.append(tuple(map(tuple, mat)))
-            return real(mat)
+            def counting(mat):
+                calls.append(tuple(sorted(zip(*mat))))
+                return real(mat)
 
-        with mock.patch.object(subdivide, "smith_normal_form", counting):
-            fan = unimodularize(cells, strategy=strategy)
-        assert len(calls) == len(set(calls)) >= len(fan)
+            with mock.patch.object(subdivide, "smith_normal_form", counting):
+                build(data, strategy=strategy)
+            assert len(calls) == len(set(calls)) >= len(fan)
 
 
 @pytest.mark.parametrize(
