@@ -7,18 +7,21 @@ codimension at most n: each face contributes its transverse cone's
 Berline-Vergne operator, lifted back to the ambient space and applied
 to phi.  The lift is no separate step: `_cone_operator` composes each
 cell's symbol straight to the face's lifted generators through the
-transverse cone's basis B (a vertex has B = I).  No D_n phi is
-built: each integral is read off the operator's symbol, phi's terms and
-the face's moment table (`LatticePolytope.face_moment`), which depends
-on neither phi, Q nor n, and which one integer recursion up the face
-lattice fills, from the facets of each face and their lattice heights.
+transverse cone's basis B (a vertex has B = I); B and G, kept by the
+polytope per Q and direction space, go to it in integers, scaled once
+per space and call.  No D_n phi is built: each integral is read off the
+operator's symbol, phi's terms and the face's moment table
+(`LatticePolytope.face_moment`), which depends on neither phi, Q nor n,
+and which one integer recursion up the face lattice fills, from the
+facets of each face and their lattice heights.
 The lifted operator of a face of codimension c is homogeneous of order
 n - c, so it kills phi once n > c + deg(phi): those entries are 0, and
 no operator of such an order is built for them.
 Antipodal faces share one operator: -I is in GL_d(Z) and keeps every G,
 so cone equivariance gives D_n(-C; G)(xi) = D_n(C; G)(-xi), and a face
-whose transverse cone is -C (same G and B) for a C built earlier in the
-call takes C's operator with the sign (-1)^(n - codim) and builds none.
+whose transverse cone is -C (same direction space, hence same G and B)
+for a C built earlier in the call takes C's operator with the sign
+(-1)^(n - codim) and builds none.
 The totals are independent of the inner product used to realize the
 quotient spaces; the per-face pieces are not.
 
@@ -39,6 +42,7 @@ from typing import Optional
 from .conecalc import DiffOp
 from .exactcore import (
     MultiPoly,
+    _integer_rows,
     as_vector,
     inner_product_matrix,
     mat_vec,
@@ -132,8 +136,9 @@ def expansion(
     per_face = {}
     valuation_used = False
     operators = poly.face_operators.setdefault((qused, strategy), {})
-    # per call: Gram classes, and the built operators by transverse cone
-    classes, built = {}, {}
+    # per call: Gram classes, the built operators by transverse cone, and
+    # the integer (G, B, t) of each direction space's transverse frame
+    classes, built, frames = {}, {}, {}
     for face in poly.faces:
         codim = poly.dim - face.dim
         if codim == 0:
@@ -148,14 +153,16 @@ def expansion(
             # n -> D_n(C_F; Q) lifted through B, memoized per order; the
             # induced Q is definite by construction, so it is not re-checked,
             # and functools.cache copies the `unimodular` attribute
-            tcone = transverse_cone(poly, face, qused)
-            frame = (tcone.qmat, tcone.basis)
-            twin = built.get((tuple(sorted(vscale(-1, g) for g in tcone.gens)), frame))
+            tcone = transverse_cone(poly, face, qmat if qmat is None else qused)
+            space = face.quotient_rows
+            twin = built.get((tuple(sorted(vscale(-1, g) for g in tcone.gens)), space))
             if twin is not None:
                 ops = functools.cache(_antipode(twin))
             else:
-                ops = _cone_operator(list(tcone.gens), tcone.qmat, strategy, tcone.basis, classes)
-                ops = built[tcone.gens, frame] = functools.cache(ops)
+                if space not in frames:
+                    frames[space] = (_integer_rows(tcone.qmat)[0], *_integer_rows(tcone.basis))
+                ops = _cone_operator(list(tcone.gens), tcone.dim, *frames[space], strategy, classes)
+                ops = built[tcone.gens, space] = functools.cache(ops)
             if not ops.unimodular and not valuation_used and is_delzant(poly):
                 raise AssertionError("Delzant transverse cones must be unimodular")
             operators[face.index] = ops

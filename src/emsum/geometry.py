@@ -32,6 +32,7 @@ from .exactcore import (
     _scaled_inverse,
     as_matrix,
     as_vector,
+    identity_matrix,
     inner_product_matrix,
     matrix_rank,
     primitive_vector,
@@ -90,13 +91,15 @@ class LatticePolytope:
     normal and integer offset, so P = {x : <alpha, x> >= c for all facets}.
     Faces are sorted by (dim, vertex_ids); the polytope itself is the last
     face.  Each face holds its own Q-independent frame; the polytope keeps
-    only tables that its callers fill.  `face_operators` keeps the lifted
-    transverse-cone operators that `engine.expansion` builds, as {(Q,
-    strategy): {face index: operator}}, so that each call looks its (Q,
-    strategy) table up once, and `face_moment` keeps the moments int_F x^e
-    of each face, keyed by (face index, e), for as long as the polytope
-    lives, with the integers that its recursion up the face lattice reads
-    them from.
+    only tables that its callers fill, for as long as it lives.
+    `face_operators` keeps the lifted transverse-cone operators that
+    `engine.expansion` builds, as {(Q, strategy): {face index: operator}},
+    so that each call looks its (Q, strategy) table up once.
+    `face_moment` keeps the moments int_F x^e of each face, keyed by (face
+    index, e), with the integers that its recursion up the face lattice
+    reads them from.  `transverse_cone` keeps, for each Q it has checked
+    (None for the identity), (sQ, s) with sQ = s Q in integers and the
+    transverse frames {quotient rows: (B, G)}, one per direction space.
     """
 
     def __init__(self, vertices, facets, faces, affine_data=None):
@@ -108,6 +111,7 @@ class LatticePolytope:
         self.affine_data = affine_data
         self._scaled: dict = {}
         self._moments: dict = {}
+        self._frames: dict = {}
         self.face_operators: dict = {}
 
     def contains(self, point: Sequence[Fraction], dilation: int = 1) -> bool:
@@ -375,24 +379,37 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
     With sQ = s Q in integers, one fraction-free inverse of [R; l^T sQ]
     gives delta B as its first d columns, and G = (delta B)^T sQ (delta B)
     / (s delta^2); Q itself is never inverted.
+
+    B and G depend on the direction space and Q alone, so the polytope
+    keeps them, and every face of a space returns the same two tuples.  Q
+    is checked once per polytope: only None or a tuple of tuples of
+    Fractions, the form `inner_product_matrix` returns, skips the check
+    on a later call.
     """
     m = poly.ambient_dim
-    qmat = inner_product_matrix(qmat, m)
+    exact = qmat is None or type(qmat) is tuple and all(
+        type(row) is tuple and all(type(x) is F for x in row) for row in qmat)
+    if (table := poly._frames.get(qmat) if exact else None) is None:
+        qmat = None if qmat is None else inner_product_matrix(qmat, m)
+        if (table := poly._frames.get(qmat)) is None:
+            table = poly._frames[qmat] = (*_integer_rows(qmat or identity_matrix(m)), {})
     if face.dim == poly.dim:
         return PointedConeT(dim=0, gens=(), basis=(), qmat=())
+    sq, s, frames = table
     rows = face.quotient_rows
     images = ([sum(map(mul, r, g)) for r in rows] for g in face.tangent_gens)
     coord_gens = sorted({primitive_vector(y) for y in images if any(y)})
-    sq, s = _integer_rows(qmat)
-    lq = [[sum(map(mul, q, l)) for q in sq] for l in face.lineality_basis]  # l^T sQ
-    inverse, delta = _scaled_inverse(list(rows) + lq)
-    cols = list(zip(*inverse))[:len(rows)]  # delta B_j
-    qcols = [[sum(map(mul, q, c)) for q in sq] for c in cols]  # sQ delta B_j
-    return PointedConeT(
-        dim=len(rows), gens=tuple(coord_gens),
-        basis=tuple(tuple(F(x, delta) for x in c) for c in cols),
-        qmat=tuple(tuple(F(sum(map(mul, c, qc)), s * delta**2) for qc in qcols) for c in cols),
-    )
+    if rows not in frames:
+        lq = [[sum(map(mul, q, l)) for q in sq] for l in face.lineality_basis]  # l^T sQ
+        inverse, delta = _scaled_inverse(list(rows) + lq)
+        cols = list(zip(*inverse))[:len(rows)]  # delta B_j
+        qcols = [[sum(map(mul, q, c)) for q in sq] for c in cols]  # sQ delta B_j
+        frames[rows] = (
+            tuple(tuple(F(x, delta) for x in c) for c in cols),
+            tuple(tuple(F(sum(map(mul, c, qc)), s * delta**2) for qc in qcols) for c in cols),
+        )
+    basis, gram = frames[rows]
+    return PointedConeT(dim=len(rows), gens=tuple(coord_gens), basis=basis, qmat=gram)
 
 
 def is_delzant(poly: LatticePolytope) -> bool:

@@ -30,7 +30,6 @@ from .conecalc import DiffOp, _bv_sym, _Cell, _poly, _to_ambient, _ysum
 from .exactcore import (
     _integer_rows,
     _integer_vectors,
-    identity_matrix,
     inner_product_matrix,
     matrix_rank,
     primitive_vector,
@@ -385,25 +384,26 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
     m = len(rays[0])
-    return _cone_operator(rays, inner_product_matrix(qmat, m), strategy, identity_matrix(m), {})
+    qi = _integer_rows(inner_product_matrix(qmat, m))[0]
+    eye = [[int(i == j) for j in range(m)] for i in range(m)]
+    return _cone_operator(rays, matrix_rank(rays), qi, eye, 1, strategy, {})
 
 
-def _cone_operator(rays: list, qmat, strategy: str, basis, classes: dict):
-    """`cone_operator` on validated input: distinct primitive integer rays
-    and a symmetric positive definite Q.  The cells share their symbols
-    with every cell of equal Gram matrix in `classes`, a dict the caller
-    owns (`engine.expansion` keeps one per call).
+def _cone_operator(rays: list, d: int, qi, lift, t: int, strategy: str, classes: dict):
+    """`cone_operator` on validated input, all in integers: distinct
+    primitive integer rays spanning a space of dimension d and qi = s Q
+    for a symmetric positive definite Q and some s > 0.  The cells share
+    their symbols with every cell of equal Gram matrix in `classes`, a
+    dict the caller owns (`engine.expansion` keeps one per call).
 
-    `basis` holds one rational row b_j of length M per generator
-    coordinate: the identity in `cone_operator`, a face's transverse
-    basis in `engine`.  The operators come out lifted to Q^M, as if
+    `lift` holds one integer row t b_j of length M per generator
+    coordinate: the identity with t = 1 in `cone_operator`, a face's
+    transverse basis B in `engine`, which converts each direction space's
+    G and B once per call.  The operators come out lifted to Q^M, as if
     composed with xi_j = <xi, b_j>: a cell ray h enters as the form
     sum_j h_j b_j, and each cell's symbol is composed straight to these
     forms.
     """
-    qi = _integer_rows(qmat)[0]
-    lift, t = _integer_rows(basis)
-    d = matrix_rank(rays)
     fan = _unimodular_fan(_triangulate(rays, d, strategy), strategy)
     unimodular = list(fan) == [_cell_key(rays)]
     signed = [SignedCell(gens=tuple(rays), coeff=1)] if unimodular else _signed_faces(fan, rays)

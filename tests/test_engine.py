@@ -334,6 +334,18 @@ def test_face_operators_built_once_per_polytope_and_inner_product(monkeypatch):
         assert (len(tcones), len(operators)) == (cones, built)
 
 
+def test_expansion_takes_each_transverse_cone_from_the_public_function(monkeypatch):
+    # the engine calls geometry.transverse_cone by its public name once per
+    # proper face, the 8 of the square, so a tracer that rebinds the public
+    # functions sees every transverse cone; the polytope keeps the frames
+    assert engine.transverse_cone is geometry.transverse_cone
+    tcones = _count_calls(monkeypatch, engine, "transverse_cone")
+    square = build_polytope(SQUARE.vertices)
+    expansion(square, ONE2, qmat=[[2, 1], [1, 2]])
+    assert [face for _, face, _ in tcones] == list(square.faces[:-1])
+    assert len(tcones) == 8
+
+
 def test_fresh_expansion_builds_no_order_past_degree_of_phi(monkeypatch):
     # D_n of a codimension-c face has order n - c, so a constant phi needs
     # only D_c of each face; the higher entries are recorded as 0
@@ -395,11 +407,12 @@ def test_fresh_expansion_tests_delzant_once(monkeypatch):
 
 
 def test_expansion_checks_q_once_for_the_cone_operators(monkeypatch):
-    # transverse_cone still checks Q on each of the octahedron's 26 faces
+    # the polytope keeps the Q that transverse_cone checked on the first of
+    # the octahedron's 26 faces, and the other 25 take it without a check
     checks = [_count_calls(monkeypatch, module, "inner_product_matrix")
               for module in (engine, geometry, subdivide)]
     expansion(build_polytope(OCTAHEDRON.vertices), ONE3, qmat=TRIDIAGONAL3)
-    assert [len(c) for c in checks] == [1, 26, 0]
+    assert [len(c) for c in checks] == [1, 1, 0]
 
 
 def test_fresh_expansion_builds_one_cell_symbol_per_gram_class(monkeypatch):
@@ -446,7 +459,8 @@ def check_kept_operators_are_fresh(points, qmat, strategy):
     assert sorted(kept) == [f.index for f in poly.faces if f.dim < poly.dim]
     for face in (f for f in poly.faces if f.dim < poly.dim):
         tcone = geometry.transverse_cone(poly, face, qmat)
-        fresh = subdivide._cone_operator(list(tcone.gens), tcone.qmat, strategy, tcone.basis, {})
+        qi, (lift, t) = exactcore._integer_rows(tcone.qmat)[0], exactcore._integer_rows(tcone.basis)
+        fresh = subdivide._cone_operator(list(tcone.gens), tcone.dim, qi, lift, t, strategy, {})
         assert kept[face.index].unimodular == fresh.unimodular
         codim = poly.dim - face.dim
         for n in range(codim, codim + 3):

@@ -7,6 +7,7 @@ import itertools
 import operator
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -443,9 +444,11 @@ def test_parallel_faces_share_one_lattice_frame(poly):
     assert len(calls) == sum(1 for s in spaces if s[0])
 
 
-def test_transverse_cone_inverts_one_matrix_per_face_and_never_q(monkeypatch):
-    # B solves R B = I and l^T Q B = 0 from one fraction-free inverse per
-    # proper face, of [R; l^T sQ]; Q itself is never inverted
+def test_transverse_cone_inverts_one_matrix_per_direction_space_and_never_q(monkeypatch):
+    # B solves R B = I and l^T Q B = 0 from one fraction-free inverse of
+    # [R; l^T sQ] per direction space of a proper face: 4 of facets, 6 of
+    # edges and 1 of the vertices, 11 for the 26 proper faces; Q itself is
+    # never inverted
     poly = build_polytope(OCTAHEDRON)
     q = as_matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     calls = []
@@ -458,8 +461,110 @@ def test_transverse_cone_inverts_one_matrix_per_face_and_never_q(monkeypatch):
     monkeypatch.setattr(geometry, "_scaled_inverse", counting)
     for face in poly.faces:
         transverse_cone(poly, face, q)
-    assert len(calls) == len(poly.faces) - 1 == 26
+    assert len(calls) == 11 and len(poly.faces) - 1 == 26
     assert q not in calls
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(geometry, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, name, counting)
+    return calls
+
+
+TRIDIAGONAL3 = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+FRACTIONAL3 = [[F(3, 2), F(1, 3), 0], [F(1, 3), F(3, 2), F(1, 3)], [0, F(1, 3), F(3, 2)]]
+
+
+def test_transverse_cone_takes_one_frame_per_direction_space(monkeypatch):
+    # [0,1]^6 has 728 proper faces in 63 direction spaces, the coordinate
+    # subspaces but R^6; under the identity no Q is checked.  The
+    # octahedron under the exact tridiagonal Q checks it once and solves 11
+    # frames
+    for points, qmat, checked, inverted in (
+        (list(itertools.product((0, 1), repeat=6)), None, 0, 63),
+        (OCTAHEDRON, as_matrix(TRIDIAGONAL3), 1, 11),
+    ):
+        poly = build_polytope(points)
+        checks = _counted(monkeypatch, "inner_product_matrix")
+        inverses = _counted(monkeypatch, "_scaled_inverse")
+        for face in poly.faces:
+            transverse_cone(poly, face, qmat)
+        assert len(poly.faces) - 1 == (728 if qmat is None else 26)
+        assert (len(checks), len(inverses)) == (checked, inverted)
+
+
+@pytest.mark.parametrize("qmat", [None, TRIDIAGONAL3, FRACTIONAL3])
+def test_parallel_faces_share_basis_and_gram_objects(qmat):
+    # the octahedron's antipodal faces are parallel: each pair returns the
+    # same B and G tuples, and faces of different spaces do not
+    poly = build_polytope(OCTAHEDRON)
+    cones = {f.index: transverse_cone(poly, f, qmat) for f in poly.faces if f.dim < 3}
+    for f in poly.faces[:-1]:
+        for g in poly.faces[:-1]:
+            same = f.quotient_rows is g.quotient_rows
+            assert (cones[f.index].basis is cones[g.index].basis) == same
+            assert (cones[f.index].qmat is cones[g.index].qmat) == same
+
+
+@settings(max_examples=20, deadline=None)
+@given(hulls_2d_to_4d(), st.randoms(use_true_random=False))
+@example(build_polytope(OCTAHEDRON), random.Random(0))
+@example(build_polytope(PRISM), random.Random(1))
+def test_warm_transverse_cones_equal_fresh_ones(poly, rng):
+    # one polytope serves the identity, tridiagonal and fractional Q in a
+    # mixed order, with faces met in a shuffled order; every cone equals
+    # the one a fresh polytope of the same points gives
+    m = poly.ambient_dim
+    qmats = [
+        None,
+        [[2 if i == j else int(abs(i - j) == 1) for j in range(m)] for i in range(m)],
+        [[F(3, 2) if i == j else (F(1, 3) if abs(i - j) == 1 else 0) for j in range(m)]
+         for i in range(m)],
+    ]
+    order = [rng.randrange(3) for _ in range(6)]
+    for k in order:
+        faces = list(poly.faces)
+        rng.shuffle(faces)
+        fresh = build_polytope(poly.vertices)
+        for face in faces:
+            assert transverse_cone(poly, face, qmats[k]) == transverse_cone(
+                fresh, fresh.faces[face.index], qmats[k])
+
+
+def test_transverse_cone_checks_every_q_that_is_not_exact(monkeypatch):
+    # only None or a tuple of tuples of Fractions skips the check once the
+    # polytope has seen it; Python hashes 2.0 and Fraction(2) alike, so a
+    # float matrix would otherwise be served from the table
+    poly = build_polytope(OCTAHEDRON)
+    exact = as_matrix(TRIDIAGONAL3)
+    edge = poly.faces_of_dim(1)[0]
+    warm = transverse_cone(poly, edge, exact)
+    checks = _counted(monkeypatch, "inner_product_matrix")
+    inverses = _counted(monkeypatch, "_scaled_inverse")
+    assert transverse_cone(poly, edge, exact) == warm and checks == []
+    for inexact in (
+        tuple(tuple(float(x) for x in row) for row in exact),
+        tuple(tuple(Decimal(int(x)) for x in row) for row in exact),
+    ):
+        with pytest.raises(TypeError):
+            transverse_cone(poly, edge, inexact)
+    checks.clear()
+    for equal in (TRIDIAGONAL3, tuple(tuple(str(x) for x in row) for row in exact)):
+        cone = transverse_cone(poly, edge, equal)
+        assert cone.basis is warm.basis and cone.qmat is warm.qmat
+    assert len(checks) == 2 and inverses == []
+    tables = len(poly._frames)
+    for bad in ([[1, 2, 0], [2, 1, 0], [0, 0, 1]], ((F(1), F(2)), (F(2), F(1)))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="positive definite"):
+                transverse_cone(poly, edge, bad)
+    assert len(poly._frames) == tables
 
 
 def test_transverse_cone_respects_q():

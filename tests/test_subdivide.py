@@ -17,7 +17,6 @@ from emsum.conecalc import UniCone, bv_op_unimodular, ibp_op, vertex_op
 from emsum.exactcore import (
     MultiPoly,
     as_matrix,
-    identity_matrix,
     mat_mul,
     matrix_inverse,
     matrix_rank,
@@ -807,7 +806,10 @@ def test_lifted_cone_operator_matches_composed_reference(case):
     images = [MultiPoly.linear_form(row) for row in basis]
     for strategy in STRATEGIES:
         q = exactcore.inner_product_matrix(qmat, len(gens[0]))
-        ops = subdivide._cone_operator(subdivide._ray_list(gens), q, strategy, basis, {})
+        lift, t = exactcore._integer_rows(basis)
+        ops = subdivide._cone_operator(
+            subdivide._ray_list(gens), len(gens), exactcore._integer_rows(q)[0], lift, t, strategy, {}
+        )
         plain = cone_operator(gens, qmat=qmat, strategy=strategy)(n)
         lifted = ops(n)
         assert lifted.dim == len(basis[0]) and lifted.order == plain.order
@@ -865,8 +867,9 @@ def test_shared_cell_symbols_match_cell_by_cell_sum(case):
     tridiagonal = [[2 if i == j else int(abs(i - j) == 1) for j in range(d)] for i in range(d)]
     classes = {}
     for qmat, strategy in product((None, tridiagonal), STRATEGIES):
-        q = exactcore.inner_product_matrix(qmat, d)
-        shared = subdivide._cone_operator(subdivide._ray_list(gens), q, strategy, identity_matrix(d), classes)(n)
+        qi = exactcore._integer_rows(exactcore.inner_product_matrix(qmat, d))[0]
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        shared = subdivide._cone_operator(subdivide._ray_list(gens), d, qi, eye, 1, strategy, classes)(n)
         fan = unimodularize(triangulate_cone(gens, strategy=strategy), strategy=strategy)
         reference = MultiPoly.zero(d)
         for cell in signed_coefficients(fan):
