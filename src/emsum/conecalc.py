@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -112,7 +112,10 @@ class _Cell:
     sparse integer forms on Q^m (the h_i themselves, or lifted images).
     With a `classes` dict, the cell orders its rays by (G_ii, sorted row i)
     and shares its Schur solves and symbols, which depend on G alone, with
-    the earlier cells of that dict whose reordered G is equal."""
+    the earlier cells of that dict whose reordered G is equal.  G is kept
+    divided by the gcd of its entries: scaling G by lambda scales each
+    Schur determinant and solve of a block by the same power of lambda,
+    so the symbols, in lowest terms, do not change."""
 
     __slots__ = ("dim", "ambient_dim", "_forms", "_den", "_gram", "_schur_cache", "_op_cache")
 
@@ -123,7 +126,8 @@ class _Cell:
             classes, order = {}, range(len(rays))
         else:
             order = sorted(range(len(rays)), key=lambda i: (gram[i][i], sorted(gram[i])))
-        gram = tuple(tuple(gram[i][j] for j in order) for i in order)
+        g = math.gcd(*chain.from_iterable(gram)) or 1
+        gram = tuple(tuple(gram[i][j] // g for j in order) for i in order)
         if gram not in classes:
             # under a definite Q, the rays are independent exactly when G is definite
             if not bareiss([list(row) for row in gram]):
@@ -279,9 +283,11 @@ def _ibp_rec(cone: _Cell, I: tuple, J: tuple, alpha: tuple, rule: str) -> tuple:
     hit = cone._op_cache.get(key)
     if hit is not None:
         return hit
-    if not alpha:
-        # validity forces J == I here
-        sym = ({(0,) * cone.dim: 1}, 1)
+    if not alpha or I == J and len(J) == cone.dim:
+        # no complement: the symbol is y^alpha (validity forces J == I
+        # when alpha is empty)
+        exps = dict(alpha)
+        sym = ({tuple(exps.get(i, 0) for i in range(cone.dim)): 1}, 1)
     else:
         e = alpha[0][0] if rule == "min" else alpha[-1][0]
         beta = tuple((v, x - 1 if v == e else x) for v, x in alpha if (v, x) != (e, 1))

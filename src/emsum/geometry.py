@@ -36,7 +36,6 @@ from .exactcore import (
     inner_product_matrix,
     matrix_rank,
     primitive_vector,
-    rref,
     saturation_basis,
     solve_unique,
     transpose,
@@ -279,7 +278,8 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     vertices, its rank is one more than the affine rank of the points and
     its face lattice is P's.  Each face F gets its whole frame here.  Its
     lattice frame is its direction space's, which the nonzero rows of the
-    rref of its edges name: one Smith form per space (`_lattice_frame`).
+    rref of its edges name, each made a primitive integer vector: one
+    Smith form per space (`_lattice_frame`).
     The tangent generators at its reference vertex x_0 come from one pass
     over the edges, shared by the faces with that vertex, and its pyramid
     facets, the facets G of F that miss x_0, from the same pass over P's
@@ -335,7 +335,10 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     for index, (fdim, vids) in enumerate(lattice):
         ref, ids = vertices[vids[0]], frozenset(extreme[v] for v in vids)
         edges = [vsub(vertices[v], ref) for v in vids[1:]]
-        if (space := rref(edges)[0][:fdim]) not in frames:
+        reduced, _, delta = _eliminate(edges)
+        # the rref rows are reduced / delta; made primitive they name the space
+        space = tuple(primitive_vector([delta * x for x in r]) for r in reduced[:fdim])
+        if space not in frames:
             frames[space] = _lattice_frame(edges)
         lin, rows = frames[space]
         fid, pyramid = [], {}

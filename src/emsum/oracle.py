@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .combinat import stirling2
@@ -56,7 +57,11 @@ def riemann_sum(
     Over each point of the bounding box of N*P projected along that axis,
     the facets cut the line to an integer interval [a, b], and each monomial
     of phi, scaled to integer coefficients, is summed over it in closed
-    form.  The sweep is exact: it equals adding phi(g/N) point by point.
+    form.  A facet <alpha, g> >= N c cuts the line over the head h by its
+    residual N c - <alpha, h>, taken once per prefix of h and stepped by
+    -alpha[-2] from line to line along the innermost head axis, so no line
+    takes a dot product.  The sweep is exact: it equals adding phi(g/N)
+    point by point.
 
     Raises BudgetExceeded("desk-scale exceeded") when the bounding box of
     N*P holds more than `budget` points (counted before any work), and a
@@ -81,24 +86,33 @@ def riemann_sum(
     diffs = {j: [sum((-1) ** (k - i) * math.comb(k, i) * i ** j
                      for i in range(k + 1)) for k in range(j + 1)]
              for _, j, _ in terms}
-    facets = [(alpha[:-1], alpha[-1], n * c) for alpha, c in poly.facets]
+    # each facet's residual N c - <alpha, head> on the first line over an
+    # outer prefix (map stops at the prefix), less alpha[-2] per step of x
+    axes = [range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1])] or [range(1)]
+    inner = axes.pop()
+    steps = [alpha[-2] if m > 1 else 0 for alpha, _ in poly.facets]
+    lasts = [alpha[-1] for alpha, _ in poly.facets]
     total = 0
-    for head in itertools.product(*map(range, lo[:-1], [h + 1 for h in hi[:-1]])):
-        a, b = lo[-1], hi[-1]
-        for normal, last, bound in facets:
-            # <normal, head> + last * t >= bound
-            r = bound - sum(x * y for x, y in zip(normal, head))
-            if last > 0:
-                a = max(a, -(-r // last))
-            elif last < 0:
-                b = min(b, r // last)
-            elif r > 0:
-                b = a - 1  # the line misses N*P
-        if a > b:
-            continue
-        sums = {j: _power_sum(d, a, b) for j, d in diffs.items()}
-        for head_exps, j, coeff in terms:
-            total += coeff * math.prod(map(pow, head, head_exps)) * sums[j]
+    for outer in itertools.product(*axes):
+        rs = [n * c - sum(map(mul, alpha, outer)) - step * inner.start
+              for (alpha, c), step in zip(poly.facets, steps)]
+        for x in inner:
+            head = outer + (x,) if m > 1 else ()
+            a, b = lo[-1], hi[-1]
+            for r, last in zip(rs, lasts):
+                # last * t >= r
+                if last > 0:
+                    a = max(a, -(-r // last))
+                elif last < 0:
+                    b = min(b, r // last)
+                elif r > 0:
+                    b = a - 1  # the line misses N*P
+            rs = list(map(sub, rs, steps))
+            if a > b:
+                continue
+            sums = {j: _power_sum(d, a, b) for j, d in diffs.items()}
+            for head_exps, j, coeff in terms:
+                total += coeff * math.prod(map(pow, head, head_exps)) * sums[j]
     return F(total, scale * n ** (deg + poly.dim))
 
 

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .conecalc import DiffOp, _bv_sym, _Cell, _poly, _to_ambient, _ysum
 from .exactcore import (
+    _eliminate,
     _integer_rows,
     _integer_vectors,
     inner_product_matrix,
@@ -366,9 +367,12 @@ def _signed_faces(maximal: dict, rays) -> list:
 def cone_operator(gens, qmat=None, strategy: str = "default"):
     """Berline-Vergne vertex operators D_n(C; 0) of a pointed rational cone.
 
-    The signed decomposition of the cone is built once, from its
-    triangulation refined to a unimodular fan; a cone that is its own fan
-    is unimodular, its own single cell with coefficient 1.  Returns a callable
+    The signed decomposition of the cone is built once.  A cone of full
+    dimension whose rays have determinant +-1 is unimodular, its own single
+    cell with coefficient 1, known from one elimination with no
+    triangulation and no Smith form.  Any other cone is triangulated and
+    refined to a unimodular fan, and is unimodular when it is its own
+    fan.  Returns a callable
     n -> D_n(C; 0) = sum of r_sigma * D_{n - d + dim sigma}(sigma; 0)
     over the nonzero signed cells, where d = dim C.  The callable
     requires n >= d; its result is homogeneous of order n - d and only
@@ -377,8 +381,8 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     pointed cone; any other cone that is not pointed is rejected by
     `_triangulate`.  Q is checked and scaled to integers once per
     call, and each order is one integer sum of the cells' symbols.
-    Cells with equal Gram matrices share one symbol per order
-    (`conecalc._Cell`).
+    Cells whose Gram matrices are equal up to a scalar share one symbol per
+    order (`conecalc._Cell`).
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -393,7 +397,7 @@ def _cone_operator(rays: list, d: int, qi, lift, t: int, strategy: str, classes:
     """`cone_operator` on validated input, all in integers: distinct
     primitive integer rays spanning a space of dimension d and qi = s Q
     for a symmetric positive definite Q and some s > 0.  The cells share
-    their symbols with every cell of equal Gram matrix in `classes`, a
+    their symbols with every cell of proportional Gram matrix in `classes`, a
     dict the caller owns (`engine.expansion` keeps one per call).
 
     `lift` holds one integer row t b_j of length M per generator
@@ -401,15 +405,20 @@ def _cone_operator(rays: list, d: int, qi, lift, t: int, strategy: str, classes:
     transverse basis B in `engine`, which converts each direction space's
     G and B once per call.  The operators come out lifted to Q^M, as if
     composed with xi_j = <xi, b_j>: a cell ray h enters as the form
-    sum_j h_j b_j, and each cell's symbol is composed straight to these
-    forms.
+    sum_j h_j b_j, built once per distinct ray, and each cell's symbol is
+    composed straight to these forms.  A cone of d rays in Q^d with
+    determinant +-1 is its own single cell, by one `_eliminate`; any other
+    cone takes `_triangulate`, `_unimodular_fan` and `_signed_faces`.
     """
-    fan = _unimodular_fan(_triangulate(rays, d, strategy), strategy)
-    unimodular = list(fan) == [_cell_key(rays)]
+    # d rays spanning Q^d are independent, and |det| = 1 makes them unimodular
+    unimodular = len(rays) == d == len(rays[0]) and abs(_eliminate(rays)[2]) == 1
+    if not unimodular:
+        fan = _unimodular_fan(_triangulate(rays, d, strategy), strategy)
+        unimodular = list(fan) == [_cell_key(rays)]
     signed = [SignedCell(gens=tuple(rays), coeff=1)] if unimodular else _signed_faces(fan, rays)
-    size = len(lift[0])
-    forms = {h: {k: x for k, col in enumerate(zip(*lift)) if (x := sum(map(mul, h, col)))}
-             for c in signed for h in c.gens}
+    size, cols = len(lift[0]), list(zip(*lift))
+    forms = {h: {k: x for k, col in enumerate(cols) if (x := sum(map(mul, h, col)))}
+             for h in {h for c in signed for h in c.gens}}
     # a signed empty cell would be a cell with no rays, whose D_0 is 1
     cells = [(c.coeff, _Cell(c.gens, qi, [forms[h] for h in c.gens], t, size, classes))
              for c in signed if c.coeff]

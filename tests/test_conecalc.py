@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import fraction_det, random_spd, unimodular_matrix
+from emsum import conecalc
 from emsum.combinat import J_mu
 from emsum.conecalc import (
     UniCone,
@@ -46,6 +47,8 @@ def test_cone_validation():
         UniCone([])
     with pytest.raises(ValueError, match="linearly independent"):
         UniCone([(1, 0), (2, 0)])
+    with pytest.raises(ValueError, match="linearly independent"):
+        UniCone([(0, 0)])
     with pytest.raises(ValueError, match="positive definite"):
         UniCone([(1, 0), (0, 1)], qmat=[[1, 2], [2, 1]])
 
@@ -204,6 +207,31 @@ def test_recursion_matches_symbol_construction():
             a = ibp_op(cone, inner, outer, alpha)
             b = ibp_symbol(cone, inner, outer, alpha)
             assert a.symbol == b.symbol, (cone.gens, inner, outer, alpha)
+
+
+def test_scaled_gram_matrices_share_one_class():
+    # the rays (1, 1), (-1, 3) have twice the Gram matrix of (1, 0), (1, 2),
+    # so the two cells share one class; the second cell's operators, read
+    # from what the first one built, equal the symbol route's, which never
+    # reads the integer Gram matrix
+    eye = [[1, 0], [0, 1]]
+    classes = {}
+    first, second = (
+        conecalc._Cell(rays, eye, [dict(enumerate(g)) for g in rays], 1, 2, classes)
+        for rays in ([(1, 0), (1, 2)], [(1, 1), (-1, 3)])
+    )
+    assert len(classes) == 1
+    cone = UniCone([(1, 1), (-1, 3)])
+    cases = [(inner, outer, tuple(sorted(alpha.items())), alpha)
+             for inner, outer, alpha in _all_ibp_cases(cone, 3)]
+    for inner, outer, key, _ in cases:
+        conecalc._ibp_rec(first, inner, outer, key, "min")
+    for inner, outer, key, alpha in cases:
+        sym = conecalc._to_ambient(second, conecalc._ibp_rec(second, inner, outer, key, "min"))
+        assert conecalc._poly(sym, 1, 2) == ibp_symbol(cone, inner, outer, alpha).symbol
+    for n in range(2, 6):
+        sym = conecalc._to_ambient(second, conecalc._bv_sym(second, (0, 1), n))
+        assert conecalc._poly(sym, 1, 2) == vertex_op(cone, n).symbol
 
 
 def test_branch_rule_independence():

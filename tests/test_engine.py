@@ -134,15 +134,16 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_octahedron_triangulates_each_cone_once(monkeypatch):
     # 8 facets with a unimodular transverse cone, and 12 edges and 6
-    # vertices with a non-unimodular one; each built cone passes through
-    # the triangulation once, which also tells whether it is unimodular.
-    # The decomposition serves every order, and the polytope keeps it.
-    # Each face's antipode has the negated cone and takes its operator,
-    # so only 4 facets, 6 edges and 3 vertices are decomposed.
+    # vertices with a non-unimodular one.  Each face's antipode has the
+    # negated cone and takes its operator, so only 4 facets, 6 edges and 3
+    # vertices build one.  A facet's cone is one ray of determinant 1,
+    # unimodular without a triangulation, so each of the 6 edge and 3
+    # vertex cones passes through the triangulation once.  The
+    # decomposition serves every order, and the polytope keeps it.
     octahedron = build_polytope(OCTAHEDRON.vertices)
     calls = _count_calls(monkeypatch, subdivide, "_triangulate")
     expansion(octahedron, ONE3)
-    assert len(calls) == 13
+    assert len(calls) == 9
     calls.clear()
     expansion(octahedron, ONE3)
     assert calls == []

@@ -80,21 +80,27 @@ def test_line_sweep_matches_box_loop(case):
 @pytest.mark.parametrize(
     "points",
     [
-        # hulls with facet normals whose last entry is positive, negative
-        # and zero
+        # hulls with facet normals whose last entry, and whose second-to-last
+        # entry (the one the sweep steps residuals by), are positive, negative
+        # and zero; and an interval, where no residual is stepped
         [(0, 0), (2, 0), (2, 1), (0, 1), (1, 2)],
         [(0, 0, 0), (2, 1, 0), (1, 3, 1), (0, 1, 2), (-1, 0, 1), (1, 1, -1),
          (0, 0, 2)],
         [(0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
          (0, 0, 0, 1), (0, 0, 1, 1), (-1, 1, 0, -1)],
+        [(-1,), (2,)],
     ],
-    ids=["pentagon", "hull-3d", "hull-4d"],
+    ids=["pentagon", "hull-3d", "hull-4d", "interval"],
 )
 def test_line_sweep_handles_every_sign_of_the_last_normal_entry(points):
     poly = build_polytope(points)
-    assert {(a[-1] > 0) - (a[-1] < 0) for a, _ in poly.facets} == {-1, 0, 1}
     m = poly.ambient_dim
-    phi = MultiPoly(m, {(0,) * m: F(-2, 3), (1,) + (0,) * (m - 2) + (2,): F(5, 4),
+    signs = [{(a[k] > 0) - (a[k] < 0) for a, _ in poly.facets} for k in range(m)]
+    assert signs[-1] == ({-1, 0, 1} if m > 1 else {-1, 1})
+    if m > 1:
+        assert signs[-2] == {-1, 0, 1}
+    mixed = (1,) + (0,) * (m - 2) + (2,) if m > 1 else (3,)
+    phi = MultiPoly(m, {(0,) * m: F(-2, 3), mixed: F(5, 4),
                         (0,) * (m - 1) + (1,): F(-7)})
     for n in range(1, 5):
         assert riemann_sum(poly, phi, n) == box_riemann_sum(poly, phi, n)

@@ -554,11 +554,15 @@ def test_every_stellar_piece_is_new(gens):
     # cell never seen before: no Smith form is taken twice, by the stellar
     # refinement or by the cone operator, whose fan also tells whether the
     # cone is unimodular; a matrix is recorded by its set of columns, so a
-    # cell met with its rays in another order counts as the same cell
+    # cell met with its rays in another order counts as the same cell.  A
+    # unimodular cone of full dimension is its own fan, and the cone
+    # operator tells it by one determinant and takes no Smith form.
     real = subdivide.smith_normal_form
+    rays = subdivide._ray_list(gens)
     for strategy in STRATEGIES:
         cells = triangulate_cone(gens, strategy=strategy)
         fan = unimodularize(cells, strategy=strategy)
+        unimodular = len(rays) == len(rays[0]) and fan == [tuple(sorted(rays))]
         for build, data in ((unimodularize, cells), (cone_operator, gens)):
             calls = []
 
@@ -568,7 +572,10 @@ def test_every_stellar_piece_is_new(gens):
 
             with mock.patch.object(subdivide, "smith_normal_form", counting):
                 build(data, strategy=strategy)
-            assert len(calls) == len(set(calls)) >= len(fan)
+            if build is cone_operator and unimodular:
+                assert calls == []
+            else:
+                assert len(calls) == len(set(calls)) >= len(fan)
 
 
 @pytest.mark.parametrize(
@@ -841,6 +848,30 @@ def test_cone_operator_builds_each_cell_symbol_once_per_gram_class(monkeypatch):
     signed = signed_coefficients(unimodularize(triangulate_cone(index_cone(15))))
     assert len(classes) < sum(1 for cell in signed if cell.coeff)
     assert len(built) == len(set(built)) == 3 * len(classes)
+
+
+def test_cone_operator_builds_44_gram_classes_on_the_index_15_cone():
+    # the 85 nonzero signed cells of either strategy fall into 44 classes,
+    # since cells whose Gram matrices differ by a scalar share one
+    rays = index_cone(15)
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    for strategy in STRATEGIES:
+        classes = {}
+        subdivide._cone_operator(rays, 3, eye, eye, 1, strategy, classes)(4)
+        assert len(classes) == 44
+
+
+@pytest.mark.parametrize("gens", [[(1, 0), (2, 1)], [(1, 1, 0), (0, 1, 0), (2, 3, -1)]])
+def test_square_unimodular_cone_takes_one_determinant(monkeypatch, gens):
+    # a cone of full dimension with determinant +-1 is its own single cell:
+    # no triangulation and no Smith form
+    calls = []
+    for name in ("_triangulate", "smith_normal_form"):
+        monkeypatch.setattr(subdivide, name, lambda *args: calls.append(args))
+    d = len(gens)
+    ops = cone_operator(gens, qmat=[[1 + (i == j) for j in range(d)] for i in range(d)])
+    assert ops.unimodular and not ops(d + 2).symbol.is_zero()
+    assert calls == []
 
 
 @st.composite
