@@ -178,7 +178,7 @@ def expansion(
     return ExpansionResult(
         coefficients=tuple(totals),
         per_face=per_face,
-        qmat=tuple(tuple(row) for row in qused),
+        qmat=qused,
         n_max=n_max,
         complete=complete,
         valuation_used=valuation_used,

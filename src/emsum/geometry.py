@@ -9,9 +9,11 @@ cone's generators and the facets and heights that the recursion reads.
 Everything is computed in exact rational arithmetic over Z^m / Q^m.  A
 polytope P is the cone over {1} x P, so one set of cone routines serves
 hulls and `subdivide.triangulate_cone` alike: `_cone_facets` (an integer
-double description) gives the facets and the rays tight on each,
-`_extreme_rays` the vertices, `_face_lattice` the faces and
-`_pulling_triangulation` the simplices of a cone's fan.
+double description) gives the facets and the rays tight on each.
+`_extreme_rays` and `_face_lattice` read the vertices and the graded face
+lattice off those incidences alone, since every face of a pointed cone is
+cut out by the facets holding it, and `_pulling_triangulation` gives the
+simplices of a cone's fan.
 """
 
 from __future__ import annotations
@@ -233,21 +235,24 @@ def _cone_facets(rays: Sequence[tuple]) -> dict:
     return normals
 
 
-def _extreme_rays(facets: dict, count: int, d: int) -> list:
-    """The ids, in increasing order, of those of `count` rays spanning Q^d
-    whose tight normals in `_cone_facets`' output have rank d - 1."""
-    return [
-        i for i in range(count)
-        if matrix_rank([a for a, tight in facets.items() if i in tight]) == d - 1
-    ]
+def _extreme_rays(facets: dict, count: int) -> list:
+    """The ids, in increasing order, of the extreme rays of `_cone_facets`'
+    output on `count` distinct primitive rays.  Ray i is extreme exactly
+    when the facets tight on it meet in {i}: that meet is the least face
+    holding i, and a larger face holds a second ray.  A line lies in every
+    face, so a cone with a line has none."""
+    every = frozenset(range(count))
+    return [i for i in range(count)
+            if every.intersection(*(t for t in facets.values() if i in t)) == {i}]
 
 
-def _face_lattice(rays: Sequence[tuple], facets: dict, order: Sequence[int]) -> list:
+def _face_lattice(facets: dict, order: Sequence[int]) -> list:
     """The nonzero faces of a pointed cone as sorted (dim, vertex numbers)
-    pairs, dim being the rank of the face's rays minus one: the
-    meet-closure of the facets' extreme-ray sets, the cone itself last.
-    Vertex number v is the extreme ray order[v]; `facets` is the output of
-    `_cone_facets` on `rays`."""
+    pairs: the meet-closure of the facets' extreme-ray sets, the cone
+    itself last.  Vertex number v is the extreme ray order[v]; `facets` is
+    `_cone_facets`' output.  A ray has dim 0, and a larger face one more
+    than its largest meet with a facet not holding it, which is a facet of
+    that face, since every face is cut out by the facets holding it."""
     number = {i: v for v, i in enumerate(order)}
     facet_sets = {
         frozenset(number[i] for i in tight if i in number)
@@ -258,10 +263,11 @@ def _face_lattice(rays: Sequence[tuple], facets: dict, order: Sequence[int]) -> 
         frontier = {a & b for a in frontier for b in facet_sets} - faces - {frozenset()}
         faces |= frontier
     faces.add(frozenset(number.values()))
-    return sorted(
-        (matrix_rank([rays[order[v]] for v in face]) - 1, tuple(sorted(face)))
-        for face in faces
-    )
+    dim = {}
+    for face in sorted(faces, key=len):
+        below = max((face & f for f in facet_sets if not face <= f), key=len)
+        dim[face] = dim[below] + 1 if below else 0
+    return sorted((d, tuple(sorted(face))) for face, d in dim.items())
 
 
 def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
@@ -319,10 +325,10 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
         )
 
     cone = _cone_facets(rays)
-    extreme = _extreme_rays(cone, len(rays), m + 1)
+    extreme = _extreme_rays(cone, len(rays))
     vertices = tuple(pts[i] for i in extreme)
     facets = sorted((normal[1:], -normal[0], tight) for normal, tight in cone.items())
-    lattice = _face_lattice(rays, cone, extreme)
+    lattice = _face_lattice(cone, extreme)
     star = [[] for _ in vertices]
     for fdim, vids in lattice:
         if fdim == 1:

@@ -36,12 +36,7 @@ from .exactcore import (
     primitive_vector,
     smith_normal_form,
 )
-from .geometry import (
-    _cone_facets,
-    _extreme_rays,
-    _face_lattice,
-    _pulling_triangulation,
-)
+from .geometry import _cone_facets, _extreme_rays, _face_lattice, _pulling_triangulation
 
 STRATEGIES = ("default", "alternate")
 
@@ -168,14 +163,15 @@ def triangulate_cone(gens, strategy: str = "default") -> list:
 
     The facets come from `geometry._cone_facets` in integer coordinates
     of the rays' span, the first k rows of U in one Smith normal form
-    U G V = D of the generator matrix G.  The cone is pointed exactly
-    when its inward facet normals span all k dimensions, a ray is
-    extreme exactly when the normals tight on it span k - 1.  The sum xi
-    of the normals is positive on every extreme ray g, and the section
-    {<xi, x> = 1} is a polytope with vertices g / <xi, g> and the cone's
-    face lattice (`geometry._face_lattice`).  Its rays are numbered by
-    the lex order of g / <xi, g>, and the pulling triangulation of the
-    face lattice gives the cells.  No section polytope is built.
+    U G V = D of the generator matrix G.  A ray is extreme exactly when
+    the facets tight on it meet in that ray alone, its least face, and the
+    cone is pointed exactly when some ray is extreme, since a line lies in
+    every face.  The sum xi of the normals is positive on every extreme
+    ray g, and the section {<xi, x> = 1} is a polytope with vertices
+    g / <xi, g> and the cone's face lattice (`geometry._face_lattice`).
+    Its rays are numbered by the lex order of g / <xi, g>, and the pulling
+    triangulation of the face lattice gives the cells.  No section
+    polytope is built.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -190,13 +186,11 @@ def _triangulate(rays: list, k: int, strategy: str) -> list:
         # independent rays are pointed and every one of them is extreme
         return [_cell_key(rays)]
     u, _, _ = smith_normal_form(list(zip(*rays)))
-    coords = [
-        [sum(a * x for a, x in zip(row, g)) for row in u[:k]] for g in rays
-    ]
+    coords = [[sum(a * x for a, x in zip(row, g)) for row in u[:k]] for g in rays]
     facets = _cone_facets(coords)
-    if matrix_rank(list(facets)) < k:
+    extreme = _extreme_rays(facets, len(rays))
+    if not extreme:
         raise ValueError("cone is not pointed")
-    extreme = _extreme_rays(facets, len(rays), k)
     if len(extreme) == k:
         return [_cell_key([rays[i] for i in extreme])]
     # number the extreme rays by the lex order of g / <xi, g>
@@ -204,7 +198,7 @@ def _triangulate(rays: list, k: int, strategy: str) -> list:
     heights = {i: sum(a * y for a, y in zip(xi, coords[i])) for i in extreme}
     top = math.lcm(*heights.values())
     order = sorted(extreme, key=lambda i: [x * (top // heights[i]) for x in rays[i]])
-    faces = _face_lattice(coords, facets, order)
+    faces = _face_lattice(facets, order)
     choose = min if strategy == "default" else max
     simplices = _pulling_triangulation(faces, faces[-1], choose)
     return sorted(_cell_key([rays[order[v]] for v in s]) for s in simplices)

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import operator
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from emsum import exactcore, geometry
+from emsum import exactcore, geometry, subdivide
 from emsum.exactcore import (
     MultiPoly,
     as_matrix,
@@ -37,6 +38,7 @@ from emsum.geometry import (
     is_delzant,
     transverse_cone,
 )
+from emsum.subdivide import triangulate_cone
 
 from _helpers import (
     compose_integral,
@@ -44,6 +46,7 @@ from _helpers import (
     fraction_det,
     random_spd,
     run_optimized,
+    unimodular_matrix,
 )
 
 F = Fraction
@@ -849,6 +852,129 @@ def test_hull_matches_subset_scan_reference(points):
     assert poly.faces == expected.faces
 
 
+@st.composite
+def hulls_with_points_off_their_vertices(draw):
+    # a random hull, a pyramid (not simple at its apex once the floor has
+    # m or more vertices) or a cross-polytope, doubled so that the
+    # midpoint of any two of its points, on an edge, on a facet or
+    # inside, is a lattice point; then a GL_m(Z) map and a translation
+    m = draw(st.integers(2, 4))
+    coord = st.integers(-1, 2)
+    kind = draw(st.sampled_from(["random", "pyramid", "cross"]))
+    if kind == "random":
+        base = draw(st.lists(st.tuples(*[coord] * m), min_size=m + 2, max_size=m + 4,
+                             unique=True))
+    elif kind == "pyramid":
+        floor = draw(st.lists(st.tuples(*[coord] * (m - 1)), min_size=m, max_size=m + 2,
+                              unique=True))
+        apex = draw(st.tuples(*[coord] * (m - 1), st.integers(1, 2)))
+        base = [p + (0,) for p in floor] + [apex]
+    else:
+        base = [tuple(s * int(i == j) for j in range(m)) for i in range(m) for s in (1, -1)]
+    index = st.integers(0, len(base) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=4))
+    points = [tuple(2 * x for x in p) for p in base]
+    points += [tuple(map(operator.add, base[i], base[j])) for i, j in pairs]
+    assume(matrix_rank([(1,) + p for p in points]) == m + 1)
+    rng = draw(st.randoms(use_true_random=False))
+    mat = unimodular_matrix(rng, m)
+    shift = [rng.randint(-2, 2) for _ in range(m)]
+    return [tuple(sum(map(operator.mul, row, p)) + t for row, t in zip(mat, shift))
+            for p in points], rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(hulls_with_points_off_their_vertices())
+@example(([(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2),
+           (1, 1, 0), (0, 0, 0)], random.Random(0)))
+@example(([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 2),
+           (1, 0, 0), (1, 1, 0), (1, 1, 1)], random.Random(1)))
+def test_face_dimensions_and_extreme_rays_match_rank_reference(case):
+    # the face lattice is read off the facets' incidences with no rank;
+    # rank is the reference: a face's dim is the rank of its homogenized
+    # vertices minus 1, and an input point is a vertex exactly when the
+    # normals of the m-subset scan's facets tight on it have rank m.  The
+    # same holds for the lattice that triangulate_cone pulls on, on the
+    # cone over {1} x P carried by a unimodular map into Z^(m+2), where
+    # the points off the vertices are rays that are not extreme
+    points, rng = case
+    distinct = sorted(set(points))
+    m = len(distinct[0])
+    facets = facet_candidates(distinct, m)
+    vertices = [
+        p for p in distinct
+        if matrix_rank(as_matrix(
+            alpha for alpha, c in facets if sum(map(operator.mul, alpha, p)) == c
+        )) == m
+    ]
+    poly = build_polytope(points)
+    assert list(poly.vertices) == vertices
+    for face in poly.faces:
+        homogenized = [(1,) + poly.vertices[v] for v in face.vertex_ids]
+        assert face.dim == matrix_rank(homogenized) - 1
+
+    lift = unimodular_matrix(rng, m + 2)
+
+    def image(p):
+        return tuple(sum(map(operator.mul, row, (1,) + p + (0,))) for row in lift)
+
+    rays = [image(p) for p in distinct]
+    lattices = []
+
+    def recording(facets, order):
+        faces = geometry._face_lattice(facets, order)
+        lattices.append((order, faces))
+        return faces
+
+    with mock.patch.object(subdivide, "_face_lattice", recording):
+        cells = triangulate_cone(rays)
+    assert {g for cell in cells for g in cell} == set(map(image, vertices))
+    assert len(lattices) == (len(vertices) > m + 1)
+    for order, faces in lattices:
+        assert sorted(rays[i] for i in order) == sorted(map(image, vertices))
+        for dim, vids in faces:
+            assert dim == matrix_rank([rays[order[v]] for v in vids]) - 1
+
+
+def test_face_lattice_takes_no_rank(monkeypatch):
+    # extreme rays, pointedness and face dimensions come from the facets'
+    # incidences: a hull's one rank is its full-dimension check, and
+    # triangulate_cone's one rank is of its rays; neither _extreme_rays,
+    # _face_lattice nor _triangulate's pointedness test eliminates
+    calls = []
+
+    def counting(name):
+        real = getattr(exactcore, name)
+
+        def wrapper(*args):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return real(*args)
+
+        return wrapper
+
+    for name in ("matrix_rank", "_eliminate", "smith_normal_form"):
+        wrapper = counting(name)
+        for module in (exactcore, geometry, subdivide):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+
+    def ranks():
+        return [caller for name, caller in calls if name == "matrix_rank"]
+
+    for points in (CUBE, OCTAHEDRON):
+        calls.clear()
+        build_polytope(points)
+        assert ranks() == ["build_polytope"]
+        assert not {"_extreme_rays", "_face_lattice"} & {caller for _, caller in calls}
+    # the octahedron's vertex cone at (1, 0, 0), over a square
+    calls.clear()
+    cells = triangulate_cone([(-1, 1, 0), (-1, -1, 0), (-1, 0, 1), (-1, 0, -1)])
+    assert len(cells) == 2
+    assert ranks() == ["triangulate_cone"]
+    assert [name for name, caller in calls if caller == "_triangulate"] == ["smith_normal_form"]
+    assert not {"_extreme_rays", "_face_lattice"} & {caller for _, caller in calls}
+
+
 @pytest.mark.parametrize(
     "points, nfacets",
     [
@@ -874,7 +1000,7 @@ def test_five_dimensional_hull_within_budget(points, nfacets):
 INVARIANT_SCRIPT = """
 import sys
 from fractions import Fraction
-from emsum import exactcore, geometry
+from emsum import exactcore, geometry, subdivide
 
 if not sys.flags.optimize:
     raise SystemExit("expected to run under python -O")
