@@ -40,7 +40,7 @@ from .subdivide import STRATEGIES, _signed_faces, _unimodular_fan, triangulate_c
 def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ValueError(f"malformed {what} JSON: {exc}") from exc
 
 

@@ -8,12 +8,13 @@ Berline-Vergne operator, lifted back to the ambient space and applied
 to phi.  The lift is no separate step: `_cone_operator` composes each
 cell's symbol straight to the face's lifted generators through the
 transverse cone's basis B (a vertex has B = I); B and G, kept by the
-polytope per Q and direction space, go to it in integers, scaled once
-per space and call.  No D_n phi is built: each integral is read off the
-operator's symbol, phi's terms and the face's moment table
-(`LatticePolytope.face_moment`), which depends on neither phi, Q nor n,
-and which one integer recursion up the face lattice fills, from the
-facets of each face and their lattice heights.
+polytope per Q and direction space, go to it as `transverse_cone`
+returns them, and it scales them to integers once per cone.  No D_n phi
+is built: each integral is read off the operator's symbol, phi's terms
+and the face's moment table (`LatticePolytope.face_moment`), which
+depends on neither phi, Q nor n, and which one integer recursion up the
+face lattice fills, from the facets of each face and their lattice
+heights.
 The lifted operator of a face of codimension c is homogeneous of order
 n - c, so it kills phi once n > c + deg(phi): those entries are 0, and
 no operator of such an order is built for them.
@@ -42,7 +43,6 @@ from typing import Optional
 from .conecalc import DiffOp
 from .exactcore import (
     MultiPoly,
-    _integer_rows,
     as_vector,
     inner_product_matrix,
     mat_vec,
@@ -136,9 +136,8 @@ def expansion(
     per_face = {}
     valuation_used = False
     operators = poly.face_operators.setdefault((qused, strategy), {})
-    # per call: Gram classes, the built operators by transverse cone, and
-    # the integer (G, B, t) of each direction space's transverse frame
-    classes, built, frames = {}, {}, {}
+    # per call: Gram classes and the built operators by transverse cone
+    classes, built = {}, {}
     for face in poly.faces:
         codim = poly.dim - face.dim
         if codim == 0:
@@ -159,9 +158,8 @@ def expansion(
             if twin is not None:
                 ops = functools.cache(_antipode(twin))
             else:
-                if space not in frames:
-                    frames[space] = (_integer_rows(tcone.qmat)[0], *_integer_rows(tcone.basis))
-                ops = _cone_operator(list(tcone.gens), tcone.dim, *frames[space], strategy, classes)
+                ops = _cone_operator(list(tcone.gens), tcone.dim, tcone.qmat, tcone.basis,
+                                     strategy, classes)
                 ops = built[tcone.gens, space] = functools.cache(ops)
             if not ops.unimodular and not valuation_used and is_delzant(poly):
                 raise AssertionError("Delzant transverse cones must be unimodular")

@@ -282,18 +282,19 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     The faces of P are those of the cone over {(1, p)}: its facet (-c,
     alpha) is the facet <alpha, x> >= c of P, its extreme rays are the
     vertices, its rank is one more than the affine rank of the points and
-    its face lattice is P's.  Each face F gets its whole frame here.  Its
-    lattice frame is its direction space's, which the nonzero rows of the
-    rref of its edges name, each made a primitive integer vector: one
-    Smith form per space (`_lattice_frame`).
-    The tangent generators at its reference vertex x_0 come from one pass
-    over the edges, shared by the faces with that vertex, and its pyramid
-    facets, the facets G of F that miss x_0, from the same pass over P's
-    facets that finds those containing F: G is the meet of F with every
-    facet <a, x> >= c of P through G but not F.  <a, x> - c vanishes on G
-    and takes the values g Z on F's lattice, g = gcd{<a, l> : l in L(F)},
-    so x_0's lattice distance to G in F's lattice is h_G = (<a, x_0> - c)
-    / g, whichever such facet gives it.
+    its face lattice is P's.  Each face F gets its whole frame here.  One
+    pass over the edges maps each vertex to {neighbour: primitive edge};
+    the edges at F's reference vertex x_0 are F's tangent generators.
+    F's own edges there, to neighbours in F, span L(F), since a face's
+    tangent cone at a vertex is generated by its edges; the nonzero rows
+    of their rref, made primitive, name L(F), and one Smith form per space
+    (`_lattice_frame` of its first face's vertex differences) gives its
+    lattice frame.  The pyramid facets G of F, which miss x_0, come from
+    the pass over P's facets that finds those containing F: G is the meet
+    of F with every facet <a, x> >= c of P through G but not F.
+    <a, x> - c vanishes on G and takes the values g Z on F's lattice,
+    g = gcd{<a, l> : l in L(F)}, so h_G = (<a, x_0> - c) / g is x_0's
+    lattice distance to G in F's lattice, whichever such facet gives it.
     """
     pts = sorted(dict.fromkeys(_integer_vectors(points, "polytope vertices")))
     if not pts:
@@ -329,23 +330,22 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
     vertices = tuple(pts[i] for i in extreme)
     facets = sorted((normal[1:], -normal[0], tight) for normal, tight in cone.items())
     lattice = _face_lattice(cone, extreme)
-    star = [[] for _ in vertices]
+    nbrs = [{} for _ in vertices]  # {extreme id of a neighbour: primitive edge}
     for fdim, vids in lattice:
         if fdim == 1:
-            d = primitive_vector(vsub(vertices[vids[1]], vertices[vids[0]]))
-            star[vids[0]].append(d)
-            star[vids[1]].append(tuple(-x for x in d))
-    star = [tuple(sorted(dirs)) for dirs in star]
+            a, b = vids
+            d = primitive_vector(vsub(vertices[b], vertices[a]))
+            nbrs[a][extreme[b]], nbrs[b][extreme[a]] = d, tuple(-x for x in d)
+    gens = [tuple(sorted(n.values())) for n in nbrs]
     faces, number = [], {}
     frames = {(): ((), tuple(tuple(int(i == j) for j in range(m)) for i in range(m)))}
     for index, (fdim, vids) in enumerate(lattice):
         ref, ids = vertices[vids[0]], frozenset(extreme[v] for v in vids)
-        edges = [vsub(vertices[v], ref) for v in vids[1:]]
-        reduced, _, delta = _eliminate(edges)
-        # the rref rows are reduced / delta; made primitive they name the space
+        # F's own edges at x_0 span L(F); the rows of their rref, made primitive, name it
+        reduced, _, delta = _eliminate([d for w, d in nbrs[vids[0]].items() if w in ids])
         space = tuple(primitive_vector([delta * x for x in r]) for r in reduced[:fdim])
         if space not in frames:
-            frames[space] = _lattice_frame(edges)
+            frames[space] = _lattice_frame([vsub(vertices[v], ref) for v in vids[1:]])
         lin, rows = frames[space]
         fid, pyramid = [], {}
         for h, (alpha, c, tight) in enumerate(facets):
@@ -360,7 +360,7 @@ def build_polytope(points: Sequence[Sequence[int]], affine_hull: bool = False):
         number[ids] = index
         faces.append(Face(index=index, dim=fdim, vertex_ids=vids, ref_vertex=ref,
                           lineality_basis=lin, quotient_rows=rows, facet_ids=tuple(fid),
-                          tangent_gens=star[vids[0]], pyramid=tuple(sorted(pyramid.items()))))
+                          tangent_gens=gens[vids[0]], pyramid=tuple(sorted(pyramid.items()))))
 
     if sum((-1) ** f.dim for f in faces) != 1:
         raise AssertionError("face lattice must satisfy the Euler relation")

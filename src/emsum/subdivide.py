@@ -31,6 +31,7 @@ from .exactcore import (
     _eliminate,
     _integer_rows,
     _integer_vectors,
+    identity_matrix,
     inner_product_matrix,
     matrix_rank,
     primitive_vector,
@@ -373,37 +374,36 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     pairs with the span of C.  Its `unimodular` attribute tells whether
     the cone was its own single cell.  Independent rays always span a
     pointed cone; any other cone that is not pointed is rejected by
-    `_triangulate`.  Q is checked and scaled to integers once per
-    call, and each order is one integer sum of the cells' symbols.
-    Cells whose Gram matrices are equal up to a scalar share one symbol per
-    order (`conecalc._Cell`).
+    `_triangulate`.  Q is checked once per call, and each order is one
+    integer sum of the cells' symbols.  Cells whose Gram matrices are
+    equal up to a scalar share one symbol per order (`conecalc._Cell`).
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
     rays = _ray_list(gens)
     m = len(rays[0])
-    qi = _integer_rows(inner_product_matrix(qmat, m))[0]
-    eye = [[int(i == j) for j in range(m)] for i in range(m)]
-    return _cone_operator(rays, matrix_rank(rays), qi, eye, 1, strategy, {})
+    return _cone_operator(rays, matrix_rank(rays), inner_product_matrix(qmat, m),
+                          identity_matrix(m), strategy, {})
 
 
-def _cone_operator(rays: list, d: int, qi, lift, t: int, strategy: str, classes: dict):
-    """`cone_operator` on validated input, all in integers: distinct
-    primitive integer rays spanning a space of dimension d and qi = s Q
-    for a symmetric positive definite Q and some s > 0.  The cells share
-    their symbols with every cell of proportional Gram matrix in `classes`, a
-    dict the caller owns (`engine.expansion` keeps one per call).
+def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict):
+    """`cone_operator` on validated input: distinct primitive integer rays
+    spanning a space of dimension d, a symmetric positive definite Q on
+    their coordinates and rows b_j of length M, one per coordinate: the
+    identity in `cone_operator`, and in `engine` a face's transverse G and
+    B as `transverse_cone` returns them.  The cells share their symbols
+    with every cell of proportional Gram matrix in `classes`, a dict the
+    caller owns (`engine.expansion` keeps one per call).
 
-    `lift` holds one integer row t b_j of length M per generator
-    coordinate: the identity with t = 1 in `cone_operator`, a face's
-    transverse basis B in `engine`, which converts each direction space's
-    G and B once per call.  The operators come out lifted to Q^M, as if
-    composed with xi_j = <xi, b_j>: a cell ray h enters as the form
-    sum_j h_j b_j, built once per distinct ray, and each cell's symbol is
-    composed straight to these forms.  A cone of d rays in Q^d with
-    determinant +-1 is its own single cell, by one `_eliminate`; any other
-    cone takes `_triangulate`, `_unimodular_fan` and `_signed_faces`.
+    Q and B are scaled to integers once per cone, as sQ and rows t b_j.
+    The operators come out lifted to Q^M, as if composed with
+    xi_j = <xi, b_j>: a cell ray h enters as the form sum_j h_j t b_j,
+    built once per distinct ray, and each cell's symbol is composed
+    straight to these forms.  A cone of d rays in Q^d with determinant +-1
+    is its own single cell, by one `_eliminate`; any other cone takes
+    `_triangulate`, `_unimodular_fan` and `_signed_faces`.
     """
+    qi, (lift, t) = _integer_rows(qmat)[0], _integer_rows(basis)
     # d rays spanning Q^d are independent, and |det| = 1 makes them unimodular
     unimodular = len(rays) == d == len(rays[0]) and abs(_eliminate(rays)[2]) == 1
     if not unimodular:

@@ -328,6 +328,29 @@ def test_polytope_file_input(capsys, tmp_path):
     assert out.splitlines() == ["n=0: 1", "n=1: 2", "n=2: 1"]
 
 
+DEEP = "[" * 10**5 + "]" * 10**5
+
+
+@pytest.mark.parametrize("option, what", [
+    ("--vertices", "polytope"), ("--polytope-file", "polytope"), ("--phi", "polynomial"),
+    ("--Q", "inner product"), ("--generators", "cone"),
+])
+def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, option, what):
+    # json.loads raises RecursionError here, which must exit 2, not 1 (FAIL)
+    argv = {
+        "--vertices": ["expand", "--vertices", DEEP],
+        "--polytope-file": ["expand", "--polytope-file", str(tmp_path / "deep.json")],
+        "--phi": ["expand", "--vertices", SQUARE, "--phi", DEEP],
+        "--Q": ["expand", "--vertices", SQUARE, "--Q", DEEP],
+        "--generators": ["subdivide-cone", "--generators", DEEP],
+    }[option]
+    (tmp_path / "deep.json").write_text(DEEP, encoding="utf-8")
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: malformed {what} JSON: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_deterministic_json_output(capsys):
     argv = ["expand", "--vertices", SQUARE, "--format", "json", "--per-face"]
     _, out1, _ = run(capsys, argv)

@@ -460,8 +460,7 @@ def check_kept_operators_are_fresh(points, qmat, strategy):
     assert sorted(kept) == [f.index for f in poly.faces if f.dim < poly.dim]
     for face in (f for f in poly.faces if f.dim < poly.dim):
         tcone = geometry.transverse_cone(poly, face, qmat)
-        qi, (lift, t) = exactcore._integer_rows(tcone.qmat)[0], exactcore._integer_rows(tcone.basis)
-        fresh = subdivide._cone_operator(list(tcone.gens), tcone.dim, qi, lift, t, strategy, {})
+        fresh = subdivide._cone_operator(list(tcone.gens), tcone.dim, tcone.qmat, tcone.basis, strategy, {})
         assert kept[face.index].unimodular == fresh.unimodular
         codim = poly.dim - face.dim
         for n in range(codim, codim + 3):

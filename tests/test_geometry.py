@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import operator
 import random
 import sys
@@ -445,6 +446,55 @@ def test_parallel_faces_share_one_lattice_frame(poly):
     with mock.patch.object(exactcore, "smith_normal_form", counting):
         build_polytope(poly.vertices)
     assert len(calls) == sum(1 for s in spaces if s[0])
+
+
+def test_face_loop_names_each_space_from_the_faces_own_edges(monkeypatch):
+    # [0,1]^4 is simple, so each k-face has k edges at its reference vertex:
+    # each elimination of the face loop takes dim F rows, not the 2^k - 1
+    # vertex differences, which only seed the Smith form of each of the 15
+    # direction spaces of positive dimension
+    eliminations = _counted(monkeypatch, "_eliminate")
+    seeds = _counted(monkeypatch, "_lattice_frame")
+    poly = build_polytope(list(itertools.product((0, 1), repeat=4)))
+    loop = [len(mat) for mat, in eliminations if not mat or len(mat[0]) == 4]
+    assert loop == [f.dim for f in poly.faces] and len(loop) == 81
+    assert sorted(len(mat) for mat, in seeds) == sorted(
+        2 ** k - 1 for k in range(1, 5) for _ in range(math.comb(4, k)))
+
+
+PYRAMID3 = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+PYRAMID4 = [p + (0,) for p in OCTAHEDRON] + [(0, 0, 0, 1)]
+
+
+@st.composite
+def unimodular_images_of_hulls(draw):
+    """Random 2-4D hulls and non-simple ones (the octahedron and pyramids
+    over a square and over the octahedron), under a random GL_m(Z) map."""
+    m = draw(st.integers(2, 4))
+    coord = st.integers(-1, 2)
+    points = draw(st.one_of(
+        st.lists(st.tuples(*[coord] * m), min_size=m + 1, max_size=m + 4),
+        st.sampled_from([OCTAHEDRON, PYRAMID3, PYRAMID4]),
+    ))
+    mat = unimodular_matrix(random.Random(draw(st.integers(0, 10**6))), len(points[0]))
+    try:
+        return build_polytope([tuple(sum(map(operator.mul, row, p)) for row in mat) for p in points])
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unimodular_images_of_hulls())
+def test_faces_share_quotient_rows_exactly_when_their_spaces_agree(poly):
+    # reference key of a face's direction space: the nonzero rows of the
+    # rref of its vertex differences
+    def key(face):
+        x0 = face.ref_vertex
+        rows, _ = exactcore.rref([exactcore.vsub(poly.vertices[v], x0) for v in face.vertex_ids[1:]])
+        return tuple(r for r in rows if any(r))
+
+    pairs = {(key(f), id(f.quotient_rows)) for f in poly.faces}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({i for _, i in pairs})
 
 
 def test_transverse_cone_inverts_one_matrix_per_direction_space_and_never_q(monkeypatch):

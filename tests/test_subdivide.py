@@ -813,10 +813,7 @@ def test_lifted_cone_operator_matches_composed_reference(case):
     images = [MultiPoly.linear_form(row) for row in basis]
     for strategy in STRATEGIES:
         q = exactcore.inner_product_matrix(qmat, len(gens[0]))
-        lift, t = exactcore._integer_rows(basis)
-        ops = subdivide._cone_operator(
-            subdivide._ray_list(gens), len(gens), exactcore._integer_rows(q)[0], lift, t, strategy, {}
-        )
+        ops = subdivide._cone_operator(subdivide._ray_list(gens), len(gens), q, basis, strategy, {})
         plain = cone_operator(gens, qmat=qmat, strategy=strategy)(n)
         lifted = ops(n)
         assert lifted.dim == len(basis[0]) and lifted.order == plain.order
@@ -857,7 +854,7 @@ def test_cone_operator_builds_44_gram_classes_on_the_index_15_cone():
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     for strategy in STRATEGIES:
         classes = {}
-        subdivide._cone_operator(rays, 3, eye, eye, 1, strategy, classes)(4)
+        subdivide._cone_operator(rays, 3, eye, eye, strategy, classes)(4)
         assert len(classes) == 44
 
 
@@ -898,9 +895,9 @@ def test_shared_cell_symbols_match_cell_by_cell_sum(case):
     tridiagonal = [[2 if i == j else int(abs(i - j) == 1) for j in range(d)] for i in range(d)]
     classes = {}
     for qmat, strategy in product((None, tridiagonal), STRATEGIES):
-        qi = exactcore._integer_rows(exactcore.inner_product_matrix(qmat, d))[0]
+        q = exactcore.inner_product_matrix(qmat, d)
         eye = [[int(i == j) for j in range(d)] for i in range(d)]
-        shared = subdivide._cone_operator(subdivide._ray_list(gens), d, qi, eye, 1, strategy, classes)(n)
+        shared = subdivide._cone_operator(subdivide._ray_list(gens), d, q, eye, strategy, classes)(n)
         fan = unimodularize(triangulate_cone(gens, strategy=strategy), strategy=strategy)
         reference = MultiPoly.zero(d)
         for cell in signed_coefficients(fan):
