@@ -2,8 +2,9 @@
 
 Inputs are JSON: polytopes as {"vertices": [[int, ...], ...]}, cones as
 {"generators": [[int, ...], ...]}, polynomials as term lists
-[{"coeff": "p/q", "exps": [a_1, ..., a_m]}, ...].  All rational output is
-rendered as "p/q" strings, never floats, in both table and json formats.
+[{"coeff": "p/q", "exps": [a_1, ..., a_m]}, ...]; a coefficient string with
+an exponent is invalid.  All rational output is rendered in full as "p/q"
+strings, never floats, in both table and json formats.
 
 Each subcommand is an argparse subparser with one `cmd_*` function that
 reads the parsed namespace.  Every option is declared once in `_OPTIONS`;
@@ -26,7 +27,7 @@ from typing import Optional
 
 from .engine import expansion
 from .exactcore import MultiPoly, _is_int, series_coeffs_todd, series_coeffs_twisted_todd
-from .geometry import LatticePolytope, build_polytope
+from .geometry import build_polytope
 from .oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -47,37 +48,27 @@ def _parse_json(text: str, what: str):
 def _parse_fraction(value, what: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"{what} must be an integer or a \"p/q\" string")
+    # "p/q" only: Fraction would build 10^e for an exponent before any bound
+    if isinstance(value, str) and "e" in value.lower():
+        raise ValueError(f"invalid {what}: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"invalid {what}: {value!r}") from exc
 
 
-def _parse_vertices(text: str) -> LatticePolytope:
-    data = _parse_json(text, "polytope")
+def _parse_rows(text: str, what: str, key: str, rows: str, entries: str) -> list:
+    """A non-empty JSON list of integer rows, bare or under `key` in a dict."""
+    data = _parse_json(text, what)
     if isinstance(data, dict):
-        if "vertices" not in data:
-            raise ValueError('polytope JSON needs a "vertices" key')
-        data = data["vertices"]
+        if key not in data:
+            raise ValueError(f'{what} JSON needs a "{key}" key')
+        data = data[key]
     if not isinstance(data, list) or not data:
-        raise ValueError("vertices must be a non-empty list of points")
-    for p in data:
-        if not isinstance(p, list) or not all(_is_int(c) for c in p):
-            raise ValueError("vertices must be integers")
-    return build_polytope(data)
-
-
-def _parse_generators(text: str) -> list:
-    data = _parse_json(text, "cone")
-    if isinstance(data, dict):
-        if "generators" not in data:
-            raise ValueError('cone JSON needs a "generators" key')
-        data = data["generators"]
-    if not isinstance(data, list) or not data:
-        raise ValueError("generators must be a non-empty list of vectors")
-    for g in data:
-        if not isinstance(g, list) or not all(_is_int(c) for c in g):
-            raise ValueError("generators must be integer vectors")
+        raise ValueError(f"{key} must be a non-empty list of {rows}")
+    for row in data:
+        if not isinstance(row, list) or not all(_is_int(c) for c in row):
+            raise ValueError(f"{key} must be {entries}")
     return data
 
 
@@ -354,12 +345,13 @@ def _load(args: argparse.Namespace) -> None:
                     text = fh.read()
             except OSError as exc:
                 raise ValueError(f"cannot read polytope file: {exc}") from exc
-        args.poly = _parse_vertices(text)
+        args.poly = build_polytope(_parse_rows(text, "polytope", "vertices", "points", "integers"))
         args.phi = _parse_phi(args.phi, args.poly.ambient_dim)
     if getattr(args, "qmat", None) is not None:
         args.qmat = _parse_qmat(args.qmat, args.poly.ambient_dim)
     if "generators" in args:
-        args.generators = _parse_generators(args.generators)
+        args.generators = _parse_rows(args.generators, "cone", "generators", "vectors",
+                                      "integer vectors")
     if getattr(args, "nmax", None) is not None and args.nmax < 0:
         raise ValueError("nmax must be non-negative")
     if getattr(args, "budget", DEFAULT_BUDGET) < 1:
@@ -371,7 +363,13 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser(argv).parse_args(argv)
     try:
         _load(args)
-        return args.run(args)
+        # exact results may outgrow the int-to-str digit limit that bounds the inputs
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return args.run(args)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BudgetExceeded) else 2

@@ -3,9 +3,9 @@
 A pointed cone that is not unimodular is handled in three steps: a
 pulling triangulation on its own extreme rays, read off the cone's face
 lattice with no section polytope built, a stellar refinement of the fan,
-star by star, until every maximal cell is unimodular, and an
-inclusion-exclusion pass that turns the closed cover by cells into a
-signed decomposition of the indicator function.  Every simplicial cell
+star by star, until every maximal cell is unimodular, and signs read off
+the boundary walls that make the fan's faces a signed decomposition of
+the cone's indicator function.  Every simplicial cell
 gets one Smith normal form (`_cell_lattice`), which gives its index, its
 integer coordinates and the lattice points of its fundamental box: the
 stellar refinement picks its points from that box, and the one coverage
@@ -237,7 +237,7 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
     data (`_cell_lattice`: index, coordinates and box from one Smith
     normal form) is computed once and kept for the rest of the call;
     `cone_operator` hands the final cells' data on to the
-    inclusion-exclusion pass.
+    signs of `_signed_faces`.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -285,7 +285,7 @@ def _unimodular_fan(cells, strategy: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# inclusion-exclusion over the closed cells
+# signed faces of a fan covering a convex cone
 
 
 def _subsets(cell: tuple):
@@ -319,23 +319,22 @@ def _signed_faces(maximal: dict, rays) -> list:
     `_cell_lattice`, that should form a fan covering the convex cone
     generated by `rays`.
 
-    Every interval of the face poset is boolean, so one pass over it
-    gives r_tau = sum of (-1)^(dim sigma - dim tau) over the faces sigma
-    containing tau.  The self-check runs wall by wall, linear in the fan
-    save for one pass over `rays` per boundary wall: every wall (a cell
-    minus one ray) must lie in two cells whose apexes are strictly on
-    opposite sides of it, or in one cell with no ray strictly beyond it
-    or off its span, and one interior point of one cell must lie in that
+    The self-check runs wall by wall, linear in the fan save for one pass
+    over `rays` per boundary wall: every wall (a cell minus one ray) must
+    lie in two cells whose apexes are strictly on opposite sides of it,
+    or be a boundary wall, in one cell with no ray strictly beyond it or
+    off its span, and one interior point of one cell must lie in that
     cell alone (the pseudomanifold test; De Loera, Rambau and Santos,
-    Triangulations, ch. 4).  A point is strictly beyond the wall of sigma
-    opposite g_i when its i-th integer coordinate over sigma is negative.
+    Triangulations, ch. 4).  Beyond the wall of sigma opposite g_i means
+    a negative i-th integer coordinate over sigma.  The cells then form a
+    fan on a convex k-cone K, and [K] sums (-1)^(k - dim tau) [tau] over
+    the faces tau off the boundary of K, whose links are spheres, not
+    balls.  That boundary is the union of the boundary walls, and a face
+    in it is a face of the wall holding one of its relative interior
+    points: r_tau = 0 on their faces, the empty one too if there are any.
     """
     faces = sorted({tau for sigma in maximal for tau in _subsets(sigma)}, key=lambda c: (-len(c), c))
-    coeff = dict.fromkeys(faces, 0)
-    for sigma in faces:
-        for tau in _subsets(sigma):
-            coeff[tau] += (-1) ** (len(sigma) - len(tau))
-    walls = {}
+    boundary, walls = set(), {}
     for sigma in maximal:
         for i in range(len(sigma)):
             walls.setdefault(sigma[:i] + sigma[i + 1:], []).append((sigma, i))
@@ -346,13 +345,14 @@ def _signed_faces(maximal: dict, rays) -> list:
             ok = t is not None and t[i] < 0
         else:
             ok = all(t is not None and t[i] >= 0 for t in map(coords, rays))
+            boundary.update(_subsets(sigma[:i] + sigma[i + 1:]))
         if not ok:
             raise ValueError("non-complex input")
     inside = tuple(map(sum, zip(*next(iter(maximal)))))
     covering = [lattice.coords(inside) for lattice in maximal.values()]
     if sum(t is not None and min(t) >= 0 for t in covering) != 1:
         raise ValueError("non-complex input")
-    return [SignedCell(gens=c, coeff=coeff[c]) for c in faces]
+    return [SignedCell(c, 0 if c in boundary else (-1) ** (len(faces[0]) - len(c))) for c in faces]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -349,6 +351,56 @@ def test_deeply_nested_json_is_invalid_input(capsys, tmp_path, option, what):
     assert code == 2 and out == ""
     assert err.startswith(f"error: malformed {what} JSON: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+ROW_ERRORS = {
+    "polytope-without-key": (["expand", "--vertices", '{"points": []}'],
+                             'polytope JSON needs a "vertices" key'),
+    "no-vertices": (["expand", "--vertices", "[]"], "vertices must be a non-empty list of points"),
+    "vertex-not-a-list": (["expand", "--vertices", "[1]"], "vertices must be integers"),
+    "fractional-vertex": (["expand", "--vertices", "[[0.5]]"], "vertices must be integers"),
+    "cone-without-key": (["subdivide-cone", "--generators", '{"rays": []}'],
+                         'cone JSON needs a "generators" key'),
+    "no-generators": (["subdivide-cone", "--generators", '{"generators": 3}'],
+                      "generators must be a non-empty list of vectors"),
+    "generator-not-a-list": (["subdivide-cone", "--generators", '["a"]'],
+                             "generators must be integer vectors"),
+    "boolean-generator": (["subdivide-cone", "--generators", "[[true, 1]]"],
+                          "generators must be integer vectors"),
+}
+
+
+@pytest.mark.parametrize("argv, message", ROW_ERRORS.values(), ids=ROW_ERRORS.keys())
+def test_vertex_and_generator_lists_report_their_own_nouns(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_results_past_the_int_to_str_digit_limit_are_printed(capsys, fmt):
+    # the input's 1,501 digits are under the limit; A_0 = 10^4500 / 3 is not
+    limit = sys.get_int_max_str_digits()
+    argv = ["expand", "--vertices", "[[0], [1" + "0" * 1500 + "]]",
+            "--phi", '[{"coeff": "1", "exps": [2]}]', "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        a0 = json.loads(out)["coefficients"][0]["value"]
+    else:
+        a0 = out.splitlines()[0].removeprefix("n=0: ")
+    assert a0 == "1" + "0" * 4500 + "/3"
+
+
+@pytest.mark.parametrize("extra, what", [
+    (["--phi", '[{"coeff": "1e100000000", "exps": [0, 0]}]'], "coefficient"),
+    (["--Q", '[["1e100000000", 0], [0, 1]]'], "inner product entry"),
+], ids=["phi", "Q"])
+def test_exponent_notation_is_invalid_input(capsys, extra, what):
+    # Fraction("1e100000000") would build 10^100000000 before any check
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["expand", "--vertices", SQUARE] + extra)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: invalid {what}: '1e100000000'\n")
 
 
 def test_deterministic_json_output(capsys):

@@ -545,6 +545,54 @@ def test_wall_check_matches_sample_cover_reference(gens, data):
                 signed_coefficients(cells)
 
 
+PLANE_A, PLANE_B = (1, -1, 0), (0, 1, -1)
+
+
+def _neg(g):
+    return tuple(-x for x in g)
+
+
+# fans whose support small_pointed_cones never draws: complete, with a
+# line, or spanning a plane of a larger lattice
+SUPPORT_FANS = {
+    "complete-z2": [list(c) for c in product(*[[(1, 0), (-1, 0)], [(0, 1), (0, -1)]])],
+    "complete-z3": [list(c) for c in product([E1, _neg(E1)], [E2, _neg(E2)], [E3, _neg(E3)])],
+    "half-plane": [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]],
+    "half-space": [list(c) for c in product([E1, _neg(E1)], [E2, _neg(E2)], [E3])],
+    "slab": [[E1, E2, E3], [_neg(E1), E2, E3]],
+    "plane-in-z3": [[PLANE_A, PLANE_B], [PLANE_B, _neg(PLANE_A)],
+                    [_neg(PLANE_A), _neg(PLANE_B)], [_neg(PLANE_B), PLANE_A]],
+    "half-plane-in-z3": [[PLANE_A, PLANE_B], [PLANE_B, _neg(PLANE_A)]],
+}
+
+
+@pytest.mark.parametrize("cells", SUPPORT_FANS.values(), ids=SUPPORT_FANS.keys())
+def test_signed_coefficients_match_sample_cover_reference_beyond_pointed_cones(cells):
+    signed = signed_coefficients(cells)
+    assert {c.gens: c.coeff for c in signed} == sample_cover_coefficients(cells)
+
+
+def test_signs_enumerate_only_the_cells_and_the_boundary_walls(monkeypatch):
+    # each face's sign comes from whether it lies in a boundary wall, a wall
+    # of one cell only, so the faces of no other face are ever listed
+    fan = unimodularize(triangulate_cone(index_cone(7)))
+    walls = [cell[:i] + cell[i + 1:] for cell in fan for i in range(len(cell))]
+    boundary = [wall for wall in walls if walls.count(wall) == 1]
+    assert len(fan) == 13 and len(boundary) == 3
+    listed = []
+    real = subdivide._subsets
+
+    def counting(cell):
+        listed.append(cell)
+        return real(cell)
+
+    monkeypatch.setattr(subdivide, "_subsets", counting)
+    signed = signed_coefficients(fan)
+    assert sorted(listed) == sorted(fan + boundary)
+    zero = {tau for wall in boundary for r in range(3) for tau in combinations(wall, r)}
+    assert len(zero) == 7 and {c.gens for c in signed if not c.coeff} == zero
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_pointed_cones())
 @example(index_cone(15))
