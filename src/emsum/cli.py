@@ -14,7 +14,7 @@ objects before the command runs.
 
 Exit codes: 0 success (and verify PASS), 1 verify FAIL, 2 invalid input
 (any ValueError, including a non-positive --budget), 3 oracle enumeration
-budget exceeded.
+budget exceeded, 4 internal error (any other exception, on one line).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .engine import expansion
-from .exactcore import MultiPoly, _is_int, series_coeffs_todd, series_coeffs_twisted_todd
+from .exactcore import MultiPoly, _is_int, as_scalar, series_coeffs_todd, series_coeffs_twisted_todd
 from .geometry import build_polytope
 from .oracle import (
     DEFAULT_BUDGET,
@@ -48,11 +48,8 @@ def _parse_json(text: str, what: str):
 def _parse_fraction(value, what: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"{what} must be an integer or a \"p/q\" string")
-    # "p/q" only: Fraction would build 10^e for an exponent before any bound
-    if isinstance(value, str) and "e" in value.lower():
-        raise ValueError(f"invalid {what}: {value!r}")
     try:
-        return Fraction(value)
+        return as_scalar(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"invalid {what}: {value!r}") from exc
 
@@ -373,6 +370,9 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BudgetExceeded) else 2
+    except Exception as exc:  # a crash must not read as verify's FAIL
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -26,10 +26,10 @@ for a C built earlier in the call takes C's operator with the sign
 The totals are independent of the inner product used to realize the
 quotient spaces; the per-face pieces are not.
 
-Closed-form fast paths cover A_0 and A_1 (any Delzant polytope), A_2
-(Delzant; the formula uses the dot product of the facet normals, and A_2 is
-the same under every inner product), and every order in dimension two
-(Delzant, any inner product).
+Closed forms, independent references that `expansion` never calls, cover
+A_0 and A_1 (any Delzant polytope), A_2 (Delzant; the formula uses the dot
+product of the facet normals, and A_2 is the same under every inner
+product), and every order in dimension two (Delzant, any inner product).
 """
 
 from __future__ import annotations
@@ -43,11 +43,9 @@ from typing import Optional
 from .conecalc import DiffOp
 from .exactcore import (
     MultiPoly,
+    _is_int,
     as_vector,
     inner_product_matrix,
-    mat_vec,
-    nullspace_basis,
-    primitive_vector,
     qform,
     series_coeffs_todd,
     vdot,
@@ -126,8 +124,9 @@ def expansion(
             "polynomial must have one variable per ambient coordinate"
         )
     degree = phi.degree()
-    if n_max is None:
-        n_max = poly.dim + degree
+    n_max = poly.dim + degree if n_max is None else n_max
+    if not _is_int(n_max):
+        raise ValueError("n_max must be an integer")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     qused = inner_product_matrix(qmat, m)
@@ -196,20 +195,20 @@ def _antipode(ops):
 
 def _integrate_operator(poly: LatticePolytope, face, symbol, phi) -> Fraction:
     """int_F D phi for the operator D = sum_b s_b d^b: the sum of
-    s_b c_a (a)_b int_F x^(a - b) over phi's terms c_a x^a with a >= b,
-    where (a)_b = prod a_i! / (a_i - b_i)!, off the face's moment table."""
+    s_b c_a (a)_b int_F x^(a - b) over phi's terms c_a x^a, off the face's
+    moment table, where (a)_b = prod perm(a_i, b_i) is 0 unless a >= b."""
     total = Fraction(0)
     for beta, s in symbol.terms.items():
         for alpha, c in phi.terms.items():
-            rest = tuple(a - b for a, b in zip(alpha, beta))
-            if min(rest) >= 0:
-                falling = math.prod(map(math.perm, alpha, beta))
+            falling = math.prod(map(math.perm, alpha, beta))
+            if falling:
+                rest = tuple(a - b for a, b in zip(alpha, beta))
                 total += s * c * falling * poly.face_moment(face, rest)
     return total
 
 
 # ---------------------------------------------------------------------------
-# closed-form fast paths
+# closed-form references
 
 
 def _check_closed_form(poly: LatticePolytope, phi: MultiPoly) -> None:
@@ -277,8 +276,8 @@ def closed_form_2d(
     bern = series_coeffs_todd(n)
     total = Fraction(0)
 
-    # Edge terms.  The normal direction is taken Q-orthogonal to the
-    # edge; u_f scales it to generate the projected lattice.
+    # Edge terms.  u_f, the inward edge e2 projected Q-orthogonally off the
+    # edge line e1 as u2 is at a vertex, generates the projected lattice.
     if bern[n]:
         for edge in poly.faces_of_dim(1):
             # the tangent directions and the edge's basis vector are all
@@ -287,16 +286,8 @@ def closed_form_2d(
             trans = [d for d in edge.tangent_gens if d not in (line, tuple(-x for x in line))]
             if len(trans) != 1:
                 raise AssertionError("an edge of a polygon has one inward edge")
-            e2 = as_vector(trans[0])
-            normal = nullspace_basis([mat_vec(qmat, as_vector(line))])
-            if len(normal) != 1:
-                raise AssertionError
-            alpha = as_vector(primitive_vector(normal[0]))
-            if qform(qmat, alpha, e2) < 0:
-                alpha = vscale(Fraction(-1), alpha)
-            u_f = vscale(
-                qform(qmat, e2, alpha) / qform(qmat, alpha, alpha), alpha
-            )
+            e1, e2 = as_vector(line), as_vector(trans[0])
+            u_f = vsub(e2, vscale(qform(qmat, e1, e2) / qform(qmat, e1, e1), e1))
             coeff = -bern[n] / Fraction(math.factorial(n))
             sym = MultiPoly.linear_form(u_f) ** (n - 1) * coeff
             integrand = DiffOp(2, n - 1, sym).apply(phi)

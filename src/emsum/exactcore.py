@@ -34,12 +34,15 @@ def _is_int(x) -> bool:
 
 
 def as_scalar(x: ScalarLike) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
+    """Coerce an int, Fraction, or 'p/q' or decimal string to an exact rational;
+    a string with an exponent raises ValueError (Fraction would build 10^e)."""
     if isinstance(x, bool):
         raise TypeError("booleans are not scalars")
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x.lower():
+            raise ValueError(f"exponent notation is not a rational: {x!r}")
         return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
 

@@ -17,7 +17,7 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from .combinat import stirling2
-from .exactcore import CycloElem, MultiPoly, _check_twist, as_vector, solve_unique
+from .exactcore import CycloElem, MultiPoly, _check_twist, _is_int, as_vector, solve_unique
 from .geometry import LatticePolytope
 
 F = Fraction
@@ -67,7 +67,7 @@ def riemann_sum(
     N*P holds more than `budget` points (counted before any work), and a
     plain ValueError when `budget` is not positive.
     """
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError("the dilation factor must be a positive integer")
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -143,12 +143,10 @@ class WeightedEhrhart:
 
     def a_coefficients(self, n_max: Optional[int] = None) -> list:
         d = self.degree_bound
-        if n_max is None:
-            n_max = d
-        out = []
-        for n in range(n_max + 1):
-            out.append(self.coeffs[d - n] if n <= d else F(0))
-        return out
+        n_max = d if n_max is None else n_max
+        if not _is_int(n_max):
+            raise ValueError("n_max must be an integer")
+        return [self.coeffs[d - n] if n <= d else F(0) for n in range(n_max + 1)]
 
 
 def weighted_ehrhart(

@@ -31,6 +31,7 @@ from .exactcore import (
     _eliminate,
     _integer_rows,
     _integer_vectors,
+    _is_int,
     identity_matrix,
     inner_product_matrix,
     matrix_rank,
@@ -418,6 +419,8 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
              for c in signed if c.coeff]
 
     def operator(n: int) -> DiffOp:
+        if not _is_int(n):
+            raise ValueError("order must be an integer")
         if n < 0:
             raise ValueError("order must be non-negative")
         if n < d:

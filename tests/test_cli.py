@@ -403,6 +403,20 @@ def test_exponent_notation_is_invalid_input(capsys, extra, what):
     assert (code, out, err) == (2, "", f"error: invalid {what}: '1e100000000'\n")
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), MemoryError()], ids=["RuntimeError", "MemoryError"])
+def test_a_crash_is_an_internal_error_not_a_fail(capsys, monkeypatch, exc):
+    # exit 1 means verify FAIL, so an unexpected exception exits 4
+    def crash(*args, **kwargs):
+        raise exc
+
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(cli, "expansion", crash)
+    code, out, err = run(capsys, ["verify", "--vertices", SQUARE])
+    assert (code, out) == (4, "")
+    assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_deterministic_json_output(capsys):
     argv = ["expand", "--vertices", SQUARE, "--format", "json", "--per-face"]
     _, out1, _ = run(capsys, argv)

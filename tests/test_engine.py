@@ -1,4 +1,4 @@
-"""Tests for the expansion engine and its closed-form fast paths."""
+"""Tests for the expansion engine and its closed-form references."""
 
 import hashlib
 import itertools
@@ -256,16 +256,24 @@ def test_closed_form_a2_guards():
 
 
 def test_closed_form_2d_matches_engine():
-    qmat = ((2, 1), (1, 2))
-    for poly in (SQUARE, SIMPLEX2, TRAPEZOID):
+    # GL_2(Z) images tilt every edge off the axes
+    images = [
+        build_polytope([tuple(sum(a * c for a, c in zip(row, p)) for row in u) for p in poly.vertices])
+        for poly in (SQUARE, SIMPLEX2, TRAPEZOID)
+        for u in (((2, 1), (1, 1)), ((1, -3), (0, 1)))
+    ]
+    qmats = (((2, 1), (1, 2)), ((3, -1), (-1, 1)), ((F(5, 2), F(1, 3)), (F(1, 3), F(7, 5))))
+    for poly in (SQUARE, SIMPLEX2, TRAPEZOID, *images):
         for phi in (ONE2, X, X * Y):
             res = expansion(poly, phi, n_max=5)
-            res_q = expansion(poly, phi, qmat=qmat, n_max=5)
             for n in range(2, 6):
                 assert closed_form_2d(poly, phi, n) == res.coefficient(n)
-                assert closed_form_2d(poly, phi, n, qmat=qmat) == (
-                    res_q.coefficient(n)
-                )
+            for qmat in qmats:
+                res_q = expansion(poly, phi, qmat=qmat, n_max=5)
+                for n in range(2, 6):
+                    assert closed_form_2d(poly, phi, n, qmat=qmat) == (
+                        res_q.coefficient(n)
+                    )
 
 
 def test_closed_form_2d_guards():
@@ -730,3 +738,52 @@ def test_metamorphic_relations_on_a_cross_polytope_image():
     image = [tuple(sum(a * x for a, x in zip(row, p)) for row in u) for p in cross]
     phi = MultiPoly.monomial((1, 0, 0, 1)) + 1
     check_metamorphic_relations(image, phi, (1, -2, 0, 3), unimodular_matrix(random.Random(7), 4), 2)
+
+
+@st.composite
+def face_integrals(draw):
+    """A face of a random 2-4D hull, a homogeneous symbol of order k and a
+    phi of low degree, so that most (beta, alpha) pairs fail beta <= alpha."""
+    m = draw(st.integers(2, 4))
+    coord = st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coord] * m), min_size=m + 1, max_size=m + 3))
+    try:
+        poly = build_polytope(points)
+    except ValueError:
+        assume(False)
+    k = draw(st.integers(0, 3))
+    beta = st.lists(st.integers(0, m - 1), min_size=k, max_size=k).map(
+        lambda axes: tuple(axes.count(i) for i in range(m))
+    )
+    alpha = st.tuples(*[st.integers(0, 2)] * m)
+    coeff = st.integers(-3, 3).filter(bool)
+    symbol = draw(st.dictionaries(beta, coeff, min_size=1, max_size=4))
+    phi = draw(st.dictionaries(alpha, coeff, min_size=1, max_size=5))
+    face = draw(st.sampled_from(poly.faces))
+    return poly, face, k, MultiPoly(m, symbol), MultiPoly(m, phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(face_integrals())
+def test_operator_integral_equals_the_integral_of_the_applied_operator(case):
+    poly, face, k, symbol, phi = case
+    applied = DiffOp(poly.ambient_dim, k, symbol).apply(phi)
+    assert engine._integrate_operator(poly, face, symbol, phi) == (
+        integrate_poly_over_face(poly, face, applied)
+    )
+
+
+ORDER_CALLS = {
+    "expansion": lambda n: expansion(SIMPLEX2, ONE2, n_max=n),
+    "riemann_sum": lambda n: riemann_sum(SIMPLEX2, ONE2, n),
+    "a_coefficients": lambda n: coefficients_from_oracle(SIMPLEX2, ONE2, n_max=n),
+    "cone_operator": lambda n: subdivide.cone_operator([(1, 0), (0, 1)])(n),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"], ids=repr)
+@pytest.mark.parametrize("call", ORDER_CALLS.values(), ids=ORDER_CALLS)
+def test_orders_and_dilation_factors_must_be_integers(call, value):
+    call(2)
+    with pytest.raises(ValueError, match="integer"):
+        call(value)

@@ -572,3 +572,34 @@ def test_apply_diffop_dimension_mismatch():
     op = DiffOp(2, 0, MultiPoly(2, {(0, 0): F(1)}))
     with pytest.raises(ValueError, match="dimension mismatch"):
         op.apply(MultiPoly.variable(3, 0))
+
+
+EXACT_ENTRY_POINTS = {
+    "as_scalar": exactcore.as_scalar,
+    "MultiPoly": lambda s: MultiPoly(1, {(0,): s}).coefficient((0,)),
+    "MultiPoly.eval": lambda s: MultiPoly.variable(1, 0).eval((s,)),
+    "as_vector": lambda s: as_vector([s, 0])[0],
+    "inner_product_matrix": lambda s: exactcore.inner_product_matrix([[8, s], [s, 8]], 2)[0][1],
+    "CycloElem": lambda s: CycloElem(3, [s, 0]),
+    "build_polytope": lambda s: build_polytope([(s, 0), (0, 1), (0, 0)]),
+}
+
+
+@pytest.mark.parametrize("text", ["1e100000", "2E3"])
+@pytest.mark.parametrize("make", EXACT_ENTRY_POINTS.values(), ids=EXACT_ENTRY_POINTS)
+def test_exponent_strings_are_rejected_where_numbers_enter(make, text):
+    # Fraction("1e100000000") would build 10^100000000 before any check
+    with pytest.raises(ValueError, match="exponent"):
+        make(text)
+
+
+@pytest.mark.parametrize("text, value", [("3/4", F(3, 4)), ("-0.25", F(-1, 4)), (" 7 ", F(7))])
+def test_rational_strings_still_parse_where_numbers_enter(text, value):
+    for name in ("as_scalar", "MultiPoly", "MultiPoly.eval", "as_vector", "inner_product_matrix"):
+        assert EXACT_ENTRY_POINTS[name](text) == value
+    assert EXACT_ENTRY_POINTS["CycloElem"](text) == CycloElem.from_rational(3, value)
+    if value.denominator == 1:
+        assert (value, 0) in EXACT_ENTRY_POINTS["build_polytope"](text).vertices
+    else:
+        with pytest.raises(ValueError, match="integer entries"):
+            EXACT_ENTRY_POINTS["build_polytope"](text)
