@@ -233,7 +233,8 @@ def cmd_riemann_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_subdivide_cone(args: argparse.Namespace) -> int:
-    # `subdivide.cone_operator`'s pipeline: one Smith form per cell
+    # the stellar fan and wall signs that the alternate cone operator sums,
+    # one Smith form per cell; the default one takes signed short-vector steps
     cells = triangulate_cone(args.generators, strategy=args.strategy)
     fan = _unimodular_fan(cells, args.strategy)
     signed = _signed_faces(fan, sorted({g for cell in cells for g in cell}))

@@ -102,7 +102,7 @@ def c_seq(n_max: int) -> list:
     Computed from the p(n,k) sum, independently of the Todd series; the
     identity c_n = -b_n/n! is a theorem checked in the tests.
     """
-    if n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ValueError("n_max must be at least 1")
     return [(-1) ** (n + 1) * p_of_n(n) for n in range(1, n_max + 1)]
 
@@ -119,7 +119,7 @@ def c_seq_twisted(q: int, omega, n_max: int) -> list:
     b^omega_n = (-1)^{n-1} c^omega_n is a theorem checked in the tests.
     """
     omega = _check_twist(q, omega)
-    if n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ValueError("n_max must be at least 1")
     one = CycloElem.one(q)
     inv = (one - omega).inverse()

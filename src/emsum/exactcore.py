@@ -640,7 +640,7 @@ def series_coeffs_todd(n_max: int) -> list:
 
     b_0 = 1, b_1 = -1/2, b_2 = 1/6, and b_n = 0 for odd n >= 3.
     """
-    if n_max < 0:
+    if not _is_int(n_max) or n_max < 0:
         raise ValueError("n_max must be nonnegative")
     inv = _series_inverse([Fraction(1, math.factorial(j + 1)) for j in range(n_max + 1)])
     return [math.factorial(n) * inv[n] for n in range(n_max + 1)]
@@ -668,7 +668,7 @@ def series_coeffs_twisted_todd(q: int, omega, n_max: int) -> list:
     coefficient of s^n.  In particular b^omega_1 = 1/(1 - omega).
     """
     omega = _check_twist(q, omega)
-    if n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ValueError("n_max must be at least 1")
     one = CycloElem.one(q)
     # 1 - omega e^{-s} = (1 - omega) + omega * sum_{k>=1} (-1)^{k+1} s^k / k!

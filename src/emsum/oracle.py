@@ -236,7 +236,7 @@ def szasz_eval(
         raise ValueError("dimension mismatch")
     if any(c < 0 for c in x):
         raise ValueError("Szasz evaluation requires a point in the orthant")
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError("the dilation factor must be a positive integer")
     k = len(x)
     y = [n * c for c in x]
@@ -299,7 +299,7 @@ def twisted_riemann_1d(q: int, omega, phi: MultiPoly, n: int) -> CycloElem:
     omega = _check_twist(q, omega)
     if phi.nvars != 1:
         raise ValueError("twisted sums are one-dimensional")
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError("the dilation factor must be a positive integer")
     total = CycloElem.zero(q)
     for exps, coeff in phi.terms.items():

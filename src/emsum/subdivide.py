@@ -1,18 +1,31 @@
-"""Signed unimodular subdivisions of pointed rational cones.
+"""Signed unimodular decompositions of pointed rational cones.
 
-A pointed cone that is not unimodular is handled in three steps: a
-pulling triangulation on its own extreme rays, read off the cone's face
-lattice with no section polytope built, a stellar refinement of the fan,
-star by star, until every maximal cell is unimodular, and signs read off
-the boundary walls that make the fan's faces a signed decomposition of
-the cone's indicator function.  Every simplicial cell
-gets one Smith normal form (`_cell_lattice`), which gives its index, its
-integer coordinates and the lattice points of its fundamental box: the
-stellar refinement picks its points from that box, and the one coverage
-check, wall by wall, reads sides off the coordinates.  The vertex operator
-of the cone is then the signed sum of the vertex operators of the
-cells, each taken at the order matching its dimension drop.  The final
-result must not depend on any of the choices made on the way; callers
+A pointed cone that is not unimodular is first cut by a pulling
+triangulation on its own extreme rays, read off the cone's face lattice
+with no section polytope built.  Every simplicial cell gets one Smith
+normal form (`_cell_lattice`), which gives its index, its integer
+coordinates and the lattice points of its fundamental box.  From there
+the two strategies take independent routes to signed unimodular cells:
+
+- default: signed short-vector steps (`_signed_decomposition`).  Each
+  cell is half-open with respect to one perturbed interior point, and a
+  cell of index > 1 is replaced by the signed cells that a short lattice
+  vector from its box makes, each of index at most half its own, until
+  every cell is unimodular; a half-open unimodular cell is then an
+  inclusion-exclusion over its closed faces.  An index-k cone of the
+  form cone(e1, e2, e1 + e2 + k e3) takes 5 signed cells for every k.
+- alternate: a stellar refinement of the fan, star by star, until every
+  maximal cell is unimodular (`unimodularize`), and signs read off the
+  boundary walls that make the fan's faces a signed decomposition of the
+  cone's indicator function (`signed_coefficients`); the one coverage
+  check, wall by wall, reads sides off the coordinates.  The same
+  cone takes 2k - 1 fan cells.
+
+The vertex operator of the cone is then the signed sum of the vertex
+operators of the cells, each taken at the order matching its dimension
+drop.  The final result must not depend on any of the choices made on
+the way, and the two routes share only `_triangulate` and
+`_cell_lattice`, so their agreement is a check of the theory; callers
 are expected to exercise both built-in strategies when they want that
 checked.
 """
@@ -210,14 +223,20 @@ def _triangulate(rays: list, k: int, strategy: str) -> list:
 # stellar refinement to a unimodular fan
 
 
+def _box_min(lattice: _Lattice, key: Callable):
+    """The least key(scale * t, p) over the nonzero points of the cell's box,
+    by one streaming scan of `lattice.box()`."""
+    best = min((key(t, p) for t, p in lattice.box() if any(t)), default=None)
+    if best is None:
+        raise AssertionError("cell of index > 1 must contain a stellar point")
+    return best
+
+
 def _stellar_point(lattice: _Lattice, strategy: str) -> tuple:
     """(scale * t, p): the primitive lattice point p = sum t_i g_i of the cell's
     half-open fundamental parallelepiped minimizing the largest t_i."""
     sign = 1 if strategy == "default" else -1
-    candidates = [(max(t), tuple(sign * c for c in p), t, p) for t, p in lattice.box() if any(t)]
-    if not candidates:
-        raise AssertionError("cell of index > 1 must contain a stellar point")
-    return min(candidates)[2:]
+    return _box_min(lattice, lambda t, p: (max(t), tuple(sign * c for c in p), t, p))[2:]
 
 
 def unimodularize(cone_or_cells, strategy: str = "default") -> list:
@@ -237,7 +256,7 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
     of tau, and w replaces each ray of tau in them.  Every cell's lattice
     data (`_cell_lattice`: index, coordinates and box from one Smith
     normal form) is computed once and kept for the rest of the call;
-    `cone_operator` hands the final cells' data on to the
+    the alternate `cone_operator` hands the final cells' data on to the
     signs of `_signed_faces`.
     """
     if strategy not in STRATEGIES:
@@ -357,6 +376,96 @@ def _signed_faces(maximal: dict, rays) -> list:
 
 
 # ---------------------------------------------------------------------------
+# signed short-vector decomposition through half-open cells
+
+
+def _short_vector(lattice: _Lattice, cell: tuple) -> tuple:
+    """(scale * lambda, w): the lattice vector w = sum lambda_i g_i of the
+    cell's span with every lambda_i in {t_i, t_i - 1} for a nonzero box
+    point t, minimizing max |lambda_i| (at most 1/2), ties broken by w.
+    When every lambda_i <= 0, w lies in -cell and is negated."""
+    scale, minus = lattice.scale, [tuple(-c for c in g) for g in cell]
+
+    def key(t, p):
+        lam = tuple(x if 2 * x <= scale else x - scale for x in t)
+        # w = p - the rays whose lambda_i = t_i - 1
+        w = tuple(map(sum, zip(p, *(h for h, x in zip(minus, lam) if x < 0))))
+        return max(map(abs, lam)), w, lam
+
+    _, w, lam = _box_min(lattice, key)
+    if max(lam) <= 0:
+        return tuple(-x for x in lam), tuple(-x for x in w)
+    return lam, w
+
+
+def _signed_decomposition(cells: list, rays: list) -> list:
+    """Signed closed unimodular cells whose indicators sum to [K], for the
+    cells of a triangulation of the pointed cone K generated by `rays`:
+    the nonzero SignedCell entries, sorted by (-dim, gens).
+
+    Every cell is half-open with respect to y = sum of the rays,
+    perturbed lexicographically by the first cell's rays: the facet
+    opposite g_i is dropped when the i-th coordinates of y, then of those
+    rays, have their first nonzero one negative.  y is interior to K, so
+    the half-open cells of the triangulation cover K exactly once
+    (Koeppe and Verdoolaege, Electron. J. Combin. 15, 2008).  A cell
+    sigma of index > 1 is replaced by the cells sigma[g_i <- w] with
+    lambda_i != 0, w from `_short_vector`, each with the sign of lambda_i
+    (Barvinok, Math. Oper. Res. 19, 1994): along x - s w, s >= 0, the
+    i-th of them holds x when the line crosses the facet opposite g_i,
+    leaving sigma when lambda_i > 0 and entering when lambda_i < 0, and
+    w not in -sigma keeps the line from staying in sigma for ever.  Each
+    new cell has index |lambda_i| ind sigma <= ind sigma / 2.  A
+    unimodular leaf with open facets S is the sum over the subsets T of
+    S of (-1)^|T| [its face without the rays in T].  Every cell takes
+    one `_cell_lattice`.  The self-check raises AssertionError: each step
+    must lower the index, the half-open leaves must hold y and every ray
+    once, and the coefficients must sum to 1, the count at the origin,
+    with 0 on the face {0} itself, which the compactly supported Euler
+    characteristic forces: it is 1 on {0} and 0 on every other closed
+    cone.
+    """
+    probes = [tuple(map(sum, zip(*rays))), *cells[0]]
+    lattices, coeff, leaves = {}, {}, []
+
+    def lattice_of(cell):
+        if cell not in lattices:
+            lattices[cell] = _cell_lattice(cell)
+        return lattices[cell]
+
+    stack = [(cell, 1) for cell in cells]
+    while stack:
+        cell, sign = stack.pop()
+        lattice = lattice_of(cell)
+        if lattice.index > 1:
+            lam, w = _short_vector(lattice, cell)
+            for i, x in enumerate(lam):
+                if x:
+                    piece = _cell_key(cell[:i] + (w,) + cell[i + 1:])
+                    if lattice_of(piece).index >= lattice.index:
+                        raise AssertionError("a signed step must decrease the index")
+                    stack.append((piece, sign if x > 0 else -sign))
+            continue
+        coords = [lattice.coords(p) for p in probes]
+        opened = {i for i in range(len(cell)) if next(c[i] for c in coords if c[i]) < 0}
+        leaves.append((sign, lattice, opened))
+        for r in range(len(opened) + 1):
+            for drop in itertools.combinations(sorted(opened), r):
+                face = tuple(g for i, g in enumerate(cell) if i not in drop)
+                coeff[face] = coeff.get(face, 0) + (-1) ** r * sign
+    for x in probes[:1] + rays:
+        held = 0
+        for sign, lattice, opened in leaves:
+            t = lattice.coords(x)
+            held += sign * all(ti > 0 or (ti == 0 and i not in opened) for i, ti in enumerate(t))
+        if held != 1:
+            raise AssertionError("signed cells must hold each point of the cone once")
+    if sum(coeff.values()) != 1 or coeff.get((), 0):
+        raise AssertionError("signed cells must hold the origin once, in cells with rays")
+    return [SignedCell(c, r) for c, r in sorted(coeff.items(), key=lambda e: (-len(e[0]), e[0])) if r]
+
+
+# ---------------------------------------------------------------------------
 # vertex operator of a pointed cone
 
 
@@ -367,8 +476,9 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     dimension whose rays have determinant +-1 is unimodular, its own single
     cell with coefficient 1, known from one elimination with no
     triangulation and no Smith form.  Any other cone is triangulated and
-    refined to a unimodular fan, and is unimodular when it is its own
-    fan.  Returns a callable
+    then split by signed short-vector steps (strategy "default") or
+    refined to a unimodular stellar fan (strategy "alternate"), and is
+    unimodular when it is its own single signed cell.  Returns a callable
     n -> D_n(C; 0) = sum of r_sigma * D_{n - d + dim sigma}(sigma; 0)
     over the nonzero signed cells, where d = dim C.  The callable
     requires n >= d; its result is homogeneous of order n - d and only
@@ -402,21 +512,26 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
     built once per distinct ray, and each cell's symbol is composed
     straight to these forms.  A cone of d rays in Q^d with determinant +-1
     is its own single cell, by one `_eliminate`; any other cone takes
-    `_triangulate`, `_unimodular_fan` and `_signed_faces`.
+    `_triangulate`, then `_signed_decomposition` under "default" or
+    `_unimodular_fan` and `_signed_faces` under "alternate".
     """
     qi, (lift, t) = _integer_rows(qmat)[0], _integer_rows(basis)
     # d rays spanning Q^d are independent, and |det| = 1 makes them unimodular
     unimodular = len(rays) == d == len(rays[0]) and abs(_eliminate(rays)[2]) == 1
     if not unimodular:
-        fan = _unimodular_fan(_triangulate(rays, d, strategy), strategy)
-        unimodular = list(fan) == [_cell_key(rays)]
-    signed = [SignedCell(gens=tuple(rays), coeff=1)] if unimodular else _signed_faces(fan, rays)
+        cells = _triangulate(rays, d, strategy)
+        if strategy == "default":
+            signed = _signed_decomposition(cells, rays)
+        else:
+            signed = [c for c in _signed_faces(_unimodular_fan(cells, strategy), rays) if c.coeff]
+        unimodular = signed == [SignedCell(_cell_key(rays), 1)]
+    if unimodular:
+        signed = [SignedCell(gens=tuple(rays), coeff=1)]
     size, cols = len(lift[0]), list(zip(*lift))
     forms = {h: {k: x for k, col in enumerate(cols) if (x := sum(map(mul, h, col)))}
              for h in {h for c in signed for h in c.gens}}
-    # a signed empty cell would be a cell with no rays, whose D_0 is 1
     cells = [(c.coeff, _Cell(c.gens, qi, [forms[h] for h in c.gens], t, size, classes))
-             for c in signed if c.coeff]
+             for c in signed]
 
     def operator(n: int) -> DiffOp:
         if not _is_int(n):

@@ -224,6 +224,28 @@ def in_simplicial_cone(point, gens) -> bool:
     return coords is not None and min(coords) >= 0
 
 
+def cell_coordinates(gens):
+    """p -> the integer vector scale * t of the coordinates t of p over the
+    linearly independent integer vectors gens, or None when p is off
+    their span: scale * t = W p for the integer matrix
+    W = scale (G^T G)^-1 G^T, and G t = p exactly when p is in the span
+    of the columns G.  The empty set spans the origin alone."""
+    if not gens:
+        return lambda p: None if any(p) else ()
+    gram_inv = matrix_inverse([[vdot(g, h) for h in gens] for g in gens])
+    rows = [[vdot(row, [g[i] for g in gens]) for i in range(len(gens[0]))]
+            for row in gram_inv]
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    rows = [[int(x * scale) for x in row] for row in rows]
+
+    def coords(p):
+        t = [sum(map(operator.mul, row, p)) for row in rows]
+        image = (sum(ti * g[i] for ti, g in zip(t, gens)) for i in range(len(p)))
+        return None if any(y != scale * x for y, x in zip(image, p)) else t
+
+    return coords
+
+
 def sample_cover_coefficients(cells) -> dict:
     """{face: coefficient} of the inclusion-exclusion over the faces of the
     simplicial cells, r_tau = sum of (-1)^(dim sigma - dim tau) over the
@@ -249,21 +271,12 @@ def sample_cover_coefficients(cells) -> dict:
         tuple(sum((i + 1) * g[k] for i, g in enumerate(sigma)) for k in range(len(sigma[0])))
         for sigma in maximal
     ]
-    # scale * t = W p for the integer matrix W = scale (G^T G)^-1 G^T, and
-    # G t = p exactly when p is in the span of the cell's rays G
-    solvers = {}
-    for sigma in maximal:
-        gram_inv = matrix_inverse([[vdot(g, h) for h in sigma] for g in sigma])
-        rows = [[vdot(row, [g[i] for g in sigma]) for i in range(len(sigma[0]))]
-                for row in gram_inv]
-        scale = math.lcm(*(x.denominator for row in rows for x in row))
-        solvers[sigma] = scale, [[int(x * scale) for x in row] for row in rows]
+    solvers = {sigma: cell_coordinates(sigma) for sigma in maximal}
     for p in samples:
         covering = set()
-        for sigma, (scale, rows) in solvers.items():
-            t = [sum(map(operator.mul, row, p)) for row in rows]
-            image = (sum(ti * g[i] for ti, g in zip(t, sigma)) for i in range(len(p)))
-            if min(t) < 0 or any(y != scale * x for y, x in zip(image, p)):
+        for sigma, coords in solvers.items():
+            t = coords(p)
+            if t is None or min(t) < 0:
                 continue
             support = tuple(g for g, ti in zip(sigma, t) if ti)
             free = tuple(g for g, ti in zip(sigma, t) if not ti)

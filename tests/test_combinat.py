@@ -195,6 +195,23 @@ def test_c_seq_twisted_rejects_pole():
         c_seq_twisted(2, CycloElem.one(2), 3)
 
 
+SERIES_CALLS = {
+    "series_coeffs_todd": (series_coeffs_todd, "n_max must be nonnegative"),
+    "series_coeffs_twisted_todd": (lambda n: series_coeffs_twisted_todd(3, None, n), "at least 1"),
+    "c_seq": (c_seq, "at least 1"),
+    "c_seq_twisted": (lambda n: c_seq_twisted(3, None, n), "at least 1"),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("call, message", SERIES_CALLS.values(), ids=SERIES_CALLS)
+def test_series_orders_must_be_integers(call, message, value):
+    # True would act as 1 and 1.0 would reach range() as a float
+    call(2)
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
 # ---------------------------------------------------------------------------
 # multi-indices
 

@@ -241,6 +241,18 @@ def test_szasz_rejects_negative_point():
         szasz_eval(MultiPoly.const(1, F(1)), (F(-1),), 2)
 
 
+@pytest.mark.parametrize("value", [1.0, 1.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda n: szasz_eval(MultiPoly.variable(1, 0), (F(1),), n, truncation=20),
+    lambda n: twisted_riemann_1d(3, None, MultiPoly.variable(1, 0), n),
+], ids=["szasz_eval", "twisted_riemann_1d"])
+def test_dilation_factors_must_be_integers(call, value):
+    # True would act as N = 1 and 1.5 would fail deep in the arithmetic
+    call(2)
+    with pytest.raises(ValueError, match="dilation factor must be a positive integer"):
+        call(value)
+
+
 # ---------------------------------------------------------------------------
 # twisted half-line sums
 

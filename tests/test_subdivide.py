@@ -36,6 +36,7 @@ from emsum.subdivide import (
 
 from _helpers import (
     built_cell_symbols,
+    cell_coordinates,
     facet_candidates,
     fraction_det,
     in_simplicial_cone,
@@ -604,14 +605,17 @@ def test_every_stellar_piece_is_new(gens):
     # cone is unimodular; a matrix is recorded by its set of columns, so a
     # cell met with its rays in another order counts as the same cell.  A
     # unimodular cone of full dimension is its own fan, and the cone
-    # operator tells it by one determinant and takes no Smith form.
+    # operator tells it by one determinant and takes no Smith form.  Only
+    # the alternate cone operator refines the stellar fan; the default one
+    # takes signed short-vector steps.
     real = subdivide.smith_normal_form
     rays = subdivide._ray_list(gens)
     for strategy in STRATEGIES:
         cells = triangulate_cone(gens, strategy=strategy)
         fan = unimodularize(cells, strategy=strategy)
         unimodular = len(rays) == len(rays[0]) and fan == [tuple(sorted(rays))]
-        for build, data in ((unimodularize, cells), (cone_operator, gens)):
+        legs = [(unimodularize, cells)] + [(cone_operator, gens)] * (strategy == "alternate")
+        for build, data in legs:
             calls = []
 
             def counting(mat):
@@ -896,14 +900,14 @@ def test_cone_operator_builds_each_cell_symbol_once_per_gram_class(monkeypatch):
 
 
 def test_cone_operator_builds_44_gram_classes_on_the_index_15_cone():
-    # the 85 nonzero signed cells of either strategy fall into 44 classes,
-    # since cells whose Gram matrices differ by a scalar share one
+    # the 85 nonzero signed cells of the alternate strategy's stellar fan
+    # fall into 44 classes, since cells whose Gram matrices differ by a
+    # scalar share one
     rays = index_cone(15)
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
-    for strategy in STRATEGIES:
-        classes = {}
-        subdivide._cone_operator(rays, 3, eye, eye, strategy, classes)(4)
-        assert len(classes) == 44
+    classes = {}
+    subdivide._cone_operator(rays, 3, eye, eye, "alternate", classes)(4)
+    assert len(classes) == 44
 
 
 @pytest.mark.parametrize("gens", [[(1, 0), (2, 1)], [(1, 1, 0), (0, 1, 0), (2, 3, -1)]])
@@ -1162,3 +1166,125 @@ def test_fans_match_pinned_digest():
                 lines.append(f"{cells} {signed_coefficients(cells)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == FANS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the default route: signed short-vector steps through half-open cells
+
+
+def check_signed_cells_hold_the_cone_pointwise(gens, radius):
+    # sum of coeff * [x in face] = [x in K] at every lattice point of the
+    # window; K is tested by Caratheodory, independently of the route: x
+    # is in K exactly when it is in the cone of some linearly independent
+    # rank-many of the rays
+    rays = subdivide._ray_list(gens)
+    d = matrix_rank(as_matrix(rays))
+    bases = [s for s in combinations(rays, d) if matrix_rank(as_matrix(s)) == d]
+    cones = [cell_coordinates(s) for s in bases]
+    signed = subdivide._signed_decomposition(subdivide._triangulate(rays, d, "default"), rays)
+    faces = [(c.coeff, cell_coordinates(c.gens)) for c in signed]
+
+    def held(coords, x):
+        t = coords(x)
+        return t is not None and all(ti >= 0 for ti in t)
+
+    for x in product(range(-radius, radius + 1), repeat=len(rays[0])):
+        inside = any(held(coords, x) for coords in cones)
+        assert sum(coeff * held(coords, x) for coeff, coords in faces) == inside, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_pointed_cones())
+def test_signed_cells_hold_random_cones_pointwise(gens):
+    # simplicial and non-simplicial cones, and two rays in Z^3 or Z^4
+    check_signed_cells_hold_the_cone_pointwise(gens, {2: 4, 3: 2, 4: 1}[len(gens[0])])
+
+
+@pytest.mark.parametrize("gens, radius", [
+    # three rays in Z^3 spanning the plane x + y = z, where the cone of the
+    # first two has index 3 and the third ray is inside it
+    ([(1, 0, 1), (1, 3, 4), (1, 1, 2)], 4),
+    # index 2: y = (2, 2) lies on the inner wall cone((1, 1)) of the step
+    ([(1, 0), (1, 2)], 5),
+    # index 7: the least key is w = (-1, -2), in -sigma, and it is negated
+    ([(1, 0), (3, 7)], 8),
+    (index_cone(15), 2),
+    (PENTAGON_CONE, 3),
+], ids=["plane-in-z3", "index-2-y-on-the-wall", "w-in-minus-sigma", "index-15", "pentagon"])
+def test_signed_cells_hold_the_cone_pointwise(gens, radius):
+    check_signed_cells_hold_the_cone_pointwise(gens, radius)
+
+
+def test_short_vector_in_minus_sigma_is_negated():
+    # lambda = (1/7, 2/7) and (-1/7, -2/7) tie at max |lambda_i| = 2/7, and
+    # the second, w = (-1, -2), is less; w in -sigma is negated
+    cell = ((1, 0), (3, 7))
+    assert subdivide._short_vector(_cell_lattice(cell), cell) == ((1, 2), (1, 2))
+
+
+def _route_counts(monkeypatch, gens, strategy):
+    """(signed cells, Smith forms, Gram classes) of one `_cone_operator`."""
+    smith, cells = [], []
+    real_smith, real_cell = subdivide.smith_normal_form, subdivide._Cell
+    monkeypatch.setattr(subdivide, "smith_normal_form", lambda mat: smith.append(mat) or real_smith(mat))
+    monkeypatch.setattr(subdivide, "_Cell", lambda *args: cells.append(args) or real_cell(*args))
+    d, classes = len(gens[0]), {}
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    subdivide._cone_operator(subdivide._ray_list(gens), d, eye, eye, strategy, classes)
+    monkeypatch.undo()
+    return len(cells), len(smith), len(classes)
+
+
+def test_default_route_splits_every_index_cone_into_five_signed_cells(monkeypatch):
+    # the short vector is w = -e3, with lambda = (1, 1, -1) / k: three
+    # unimodular cells, whose half-open faces sum to five signed cells; the
+    # stellar fan of the alternate route has 2k - 1 cells
+    for k in (15, 63, 255, 1023, 4095):
+        assert _route_counts(monkeypatch, index_cone(k), "default") == (5, 4, 4)
+    alternate = [_route_counts(monkeypatch, index_cone(k), "alternate") for k in (15, 63, 255)]
+    assert alternate[0] == (85, 53, 44)
+    for small, large in zip(alternate, alternate[1:]):
+        assert all(a < b for a, b in zip(small, large)), alternate
+
+
+SIGNED_STEP_SCRIPT = """
+import sys
+from emsum import subdivide
+
+if not sys.flags.optimize:
+    raise SystemExit("expected to run under python -O")
+{corrupt}
+try:
+    subdivide.cone_operator({gens!r})
+except AssertionError as exc:
+    print(exc)
+"""
+
+# the first step keeps w in -sigma, whose signed cells leave out a cone
+# with a line (a later corrupted step could cancel it)
+KEEP_MINUS_SIGMA = """
+real = subdivide._short_vector
+steps = []
+
+def first_negated(lattice, cell):
+    steps.append(cell)
+    lam, w = real(lattice, cell)
+    return (tuple(-x for x in lam), tuple(-x for x in w)) if len(steps) == 1 else (lam, w)
+
+subdivide._short_vector = first_negated
+"""
+# every index reads 2, so no step lowers it
+INDEX_TWO = """
+real = subdivide._cell_lattice
+subdivide._cell_lattice = lambda cell: real(cell)._replace(index=2)
+"""
+
+
+@pytest.mark.parametrize("corrupt, gens, message", [
+    (KEEP_MINUS_SIGMA, [(1, 0), (3, 7)], "signed cells must hold each point of the cone once"),
+    (INDEX_TWO, [(1, 0), (1, 2)], "a signed step must decrease the index"),
+], ids=["w-in-minus-sigma", "index-never-drops"])
+def test_corrupted_signed_step_trips_the_self_check_under_optimize(corrupt, gens, message):
+    proc = run_optimized(SIGNED_STEP_SCRIPT.format(corrupt=corrupt, gens=gens))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == message
