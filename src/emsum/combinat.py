@@ -47,10 +47,10 @@ def compositions(total: int, r: int) -> Iterator[tuple]:
         yield tuple(y - x for x, y in zip((0,) + cut, cut + (total,)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n,k)."""
-    if n < 0 or k < 0:
+    if not (_is_int(n) and _is_int(k)) or n < 0 or k < 0:
         raise ValueError("Stirling indices must be nonnegative")
     if n == k:
         return 1
@@ -61,7 +61,7 @@ def stirling2(n: int, k: int) -> int:
 
 def p_poly(n: int, k: int) -> MultiPoly:
     """The polynomial p(n,k;z) as a univariate MultiPoly in z."""
-    if not 0 <= k <= n:
+    if not (_is_int(n) and _is_int(k)) or not 0 <= k <= n:
         raise ValueError("p(n,k;z) requires 0 <= k <= n")
     terms = {}
     for t in range(k + 1):
@@ -76,14 +76,14 @@ def p_scalar(n: int, k: int, z):
     return p_poly(n, k).eval((z,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def p_of_n(n: int) -> Fraction:
     """The scalar p(n) = sum_{mu=n}^{2n} (-1)^mu ((mu-n)!/mu!) p(mu,mu-n).
 
     These weights satisfy p(n) = (-1)^n b_n / n! for the Todd coefficients
     b_n, so p(1) = 1/2, p(2) = 1/12, and p(n) = 0 for odd n >= 3.
     """
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError("p(n) requires n >= 1")
     total = Fraction(0)
     for mu in range(n, 2 * n + 1):

@@ -457,7 +457,7 @@ def ln_op(cone: UniCone, labels, n: int) -> DiffOp:
     the operator is zero when the label set is empty (n >= 1) or larger
     than n.
     """
-    if n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("order must be non-negative")
     I = _subset(cone, labels)
     m = cone.ambient_dim
@@ -495,7 +495,7 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
     integers over one denominator, and maps it onto every r-subset of the
     labels.
     """
-    if n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError("order must be non-negative")
     out = _subset(cone, face_labels)
     if n < len(out):

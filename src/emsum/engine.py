@@ -80,7 +80,7 @@ class ExpansionResult:
     valuation_used: bool
 
     def coefficient(self, n: int) -> Fraction:
-        if n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError("order must be non-negative")
         if n <= self.n_max:
             return self.coefficients[n]
@@ -270,7 +270,7 @@ def closed_form_2d(
     if poly.dim != 2:
         raise ValueError("closed form requires a two-dimensional polytope")
     _check_closed_form(poly, phi)
-    if n < 2:
+    if not _is_int(n) or n < 2:
         raise ValueError("closed form applies to order two and higher")
     qmat = inner_product_matrix(qmat, 2)
     bern = series_coeffs_todd(n)
@@ -296,7 +296,7 @@ def closed_form_2d(
     # Vertex terms, evaluated at the vertex itself.
     for vert in poly.faces_of_dim(0):
         if len(vert.tangent_gens) != 2:
-            raise AssertionError
+            raise AssertionError("a vertex of a polygon has two edges")
         e1, e2 = map(as_vector, vert.tangent_gens)
         c1 = qform(qmat, e1, e2) / qform(qmat, e2, e2)
         c2 = qform(qmat, e1, e2) / qform(qmat, e1, e1)

@@ -131,6 +131,15 @@ def _eliminate(mat: Sequence[Sequence[ScalarLike]]) -> tuple:
     return rows, tuple(pivots), delta
 
 
+def _unimodular_basis(vecs: Sequence[Sequence[int]]) -> bool:
+    """True when the integer vectors `vecs` are k vectors in Z^k with
+    |det| = 1: `_eliminate` finds k pivots, the last |delta| being |det|."""
+    if len(vecs) != len(vecs[0]):
+        return False
+    _, pivots, delta = _eliminate(vecs)
+    return len(pivots) == len(vecs) and abs(delta) == 1
+
+
 def rref(mat: Sequence[Sequence[Fraction]]) -> tuple:
     """Exact reduced row echelon form.  Returns (rows, pivot_columns).
 
@@ -647,7 +656,7 @@ def series_coeffs_todd(n_max: int) -> list:
 
 
 def _check_twist(q: int, omega) -> CycloElem:
-    if not 2 <= q <= CYCLO_MAX_ORDER:
+    if not _is_int(q) or not 2 <= q <= CYCLO_MAX_ORDER:
         raise ValueError(f"cyclotomic order must be between 2 and {CYCLO_MAX_ORDER}")
     if omega is None:
         omega = CycloElem.omega(q)
@@ -715,10 +724,10 @@ def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]) -> tuple:
     return _poly_trim(quot[::-1]), _poly_trim(rem)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic_polynomial(q: int) -> tuple:
     """Coefficients (low to high) of the q-th cyclotomic polynomial."""
-    if q < 1:
+    if not _is_int(q) or q < 1:
         raise ValueError("cyclotomic order must be positive")
     if q == 1:
         return (Fraction(-1), Fraction(1))
@@ -745,7 +754,7 @@ class CycloElem:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, q: int, coeffs: Sequence[ScalarLike]):
-        if not 1 <= q <= CYCLO_MAX_ORDER:
+        if not _is_int(q) or not 1 <= q <= CYCLO_MAX_ORDER:
             raise ValueError(f"cyclotomic order must be between 1 and {CYCLO_MAX_ORDER}")
         phi = cyclotomic_polynomial(q)
         deg = len(phi) - 1

@@ -32,6 +32,7 @@ from .exactcore import (
     _integer_vectors,
     _lattice_frame,
     _scaled_inverse,
+    _unimodular_basis,
     as_matrix,
     as_vector,
     identity_matrix,
@@ -422,17 +423,9 @@ def transverse_cone(poly: LatticePolytope, face: Face, qmat=None) -> PointedCone
 
 
 def is_delzant(poly: LatticePolytope) -> bool:
-    """True when every vertex cone is unimodular (smooth/Delzant): m edge
-    directions whose fraction-free elimination (`_eliminate`) finds m
-    pivots, the last, |delta|, being the |determinant|, equal to 1."""
-    m = poly.ambient_dim
-    for dirs in (vertex.tangent_gens for vertex in poly.faces_of_dim(0)):
-        if len(dirs) != m:
-            return False
-        _, pivots, delta = _eliminate(dirs)
-        if len(pivots) != m or abs(delta) != 1:
-            return False
-    return True
+    """True when every vertex cone is unimodular (smooth/Delzant): its
+    edge directions are a basis of Z^m (`_unimodular_basis`)."""
+    return all(_unimodular_basis(vertex.tangent_gens) for vertex in poly.faces_of_dim(0))
 
 
 # ---------------------------------------------------------------------------

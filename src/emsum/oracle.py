@@ -69,7 +69,7 @@ def riemann_sum(
     """
     if not _is_int(n) or n < 1:
         raise ValueError("the dilation factor must be a positive integer")
-    if budget < 1:
+    if not _is_int(budget) or budget < 1:
         raise ValueError("budget must be positive")
     if phi.nvars != poly.ambient_dim:
         raise ValueError("dimension mismatch")
@@ -238,6 +238,8 @@ def szasz_eval(
         raise ValueError("Szasz evaluation requires a point in the orthant")
     if not _is_int(n) or n < 1:
         raise ValueError("the dilation factor must be a positive integer")
+    if not _is_int(truncation) or truncation < 0:
+        raise ValueError("truncation must be a non-negative integer")
     k = len(x)
     y = [n * c for c in x]
 

@@ -41,10 +41,10 @@ from typing import Callable, NamedTuple, Sequence
 
 from .conecalc import DiffOp, _bv_sym, _Cell, _poly, _to_ambient, _ysum
 from .exactcore import (
-    _eliminate,
     _integer_rows,
     _integer_vectors,
     _is_int,
+    _unimodular_basis,
     identity_matrix,
     inner_product_matrix,
     matrix_rank,
@@ -255,9 +255,9 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
     positive, so the cells that contain w are those that contain every ray
     of tau, and w replaces each ray of tau in them.  Every cell's lattice
     data (`_cell_lattice`: index, coordinates and box from one Smith
-    normal form) is computed once and kept for the rest of the call;
-    the alternate `cone_operator` hands the final cells' data on to the
-    signs of `_signed_faces`.
+    normal form) is computed once, when the cell is made, and a refined
+    cell's entry is dropped; the alternate `cone_operator` hands the
+    final cells' data on to the signs of `_signed_faces`.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -267,26 +267,25 @@ def unimodularize(cone_or_cells, strategy: str = "default") -> list:
 def _unimodular_fan(cells, strategy: str) -> dict:
     """`unimodularize` on cells normalized as by `_simplicial_cells`: its
     maximal cells in sorted order, each mapped to its `_cell_lattice`."""
-    work = set(cells)
-    lattice = {cell: _cell_lattice(cell) for cell in work}
+    lattice = {cell: _cell_lattice(cell) for cell in cells}
     star = {}
-    for cell in work:
+    for cell in lattice:
         for g in cell:
             star.setdefault(g, set()).add(cell)
     # the worst cell is the first in sorted order of those of largest index
-    heap = [(-lattice[cell].index, cell) for cell in work]
+    heap = [(-lattice[cell].index, cell) for cell in lattice]
     heapq.heapify(heap)
     while True:
         worst = heap[0][1]
-        if worst not in work:
+        if worst not in lattice:
             heapq.heappop(heap)
             continue
         if lattice[worst].index == 1:
-            return {cell: lattice[cell] for cell in sorted(work)}
+            return dict(sorted(lattice.items()))
         t, w = _stellar_point(lattice[worst], strategy)
         tau = {g for g, ti in zip(worst, t) if ti}
         for cell in set.intersection(*(star[g] for g in tau)):
-            work.remove(cell)
+            index = lattice.pop(cell).index
             for g in cell:
                 star[g].remove(cell)
             for i, g in enumerate(cell):
@@ -296,9 +295,8 @@ def _unimodular_fan(cells, strategy: str) -> dict:
                 # ray of an earlier cell and every piece is new
                 piece = _cell_key(cell[:i] + cell[i + 1:] + (w,))
                 lattice[piece] = _cell_lattice(piece)
-                if lattice[piece].index >= lattice[cell].index:
+                if lattice[piece].index >= index:
                     raise AssertionError("stellar subdivision must decrease the index")
-                work.add(piece)
                 for h in piece:
                     star.setdefault(h, set()).add(piece)
                 heapq.heappush(heap, (-lattice[piece].index, piece))
@@ -418,15 +416,17 @@ def _signed_decomposition(cells: list, rays: list) -> list:
     new cell has index |lambda_i| ind sigma <= ind sigma / 2.  A
     unimodular leaf with open facets S is the sum over the subsets T of
     S of (-1)^|T| [its face without the rays in T].  Every cell takes
-    one `_cell_lattice`.  The self-check raises AssertionError: each step
-    must lower the index, the half-open leaves must hold y and every ray
-    once, and the coefficients must sum to 1, the count at the origin,
-    with 0 on the face {0} itself, which the compactly supported Euler
-    characteristic forces: it is 1 on {0} and 0 on every other closed
-    cone.
+    one `_cell_lattice`, and every leaf one pass of coordinates over y,
+    the first cell's rays and the other rays, in that order, which gives
+    its open facets and its count of the points it holds.  The
+    self-check raises AssertionError: each step must lower the index,
+    the half-open leaves must hold y and every ray once, and the
+    coefficients must sum to 1, the count at the origin, with 0 on the
+    face {0} itself, which the compactly supported Euler characteristic
+    forces: it is 1 on {0} and 0 on every other closed cone.
     """
-    probes = [tuple(map(sum, zip(*rays))), *cells[0]]
-    lattices, coeff, leaves = {}, {}, []
+    points = [tuple(map(sum, zip(*rays))), *dict.fromkeys([*cells[0], *rays])]
+    lattices, coeff, held = {}, {}, [0] * len(points)
 
     def lattice_of(cell):
         if cell not in lattices:
@@ -446,20 +446,15 @@ def _signed_decomposition(cells: list, rays: list) -> list:
                         raise AssertionError("a signed step must decrease the index")
                     stack.append((piece, sign if x > 0 else -sign))
             continue
-        coords = [lattice.coords(p) for p in probes]
+        coords = [lattice.coords(p) for p in points]
         opened = {i for i in range(len(cell)) if next(c[i] for c in coords if c[i]) < 0}
-        leaves.append((sign, lattice, opened))
-        for r in range(len(opened) + 1):
-            for drop in itertools.combinations(sorted(opened), r):
-                face = tuple(g for i, g in enumerate(cell) if i not in drop)
-                coeff[face] = coeff.get(face, 0) + (-1) ** r * sign
-    for x in probes[:1] + rays:
-        held = 0
-        for sign, lattice, opened in leaves:
-            t = lattice.coords(x)
-            held += sign * all(ti > 0 or (ti == 0 and i not in opened) for i, ti in enumerate(t))
-        if held != 1:
-            raise AssertionError("signed cells must hold each point of the cone once")
+        held = [h + sign * all(ti > 0 or (ti == 0 and i not in opened) for i, ti in enumerate(t))
+                for h, t in zip(held, coords)]
+        for drop in _subsets(tuple(sorted(opened))):
+            face = tuple(g for i, g in enumerate(cell) if i not in drop)
+            coeff[face] = coeff.get(face, 0) + (-1) ** len(drop) * sign
+    if held != [1] * len(points):
+        raise AssertionError("signed cells must hold each point of the cone once")
     if sum(coeff.values()) != 1 or coeff.get((), 0):
         raise AssertionError("signed cells must hold the origin once, in cells with rays")
     return [SignedCell(c, r) for c, r in sorted(coeff.items(), key=lambda e: (-len(e[0]), e[0])) if r]
@@ -511,13 +506,12 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
     xi_j = <xi, b_j>: a cell ray h enters as the form sum_j h_j t b_j,
     built once per distinct ray, and each cell's symbol is composed
     straight to these forms.  A cone of d rays in Q^d with determinant +-1
-    is its own single cell, by one `_eliminate`; any other cone takes
+    is its own single cell, by `_unimodular_basis`; any other cone takes
     `_triangulate`, then `_signed_decomposition` under "default" or
     `_unimodular_fan` and `_signed_faces` under "alternate".
     """
     qi, (lift, t) = _integer_rows(qmat)[0], _integer_rows(basis)
-    # d rays spanning Q^d are independent, and |det| = 1 makes them unimodular
-    unimodular = len(rays) == d == len(rays[0]) and abs(_eliminate(rays)[2]) == 1
+    unimodular = _unimodular_basis(rays)
     if not unimodular:
         cells = _triangulate(rays, d, strategy)
         if strategy == "default":

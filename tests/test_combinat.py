@@ -24,6 +24,7 @@ from emsum.combinat import (
 from emsum.exactcore import (
     CycloElem,
     MultiPoly,
+    cyclotomic_polynomial,
     series_coeffs_todd,
     series_coeffs_twisted_todd,
 )
@@ -208,6 +209,43 @@ SERIES_CALLS = {
 def test_series_orders_must_be_integers(call, message, value):
     # True would act as 1 and 1.0 would reach range() as a float
     call(2)
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+INDEX_CALLS = {
+    "stirling2": (lambda n: stirling2(n, 1), "nonnegative"),
+    "p_of_n": (p_of_n, "n >= 1"),
+    "p_poly": (lambda n: p_poly(n, 1), "0 <= k <= n"),
+    "p_poly_k": (lambda k: p_poly(2, k), "0 <= k <= n"),
+    "p_scalar": (lambda n: p_scalar(n, 1, F(1)), "0 <= k <= n"),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, True], ids=repr)
+@pytest.mark.parametrize("call, message", INDEX_CALLS.values(), ids=INDEX_CALLS)
+def test_indices_must_be_integers(call, message, value):
+    # call(1) fills the caches first: an untyped cache would hand True
+    # and 1.0 the entry for 1
+    call(1)
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+CYCLO_CALLS = {
+    "CycloElem": (lambda q: CycloElem(q, [1]), "between 1 and"),
+    "cyclotomic_polynomial": (cyclotomic_polynomial, "must be positive"),
+    "series_coeffs_twisted_todd": (lambda q: series_coeffs_twisted_todd(q, None, 2), "between 2 and"),
+    "c_seq_twisted": (lambda q: c_seq_twisted(q, None, 2), "between 2 and"),
+}
+
+
+@pytest.mark.parametrize("value", [3.0, True], ids=repr)
+@pytest.mark.parametrize("call, message", CYCLO_CALLS.values(), ids=CYCLO_CALLS)
+def test_cyclotomic_orders_must_be_integers(call, message, value):
+    # True would build an element of order True, and 3.0 would reach
+    # list repetition as a float
+    call(3)
     with pytest.raises(ValueError, match=message):
         call(value)
 

@@ -170,6 +170,23 @@ def test_labels_other_than_ints_rejected(call, label):
         call(label)
 
 
+@pytest.mark.parametrize("value", [2.0, True], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: ln_op(UniCone([(1, 0), (0, 1)]), [0], n),
+        lambda n: bv_op_unimodular(UniCone([(1, 0), (0, 1)]), [0], n),
+        lambda n: vertex_op(UniCone([(1, 0), (0, 1)]), n),
+    ],
+    ids=["ln_op", "bv_op_unimodular", "vertex_op"],
+)
+def test_orders_other_than_ints_rejected(call, value):
+    # True would build the order-1 operator and 2.0 would reach range()
+    call(2)
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        call(value)
+
+
 def _all_ibp_cases(cone, max_alpha):
     labels = list(cone.labels())
     for ri in range(1, cone.dim + 1):

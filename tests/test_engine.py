@@ -787,3 +787,15 @@ def test_orders_and_dilation_factors_must_be_integers(call, value):
     call(2)
     with pytest.raises(ValueError, match="integer"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [2.0, True], ids=repr)
+@pytest.mark.parametrize("call, message", [
+    (lambda n: expansion(SIMPLEX2, ONE2).coefficient(n), "order must be non-negative"),
+    (lambda n: closed_form_2d(SQUARE, ONE2, n), "order two and higher"),
+], ids=["coefficient", "closed_form_2d"])
+def test_read_off_orders_must_be_integers(call, message, value):
+    # True would read A_1 and 2.0 would index the coefficients with a float
+    call(2)
+    with pytest.raises(ValueError, match=message):
+        call(value)

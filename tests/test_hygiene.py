@@ -263,6 +263,36 @@ def test_invariant_modules_have_no_assert_statement():
     assert found == [], f"assert statements that python -O strips: {found}"
 
 
+def _silent_assertion_errors(tree: ast.AST) -> list:
+    """The line of each `raise AssertionError` with no message: the bare
+    class, a call with no argument, or an empty string."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        call = node.exc if isinstance(node.exc, ast.Call) else None
+        if getattr(call.func if call else node.exc, "id", None) != "AssertionError":
+            continue
+        message = call.args[0] if call and call.args else None
+        if message is None or (isinstance(message, ast.Constant) and not message.value):
+            found.append(node.lineno)
+    return found
+
+
+def test_every_invariant_is_named():
+    # the CLI prints an internal error as its type and message, so a bare
+    # AssertionError would say nothing of what broke
+    probe = ("raise AssertionError\nraise AssertionError()\nraise AssertionError('')\n"
+             "raise AssertionError('named')\nraise ValueError\nraise\n")
+    assert _silent_assertion_errors(ast.parse(probe)) == [1, 2, 3]
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _silent_assertion_errors(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [], f"AssertionError raised with no message: {found}"
+
+
 # The `math` names the package uses, each exact on integers.
 EXACT_MATH = {"comb", "factorial", "gcd", "lcm", "perm", "prod"}
 

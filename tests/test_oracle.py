@@ -113,20 +113,30 @@ def test_riemann_sum_budget():
         riemann_sum(p, one, 5, budget=100)
 
 
+BUDGET_CALLS = {
+    "riemann_sum": lambda p, phi, budget: riemann_sum(p, phi, 1, budget=budget),
+    "weighted_ehrhart": lambda p, phi, budget: weighted_ehrhart(p, phi, budget=budget),
+    "coefficients_from_oracle": lambda p, phi, budget: coefficients_from_oracle(p, phi, budget=budget),
+}
+
+
 @pytest.mark.parametrize("budget", [0, -5])
-@pytest.mark.parametrize(
-    "oracle",
-    [
-        lambda p, phi, budget: riemann_sum(p, phi, 1, budget=budget),
-        lambda p, phi, budget: weighted_ehrhart(p, phi, budget=budget),
-        lambda p, phi, budget: coefficients_from_oracle(p, phi, budget=budget),
-    ],
-    ids=["riemann_sum", "weighted_ehrhart", "coefficients_from_oracle"],
-)
+@pytest.mark.parametrize("oracle", BUDGET_CALLS.values(), ids=BUDGET_CALLS)
 def test_non_positive_budget_is_invalid_not_exceeded(oracle, budget):
     p = build_polytope(SIMPLEX2)
     with pytest.raises(ValueError, match="budget must be positive") as err:
         oracle(p, MultiPoly.const(2, F(1)), budget)
+    assert not isinstance(err.value, BudgetExceeded)
+
+
+@pytest.mark.parametrize("budget", [2.5, True, 10.0 ** 9], ids=repr)
+@pytest.mark.parametrize("oracle", BUDGET_CALLS.values(), ids=BUDGET_CALLS)
+def test_budget_must_be_an_integer(oracle, budget):
+    # 2.5 and True would read as exceeded budgets, and 10.0 ** 9 would run
+    p, phi = build_polytope(SIMPLEX2), MultiPoly.const(2, F(1))
+    oracle(p, phi, 10 ** 9)
+    with pytest.raises(ValueError, match="budget must be positive") as err:
+        oracle(p, phi, budget)
     assert not isinstance(err.value, BudgetExceeded)
 
 
@@ -251,6 +261,14 @@ def test_dilation_factors_must_be_integers(call, value):
     call(2)
     with pytest.raises(ValueError, match="dilation factor must be a positive integer"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [20.0, True, -1], ids=repr)
+def test_szasz_truncation_must_be_a_non_negative_integer(value):
+    x = MultiPoly.variable(1, 0)
+    szasz_eval(x, (F(1),), 2, truncation=20)
+    with pytest.raises(ValueError, match="truncation must be a non-negative integer"):
+        szasz_eval(x, (F(1),), 2, truncation=value)
 
 
 # ---------------------------------------------------------------------------

@@ -646,33 +646,80 @@ def test_stellar_steps_on_the_star_match_full_scan(gens, strategy):
     assert unimodularize(fan, strategy=strategy) == stellar_fan_reference(fan, strategy)
 
 
-def _counted_coords(monkeypatch) -> list:
-    """Record every point that a cell's `coords` is asked about."""
-    calls = []
+def _logged_lattices(monkeypatch) -> tuple:
+    """Record each cell that `_cell_lattice` builds, and each (cell, index,
+    point) that the cell's `coords` is asked about."""
+    built, asked = [], []
     real = subdivide._cell_lattice
 
-    def counting(cell):
+    def logging(cell):
         lattice = real(cell)
+        built.append(cell)
 
         def coords(p):
-            calls.append(p)
+            asked.append((cell, lattice.index, p))
             return lattice.coords(p)
 
         return lattice._replace(coords=coords)
 
-    monkeypatch.setattr(subdivide, "_cell_lattice", counting)
-    return calls
+    monkeypatch.setattr(subdivide, "_cell_lattice", logging)
+    return built, asked
 
 
 def test_cone_operator_coverage_check_is_linear_in_the_fan(monkeypatch):
-    # an all-pairs sample cover would make (faces + cells) * cells calls
-    calls = _counted_coords(monkeypatch)
-    per_cell = {}
+    # on the alternate strategy's stellar fan, an all-pairs sample cover
+    # would make (faces + cells) * cells calls; the default route's count
+    # does not grow with k at all
+    _, calls = _logged_lattices(monkeypatch)
+    per_cell, default = {}, {}
     for k in (15, 31, 63, 127):
         calls.clear()
-        cone_operator(index_cone(k))
+        cone_operator(index_cone(k), strategy="alternate")
         per_cell[k] = len(calls) / (2 * k - 1)
+        calls.clear()
+        cone_operator(index_cone(k))
+        default[k] = len(calls)
     assert max(per_cell.values()) <= 3, per_cell
+    assert len(set(default.values())) == 1, default
+
+
+def _seeded_cones(count: int, seed: int = 0) -> list:
+    """Pointed 2-4D cones of d to d + 2 small integer rays, each with a
+    positive last coordinate."""
+    rng = random.Random(seed)
+    cones = []
+    for _ in range(count):
+        d = rng.randint(2, 4)
+        cones.append([tuple(rng.randint(-3, 3) for _ in range(d - 1)) + (rng.randint(1, 3),)
+                      for _ in range(rng.randint(d, d + 2))])
+    return cones
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_leaf_reads_its_coordinates_in_one_pass(monkeypatch, strategy):
+    # a default leaf asks its coords about y and every ray once, in one run
+    # that gives both its open facets and its part of the self-check, and
+    # no call of either route builds one cell's lattice twice
+    built, asked = _logged_lattices(monkeypatch)
+    per_index_cone = {}
+    corpus = [(k, index_cone(k)) for k in (15, 31, 63, 127)] + [(None, g) for g in _seeded_cones(40)]
+    for k, gens in corpus:
+        built.clear()
+        asked.clear()
+        cone_operator(gens, strategy=strategy)
+        assert len(built) == len(set(built)), gens
+        if strategy == "alternate":
+            continue
+        rays = subdivide._ray_list(gens)
+        points = sorted([tuple(map(sum, zip(*rays))), *rays])
+        for start in range(0, len(asked), len(points)):
+            run = asked[start:start + len(points)]
+            assert len({(cell, index) for cell, index, _ in run}) == 1 and run[0][1] == 1, gens
+            assert sorted(p for _, _, p in run) == points, gens
+        if k is not None:
+            per_index_cone[k] = len(asked)
+    if strategy == "default":
+        assert per_index_cone == {15: 12, 31: 12, 63: 12, 127: 12}
 
 
 def test_signed_coefficients_coverage_check_is_linear_in_the_fan(monkeypatch):
@@ -680,7 +727,7 @@ def test_signed_coefficients_coverage_check_is_linear_in_the_fan(monkeypatch):
     # wall check makes one per interior wall, one per ray for each of the
     # three boundary walls and one per cell for the interior point
     fans = {k: unimodularize(triangulate_cone(index_cone(k))) for k in (15, 31, 63, 127)}
-    calls = _counted_coords(monkeypatch)
+    _, calls = _logged_lattices(monkeypatch)
     per_cell = {}
     for k, fan in fans.items():
         calls.clear()
@@ -890,12 +937,21 @@ def test_cone_operator_checks_inner_product_once(monkeypatch):
 
 def test_cone_operator_builds_each_cell_symbol_once_per_gram_class(monkeypatch):
     built = built_cell_symbols(monkeypatch)
+    ops = cone_operator(index_cone(15), strategy="alternate")
+    for n in (3, 4, 5, 4):
+        ops(n)
+    classes = {gram for gram, _ in built}
+    fan = triangulate_cone(index_cone(15), strategy="alternate")
+    fan = unimodularize(fan, strategy="alternate")
+    assert len(classes) < sum(1 for cell in signed_coefficients(fan) if cell.coeff)
+    assert len(built) == len(set(built)) == 3 * len(classes)
+    # the default route's five signed cells fall into at most four classes
+    built.clear()
     ops = cone_operator(index_cone(15))
     for n in (3, 4, 5, 4):
         ops(n)
     classes = {gram for gram, _ in built}
-    signed = signed_coefficients(unimodularize(triangulate_cone(index_cone(15))))
-    assert len(classes) < sum(1 for cell in signed if cell.coeff)
+    assert len(classes) <= 4
     assert len(built) == len(set(built)) == 3 * len(classes)
 
 
