@@ -417,8 +417,12 @@ def _monomial_key(exps: tuple) -> tuple:
 
 
 def _power(base, n: int, one):
-    """base ** n for n >= 0 by square-and-multiply, in the ring whose unit
-    is `one` (MultiPoly and CycloElem share it)."""
+    """base ** n by square-and-multiply, in the ring whose unit is `one`
+    (MultiPoly and CycloElem share it); n < 0 takes base.inverse()."""
+    if not _is_int(n):
+        raise ValueError("exponent must be an integer")
+    if n < 0:
+        base, n = base.inverse(), -n
     result = one
     while n:
         if n & 1:
@@ -549,9 +553,11 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
         return _power(self, n, MultiPoly.const(self.nvars, Fraction(1)))
+
+    def inverse(self):
+        """Polynomials take no negative powers here, not even units."""
+        raise ValueError("negative power of a polynomial")
 
     def eval(self, point: Sequence) -> object:
         """Evaluate at a point (entries CycloElem, or else `as_scalar`'s)."""
@@ -858,8 +864,6 @@ class CycloElem:
         return o * self.inverse()
 
     def __pow__(self, n: int) -> "CycloElem":
-        if n < 0:
-            return self.inverse() ** (-n)
         return _power(self, n, CycloElem.one(self.order))
 
     def is_primitive_root(self) -> bool:

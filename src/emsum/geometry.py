@@ -30,6 +30,7 @@ from .exactcore import (
     _eliminate,
     _integer_rows,
     _integer_vectors,
+    _is_int,
     _lattice_frame,
     _scaled_inverse,
     _unimodular_basis,
@@ -118,6 +119,8 @@ class LatticePolytope:
 
     def contains(self, point: Sequence[Fraction], dilation: int = 1) -> bool:
         """Membership of a rational point in dilation * P."""
+        if not _is_int(dilation) or dilation < 1:
+            raise ValueError("the dilation factor must be a positive integer")
         point = as_vector(point)
         return all(
             vdot(as_vector(alpha), point) >= dilation * c
@@ -507,6 +510,8 @@ def euler_brion_window_check(
         )
 
     for n in n_values:
+        if not _is_int(n) or n < 1:
+            raise ValueError("the dilation factor must be a positive integer")
         lo = [min(v[i] for v in poly.vertices) * n - 1 for i in range(m)]
         hi = [max(v[i] for v in poly.vertices) * n + 1 for i in range(m)]
         for base in itertools.product(

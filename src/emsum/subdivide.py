@@ -414,37 +414,38 @@ def _signed_decomposition(cells: list, rays: list) -> list:
     leaving sigma when lambda_i > 0 and entering when lambda_i < 0, and
     w not in -sigma keeps the line from staying in sigma for ever.  Each
     new cell has index |lambda_i| ind sigma <= ind sigma / 2.  A
+    half-open cell is fixed by its rays, so one table maps each cell met
+    to its `_cell_lattice` and summed sign, drained largest index first:
+    pieces are smaller than their cell, so each cell is taken once, with
+    its whole sign, and one whose signs sum to 0 is dropped unsplit.  A
     unimodular leaf with open facets S is the sum over the subsets T of
-    S of (-1)^|T| [its face without the rays in T].  Every cell takes
-    one `_cell_lattice`, and every leaf one pass of coordinates over y,
-    the first cell's rays and the other rays, in that order, which gives
-    its open facets and its count of the points it holds.  The
-    self-check raises AssertionError: each step must lower the index,
-    the half-open leaves must hold y and every ray once, and the
-    coefficients must sum to 1, the count at the origin, with 0 on the
-    face {0} itself, which the compactly supported Euler characteristic
-    forces: it is 1 on {0} and 0 on every other closed cone.
+    S of (-1)^|T| [its face without the rays in T]; one pass of its
+    coordinates over y, the first cell's rays and the other rays gives S
+    and its count of the points it holds.  The self-check raises
+    AssertionError: each step must lower the index, the half-open leaves
+    must hold y and every ray once, and the coefficients must sum to 1,
+    the count at the origin, with 0 on the face {0} itself, which the
+    compactly supported Euler characteristic forces: it is 1 on {0} and
+    0 on every other closed cone.
     """
     points = [tuple(map(sum, zip(*rays))), *dict.fromkeys([*cells[0], *rays])]
-    lattices, coeff, held = {}, {}, [0] * len(points)
-
-    def lattice_of(cell):
-        if cell not in lattices:
-            lattices[cell] = _cell_lattice(cell)
-        return lattices[cell]
-
-    stack = [(cell, 1) for cell in cells]
-    while stack:
-        cell, sign = stack.pop()
-        lattice = lattice_of(cell)
+    table, coeff, held = {cell: [_cell_lattice(cell), 1] for cell in cells}, {}, [0] * len(points)
+    heap = sorted((-lattice.index, cell) for cell, (lattice, _) in table.items())
+    while heap:
+        lattice, sign = table[cell := heapq.heappop(heap)[1]]
+        if not sign:
+            continue
         if lattice.index > 1:
             lam, w = _short_vector(lattice, cell)
             for i, x in enumerate(lam):
                 if x:
                     piece = _cell_key(cell[:i] + (w,) + cell[i + 1:])
-                    if lattice_of(piece).index >= lattice.index:
+                    if piece not in table:
+                        table[piece] = [_cell_lattice(piece), 0]
+                        heapq.heappush(heap, (-table[piece][0].index, piece))
+                    if table[piece][0].index >= lattice.index:
                         raise AssertionError("a signed step must decrease the index")
-                    stack.append((piece, sign if x > 0 else -sign))
+                    table[piece][1] += sign if x > 0 else -sign
             continue
         coords = [lattice.coords(p) for p in points]
         opened = {i for i in range(len(cell)) if next(c[i] for c in coords if c[i]) < 0}
@@ -508,19 +509,18 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
     straight to these forms.  A cone of d rays in Q^d with determinant +-1
     is its own single cell, by `_unimodular_basis`; any other cone takes
     `_triangulate`, then `_signed_decomposition` under "default" or
-    `_unimodular_fan` and `_signed_faces` under "alternate".
+    `_unimodular_fan` and `_signed_faces` under "alternate".  All three
+    give sorted cells: the cone is unimodular when they are its rays alone.
     """
     qi, (lift, t) = _integer_rows(qmat)[0], _integer_rows(basis)
-    unimodular = _unimodular_basis(rays)
-    if not unimodular:
-        cells = _triangulate(rays, d, strategy)
-        if strategy == "default":
-            signed = _signed_decomposition(cells, rays)
-        else:
-            signed = [c for c in _signed_faces(_unimodular_fan(cells, strategy), rays) if c.coeff]
-        unimodular = signed == [SignedCell(_cell_key(rays), 1)]
-    if unimodular:
-        signed = [SignedCell(gens=tuple(rays), coeff=1)]
+    own = [SignedCell(_cell_key(rays), 1)]
+    if _unimodular_basis(rays):
+        signed = own
+    elif strategy == "default":
+        signed = _signed_decomposition(_triangulate(rays, d, strategy), rays)
+    else:
+        cells = _unimodular_fan(_triangulate(rays, d, strategy), strategy)
+        signed = [c for c in _signed_faces(cells, rays) if c.coeff]
     size, cols = len(lift[0]), list(zip(*lift))
     forms = {h: {k: x for k, col in enumerate(cols) if (x := sum(map(mul, h, col)))}
              for h in {h for c in signed for h in c.gens}}
@@ -540,7 +540,7 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
         ]
         return DiffOp(size, n - d, _poly(_ysum(parts), t, size))
 
-    operator.unimodular = unimodular
+    operator.unimodular = signed == own
     return operator
 
 

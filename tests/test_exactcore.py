@@ -488,6 +488,22 @@ def test_power_agrees_with_repeated_products(n):
         assert base ** n == product
 
 
+@pytest.mark.parametrize("n", [True, 2.0, 1.5, "2", F(2)])
+@pytest.mark.parametrize("base", [MultiPoly.variable(1, 0), CycloElem.omega(3)], ids=["mpoly", "cyclo"])
+def test_powers_must_be_integers(base, n):
+    # bool, float, str and Fraction exponents all meet the one gate in
+    # _power, before either __pow__ reads the sign
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        base ** n
+
+
+def test_negative_powers_keep_their_routes():
+    with pytest.raises(ValueError, match="negative power of a polynomial"):
+        MultiPoly.const(1, 2) ** -1
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        CycloElem.zero(3) ** -2
+
+
 @pytest.mark.parametrize("exps", [(1.5, 0), (1.0, 0), (True, 0), ("1", 0), (F(1), 0), (-1, 0)])
 def test_mpoly_rejects_exponents_that_are_not_nonnegative_ints(exps):
     with pytest.raises(ValueError, match="exponent tuples"):

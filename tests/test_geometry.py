@@ -147,6 +147,13 @@ def test_contains_with_dilation():
     assert not p.contains((F(3, 2), F(1, 2)), dilation=1)
 
 
+@pytest.mark.parametrize("dilation", [1.5, True, 0, -1, F(1), "1"])
+def test_contains_rejects_dilations_that_are_not_positive_ints(dilation):
+    p = build_polytope([(0, 0), (2, 0), (0, 2)])
+    with pytest.raises(ValueError, match="the dilation factor must be a positive integer"):
+        p.contains((1, 1), dilation)
+
+
 # ---------------------------------------------------------------------------
 # tangent and transverse cones
 
@@ -830,6 +837,13 @@ def test_euler_brion_interval():
 def test_euler_brion_octahedron():
     p = build_polytope(OCTAHEDRON)
     assert euler_brion_window_check(p, n_values=(1,))
+
+
+@pytest.mark.parametrize("n", [True, 0, -1, 1.5, F(2)])
+def test_euler_brion_rejects_dilations_that_are_not_positive_ints(n):
+    p = build_polytope(SIMPLEX2)
+    with pytest.raises(ValueError, match="the dilation factor must be a positive integer"):
+        euler_brion_window_check(p, n_values=(1, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1224,6 +1224,28 @@ def test_fans_match_pinned_digest():
     assert digest == FANS_SHA256
 
 
+# Signed cells of the default route's `_signed_decomposition`, run on both
+# strategies' triangulations of the FANS_SHA256 corpus: the same small
+# cones and 40 seeded random cones.
+SIGNED_CELLS_SHA256 = (
+    "7731f2479ea953797a2910e9ea9e3b49b789d42adc5106b70cbabadb8e730937"
+)
+
+
+def test_signed_cells_match_pinned_digest():
+    small = [index_cone(15), index_cone(31), _sheared(index_cone(15)), SQUARE_CONE, PENTAGON_CONE]
+    small += [_cross_polytope_vertex_cone(3, i, sign) for i in range(3) for sign in (1, -1)]
+    lines = []
+    for gens in small + _fan_corpus():
+        rays = subdivide._ray_list(gens)
+        d = matrix_rank(as_matrix(rays))
+        for strategy in STRATEGIES:
+            cells = subdivide._triangulate(rays, d, strategy)
+            lines.append(f"{gens} {strategy} {subdivide._signed_decomposition(cells, rays)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SIGNED_CELLS_SHA256
+
+
 # ---------------------------------------------------------------------------
 # the default route: signed short-vector steps through half-open cells
 
@@ -1301,6 +1323,51 @@ def test_default_route_splits_every_index_cone_into_five_signed_cells(monkeypatc
     assert alternate[0] == (85, 53, 44)
     for small, large in zip(alternate, alternate[1:]):
         assert all(a < b for a, b in zip(small, large)), alternate
+
+
+# Both pulling cells of this cone have index > 1, and the step on the
+# index-10 cell makes the other, of index 2, with sign -1: its signs sum to 0.
+EXAMPLE_CONE = [(-3, -1, 3), (0, 0, 3), (-2, 0, 2), (-1, 3, 3)]
+
+
+def _logged_splits(monkeypatch) -> list:
+    """Record each cell that `_short_vector` is asked to split."""
+    split, real = [], subdivide._short_vector
+    monkeypatch.setattr(subdivide, "_short_vector", lambda lattice, cell: split.append(cell) or real(lattice, cell))
+    return split
+
+
+def test_signed_decomposition_splits_each_distinct_cell_once(monkeypatch):
+    # cells are taken largest index first, each with its summed sign: the
+    # index-2 cell is dropped unsplit, where a depth-first walk split it
+    # twice (4 splits on 3 cells and 9 lattices) for the same signed cells
+    built, _ = _logged_lattices(monkeypatch)
+    split = _logged_splits(monkeypatch)
+    rays = subdivide._ray_list(EXAMPLE_CONE)
+    signed = subdivide._signed_decomposition(subdivide._triangulate(rays, 3, "default"), rays)
+    assert len(split) == len(set(split)) == 2
+    assert len(built) == len(set(built)) == 7
+    assert [(c.gens, c.coeff) for c in signed] == [
+        (((-3, -1, 3), (-1, 0, 1), (0, 0, 1)), 1),
+        (((-1, 0, 1), (-1, 3, 3), (0, -1, -1)), -1),
+        (((-1, 0, 1), (0, -1, -1), (0, 0, 1)), -1),
+        (((-1, 3, 3), (0, -1, -1), (0, 0, 1)), 1),
+        (((-1, 0, 1), (-1, 3, 3)), 1),
+        (((-1, 0, 1), (0, -1, -1)), 1),
+        (((-1, 0, 1),), -1),
+    ]
+    monkeypatch.undo()
+    default, alternate = cone_operator(EXAMPLE_CONE), cone_operator(EXAMPLE_CONE, strategy="alternate")
+    for n in (3, 4, 5):
+        assert default(n).symbol == alternate(n).symbol
+
+
+def test_no_default_decomposition_splits_a_cell_twice(monkeypatch):
+    split = _logged_splits(monkeypatch)
+    for gens in _seeded_cones(120, seed=2026):
+        split.clear()
+        cone_operator(gens)
+        assert len(split) == len(set(split)), gens
 
 
 SIGNED_STEP_SCRIPT = """
