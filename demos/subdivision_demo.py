@@ -16,18 +16,20 @@ short-vector steps through half-open cells: a cell of index k > 1 is
 split, with signs, into cells of index at most k / 2.
 
 The operator of the original cone is then the signed sum of the pieces'
-operators.  This script walks the cone generated by (1,0) and (1,2)
-through all three steps, then counts the pieces of both routes on cones
-of growing index.
+operators, and `cone_operator(cone).cells` lists the signed cells that it
+sums under the strategy chosen.  This script walks the cone generated by
+(1,0) and (1,2) through all three steps, then counts the pieces of both
+routes on cones of growing index: the stellar route through its steps,
+the default route through `cone_operator`.
 """
 
 from emsum import (
     bv_op_pointed,
+    cone_operator,
     signed_coefficients,
     triangulate_cone,
     unimodularize,
 )
-from emsum.subdivide import _signed_decomposition
 
 rays = [(1, 0), (1, 2)]
 print(f"cone generated by {rays}  (index 2: not unimodular)")
@@ -65,10 +67,9 @@ print("pieces of cone(e1, e2, e1 + e2 + k e3), of index k:")
 print("      k  stellar fan  its signed faces  default signed cells")
 for k in (3, 15, 63, 255):
     cone = [(1, 0, 0), (0, 1, 0), (1, 1, k)]
-    cells = triangulate_cone(cone)
-    fan = unimodularize(cells)
+    fan = unimodularize(triangulate_cone(cone))
     faces = sum(1 for cell in signed_coefficients(fan) if cell.coeff)
-    signed = _signed_decomposition(cells, cone)
+    signed = cone_operator(cone).cells
     print(f"  {k:5d}  {len(fan):11d}  {faces:16d}  {len(signed):20d}")
 print("the stellar fan grows with k; the short-vector steps do not.")
 print()

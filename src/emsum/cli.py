@@ -35,7 +35,7 @@ from .oracle import (
     riemann_sum,
     weighted_ehrhart,
 )
-from .subdivide import STRATEGIES, _signed_faces, _unimodular_fan, triangulate_cone
+from .subdivide import STRATEGIES, cone_operator
 
 
 def _parse_json(text: str, what: str):
@@ -233,29 +233,11 @@ def cmd_riemann_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_subdivide_cone(args: argparse.Namespace) -> int:
-    # the stellar fan and wall signs that the alternate cone operator sums,
-    # one Smith form per cell; the default one takes signed short-vector steps
-    cells = triangulate_cone(args.generators, strategy=args.strategy)
-    fan = _unimodular_fan(cells, args.strategy)
-    signed = _signed_faces(fan, sorted({g for cell in cells for g in cell}))
-    lines = [f"unimodular cells: {len(fan)}"]
-    for cell in fan:
-        lines.append("cell: " + ", ".join(str(g) for g in cell))
-    lines.append("signed faces:")
-    for sc in signed:
-        gens = ", ".join(str(g) for g in sc.gens) if sc.gens else "origin"
-        lines.append(f"  r={sc.coeff:+d} dim={sc.dim}: {gens}")
-    payload = {
-        "cells": [[list(g) for g in cell] for cell in fan],
-        "signed": [
-            {
-                "gens": [list(g) for g in sc.gens],
-                "coeff": sc.coeff,
-                "dim": sc.dim,
-            }
-            for sc in signed
-        ],
-    }
+    signed = cone_operator(args.generators, strategy=args.strategy).cells
+    lines = [f"signed cells: {len(signed)}"]
+    lines += [f"  r={sc.coeff:+d} dim={sc.dim}: " + ", ".join(map(str, sc.gens)) for sc in signed]
+    payload = {"signed": [{"gens": [list(g) for g in sc.gens], "coeff": sc.coeff, "dim": sc.dim}
+                          for sc in signed]}
     _emit(args.fmt, lines, payload)
     return 0
 

@@ -497,18 +497,12 @@ def euler_brion_window_check(
     where C^+(N g) imposes the inequalities of exactly the facets containing
     g (the polytope face itself imposes none).  Points sampled are the
     integer points of the bounding box of N*P, padded by 1, together with
-    their shifts by the rational offset (1/2, 1/3, 1/5, ...).
+    their shifts by the rational offset (1/2, 1/3, 1/5, ...).  Each point
+    takes one pass over the facets; a face's cone holds it when the face's
+    facets are among those it satisfies.
     """
     m = poly.ambient_dim
     offsets = [F(1, p) for p in (2, 3, 5, 7, 11, 13)[:m]]
-    facet_data = [(as_vector(alpha), c) for alpha, c in poly.facets]
-
-    def member(face: Face, point, n: int) -> bool:
-        return all(
-            vdot(facet_data[h][0], point) >= n * facet_data[h][1]
-            for h in face.facet_ids
-        )
-
     for n in n_values:
         if not _is_int(n) or n < 1:
             raise ValueError("the dilation factor must be a positive integer")
@@ -517,17 +511,11 @@ def euler_brion_window_check(
         for base in itertools.product(
             *[range(lo[i], hi[i] + 1) for i in range(m)]
         ):
-            for shift in (None, offsets):
-                point = (
-                    as_vector(base)
-                    if shift is None
-                    else tuple(F(b) + o for b, o in zip(base, offsets))
-                )
-                lhs = 1 if poly.contains(point, dilation=n) else 0
-                rhs = sum(
-                    (-1) ** f.dim * (1 if member(f, point, n) else 0)
-                    for f in poly.faces
-                )
+            for point in (base, tuple(b + o for b, o in zip(base, offsets))):
+                held = {h for h, (alpha, c) in enumerate(poly.facets)
+                        if sum(map(mul, alpha, point)) >= n * c}
+                lhs = poly.contains(point, dilation=n)
+                rhs = sum((-1) ** f.dim for f in poly.faces if held.issuperset(f.facet_ids))
                 if lhs != rhs:
                     return False
     return True

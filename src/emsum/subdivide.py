@@ -478,12 +478,14 @@ def cone_operator(gens, qmat=None, strategy: str = "default"):
     n -> D_n(C; 0) = sum of r_sigma * D_{n - d + dim sigma}(sigma; 0)
     over the nonzero signed cells, where d = dim C.  The callable
     requires n >= d; its result is homogeneous of order n - d and only
-    pairs with the span of C.  Its `unimodular` attribute tells whether
-    the cone was its own single cell.  Independent rays always span a
-    pointed cone; any other cone that is not pointed is rejected by
-    `_triangulate`.  Q is checked once per call, and each order is one
-    integer sum of the cells' symbols.  Cells whose Gram matrices are
-    equal up to a scalar share one symbol per order (`conecalc._Cell`).
+    pairs with the span of C.  Its `cells` attribute lists those
+    SignedCell entries, sorted by (-dim, gens), and its `unimodular`
+    attribute tells whether the cone was its own single cell.
+    Independent rays always span a pointed cone; any other cone that is
+    not pointed is rejected by `_triangulate`.  Q is checked once per
+    call, and each order is one integer sum of the cells' symbols.  Cells
+    whose Gram matrices are equal up to a scalar share one symbol per
+    order (`conecalc._Cell`).
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy")
@@ -510,7 +512,8 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
     is its own single cell, by `_unimodular_basis`; any other cone takes
     `_triangulate`, then `_signed_decomposition` under "default" or
     `_unimodular_fan` and `_signed_faces` under "alternate".  All three
-    give sorted cells: the cone is unimodular when they are its rays alone.
+    give the sorted nonzero cells that the operator keeps as `cells`, and
+    the cone is unimodular when they are its rays alone.
     """
     qi, (lift, t) = _integer_rows(qmat)[0], _integer_rows(basis)
     own = [SignedCell(_cell_key(rays), 1)]
@@ -540,7 +543,7 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
         ]
         return DiffOp(size, n - d, _poly(_ysum(parts), t, size))
 
-    operator.unimodular = signed == own
+    operator.cells, operator.unimodular = signed, signed == own
     return operator
 
 

@@ -224,6 +224,26 @@ def in_simplicial_cone(point, gens) -> bool:
     return coords is not None and min(coords) >= 0
 
 
+def assert_cells_hold_the_cone_pointwise(rays, signed, radius):
+    """Sum of coeff * [x in cell] = [x in K] over the signed cells, at every
+    lattice point x of the window [-radius, radius]^m, for the cone K that
+    `rays` generate.  K is tested by Caratheodory, independently of any
+    decomposition route: x is in K exactly when it is in the cone of some
+    linearly independent rank-many of the rays."""
+    d = matrix_rank(rays)
+    bases = [s for s in itertools.combinations(rays, d) if matrix_rank(s) == d]
+    cones = [cell_coordinates(s) for s in bases]
+    faces = [(c.coeff, cell_coordinates(c.gens)) for c in signed]
+
+    def held(coords, x):
+        t = coords(x)
+        return t is not None and all(ti >= 0 for ti in t)
+
+    for x in itertools.product(range(-radius, radius + 1), repeat=len(rays[0])):
+        inside = any(held(coords, x) for coords in cones)
+        assert sum(coeff * held(coords, x) for coeff, coords in faces) == inside, x
+
+
 def cell_coordinates(gens):
     """p -> the integer vector scale * t of the coordinates t of p over the
     linearly independent integer vectors gens, or None when p is off

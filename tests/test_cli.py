@@ -11,6 +11,8 @@ import pytest
 from emsum import cli, subdivide
 from emsum.subdivide import STRATEGIES
 
+from _helpers import assert_cells_hold_the_cone_pointwise
+
 SQUARE = '{"vertices": [[0,0],[1,0],[0,1],[1,1]]}'
 OCTAHEDRON = '[[1,0,0],[-1,0,0],[0,1,0],[0,-1,0],[0,0,1],[0,0,-1]]'
 
@@ -256,6 +258,11 @@ def test_riemann_sum_examples(capsys):
     assert out.strip() == "R_2 = 3/4"
 
 
+def _signed_payload(cells):
+    return {"signed": [{"gens": [list(g) for g in sc.gens], "coeff": sc.coeff, "dim": sc.dim}
+                       for sc in cells]}
+
+
 def test_subdivide_cone_table(capsys):
     code, out, _ = run(
         capsys,
@@ -263,36 +270,41 @@ def test_subdivide_cone_table(capsys):
          '{"generators": [[1,0],[1,2]]}'],
     )
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "unimodular cells: 2"
-    assert "cell: (1, 0), (1, 1)" in lines
-    assert "cell: (1, 1), (1, 2)" in lines
-    assert "  r=-1 dim=1: (1, 1)" in lines
+    assert out.splitlines() == [
+        "signed cells: 3",
+        "  r=+1 dim=2: (1, 0), (1, 1)",
+        "  r=+1 dim=2: (1, 1), (1, 2)",
+        "  r=-1 dim=1: (1, 1)",
+    ]
 
 
 def test_subdivide_cone_json(capsys):
-    code, out, _ = run(
-        capsys,
-        ["subdivide-cone", "--generators", "[[1,0],[1,2]]",
-         "--format", "json"],
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data["cells"] == [[[1, 0], [1, 1]], [[1, 1], [1, 2]]]
-    signed = {tuple(map(tuple, e["gens"])): e["coeff"] for e in data["signed"]}
-    assert signed[((1, 1),)] == -1
+    # both strategies split the index-2 cone at (1, 1)
+    for strategy in STRATEGIES:
+        code, out, _ = run(
+            capsys,
+            ["subdivide-cone", "--generators", "[[1,0],[1,2]]",
+             "--strategy", strategy, "--format", "json"],
+        )
+        assert code == 0
+        assert json.loads(out) == {"signed": [
+            {"gens": [[1, 0], [1, 1]], "coeff": 1, "dim": 2},
+            {"gens": [[1, 1], [1, 2]], "coeff": 1, "dim": 2},
+            {"gens": [[1, 1]], "coeff": -1, "dim": 1},
+        ]}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_subdivide_cone_takes_one_smith_form_per_cell(capsys, monkeypatch, strategy):
-    # the command refines the triangulation and signs its faces as
-    # `cone_operator` does, and its output is that of `unimodularize`
-    # followed by `signed_coefficients`
+    # the command prints the signed cells that `cone_operator` sums; under
+    # alternate they are the nonzero signed faces of `unimodularize`
+    # followed by `signed_coefficients`, a route the command does not take
     gens = [[1, 0, 0], [1, 7, 0], [0, 0, 1], [1, 2, 5]]
-    expected_fan = subdivide.unimodularize(
-        subdivide.triangulate_cone(gens, strategy), strategy
-    )
-    expected_signed = subdivide.signed_coefficients(expected_fan)
+    if strategy == "alternate":
+        fan = subdivide.unimodularize(subdivide.triangulate_cone(gens, strategy), strategy)
+        expected = [sc for sc in subdivide.signed_coefficients(fan) if sc.coeff]
+    else:
+        expected = subdivide.cone_operator(gens, strategy=strategy).cells
     seen = []
     real = subdivide._cell_lattice
     monkeypatch.setattr(
@@ -304,14 +316,26 @@ def test_subdivide_cone_takes_one_smith_form_per_cell(capsys, monkeypatch, strat
          "--strategy", strategy, "--format", "json"],
     )
     assert code == 0
-    data = json.loads(out)
-    assert data["cells"] == [[list(g) for g in cell] for cell in expected_fan]
-    assert data["signed"] == [
-        {"gens": [list(g) for g in sc.gens], "coeff": sc.coeff, "dim": sc.dim}
-        for sc in expected_signed
-    ]
+    assert json.loads(out) == _signed_payload(expected)
     assert len(seen) == len(set(seen))
-    assert set(expected_fan) <= set(seen)
+    assert {sc.gens for sc in expected if sc.dim == 3} <= set(seen)
+
+
+@pytest.mark.parametrize("strategy, count", [("default", 5), ("alternate", 85)])
+def test_subdivide_cone_prints_the_cells_that_the_operator_sums(capsys, strategy, count):
+    # cone(e1, e2, e1 + e2 + 15 e3): the default route's signed short-vector
+    # steps give 5 cells, the 29-cell stellar fan 85 nonzero signed faces
+    gens = [[1, 0, 0], [0, 1, 0], [1, 1, 15]]
+    cells = subdivide.cone_operator(gens, strategy=strategy).cells
+    assert len(cells) == count
+    code, out, _ = run(
+        capsys,
+        ["subdivide-cone", "--generators", json.dumps(gens),
+         "--strategy", strategy, "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out) == _signed_payload(cells)
+    assert_cells_hold_the_cone_pointwise(gens, cells, 2)
 
 
 def test_subdivide_cone_rejects_non_pointed(capsys):

@@ -33,6 +33,7 @@ from emsum.exactcore import (
     transpose,
 )
 from emsum.geometry import (
+    LatticePolytope,
     build_polytope,
     euler_brion_window_check,
     integrate_poly_over_face,
@@ -837,6 +838,15 @@ def test_euler_brion_interval():
 def test_euler_brion_octahedron():
     p = build_polytope(OCTAHEDRON)
     assert euler_brion_window_check(p, n_values=(1,))
+
+
+def test_euler_brion_fails_without_any_one_face():
+    # every face, the triangle itself included, carries a term of the
+    # identity; with one of them dropped some sample point breaks it
+    p = build_polytope([[0, 0], [1, 0], [1, 2]])
+    for i in range(len(p.faces)):
+        faces = p.faces[:i] + p.faces[i + 1:]
+        assert not euler_brion_window_check(LatticePolytope(p.vertices, p.facets, faces)), i
 
 
 @pytest.mark.parametrize("n", [True, 0, -1, 1.5, F(2)])

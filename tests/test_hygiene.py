@@ -251,6 +251,20 @@ def test_riemann_sum_shares_no_code_with_the_engine():
     assert named == [], f"riemann_sum reaches engine code: {named}"
 
 
+def test_cli_and_demos_import_no_private_subdivide_name():
+    # a cone's signed decomposition is chosen behind `cone_operator`, and
+    # the CLI and the demos read it there, not off private helpers
+    private = [
+        f"{path.relative_to(ROOT)}:{alias.name}"
+        for path in [PACKAGE / "cli.py", *sorted((ROOT / "demos").glob("*.py"))]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("subdivide")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"private subdivide names imported: {private}"
+
+
 def test_invariant_modules_have_no_assert_statement():
     # python -O strips assert statements, so invariants in every module of
     # the package raise explicitly instead

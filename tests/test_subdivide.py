@@ -35,8 +35,8 @@ from emsum.subdivide import (
 )
 
 from _helpers import (
+    assert_cells_hold_the_cone_pointwise,
     built_cell_symbols,
-    cell_coordinates,
     facet_candidates,
     fraction_det,
     in_simplicial_cone,
@@ -1251,24 +1251,10 @@ def test_signed_cells_match_pinned_digest():
 
 
 def check_signed_cells_hold_the_cone_pointwise(gens, radius):
-    # sum of coeff * [x in face] = [x in K] at every lattice point of the
-    # window; K is tested by Caratheodory, independently of the route: x
-    # is in K exactly when it is in the cone of some linearly independent
-    # rank-many of the rays
     rays = subdivide._ray_list(gens)
     d = matrix_rank(as_matrix(rays))
-    bases = [s for s in combinations(rays, d) if matrix_rank(as_matrix(s)) == d]
-    cones = [cell_coordinates(s) for s in bases]
     signed = subdivide._signed_decomposition(subdivide._triangulate(rays, d, "default"), rays)
-    faces = [(c.coeff, cell_coordinates(c.gens)) for c in signed]
-
-    def held(coords, x):
-        t = coords(x)
-        return t is not None and all(ti >= 0 for ti in t)
-
-    for x in product(range(-radius, radius + 1), repeat=len(rays[0])):
-        inside = any(held(coords, x) for coords in cones)
-        assert sum(coeff * held(coords, x) for coeff, coords in faces) == inside, x
+    assert_cells_hold_the_cone_pointwise(rays, signed, radius)
 
 
 @settings(max_examples=40, deadline=None)
