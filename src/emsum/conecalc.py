@@ -104,38 +104,60 @@ class Deco:
     coeff: Mapping[Tuple[int, int], Fraction]
 
 
+def _gram_table(rays, qi):
+    """Gram matrices (h_i^T qi h_j) of cells on the integer `rays` under an
+    integer multiple qi of a definite inner product: a function from a cell,
+    a sequence of those rays, to its Gram rows.  qi h is taken once per
+    distinct ray and each entry once per distinct pair, over every cell
+    asked about."""
+    at = {h: i for i, h in enumerate(dict.fromkeys(rays))}
+    qh = [[sum(map(mul, row, h)) for row in qi] for h in at]
+    entries = {}
+
+    def gram(cell) -> list:
+        idx = [at[h] for h in cell]
+        for i, h in zip(idx, cell):
+            for j in idx:
+                if (i, j) not in entries:
+                    entries[i, j] = entries[j, i] = sum(map(mul, h, qh[j]))
+        return [[entries[i, j] for j in idx] for i in idx]
+
+    return gram
+
+
 class _Cell:
     """The integer set-up of the peeling recursion on a simplicial cone: the
     Gram matrix (h_i^T qi h_j) of its integer rays h_i under an integer
-    multiple qi of a definite inner product, the recursion's one input, and
-    the output forms of the cell coordinates, y_i = <xi, f_i> / t, with f_i
-    sparse integer forms on Q^m (the h_i themselves, or lifted images).
+    multiple qi of a definite inner product (`_gram_table`), the
+    recursion's one input, and the output forms of the cell coordinates,
+    y_i = <xi, f_i> / t, with f_i sparse integer forms on Q^m (the h_i
+    themselves, or lifted images).
     With a `classes` dict, the cell orders its rays by (G_ii, sorted row i)
     and shares its Schur solves and symbols, which depend on G alone, with
     the earlier cells of that dict whose reordered G is equal.  G is kept
     divided by the gcd of its entries: scaling G by lambda scales each
     Schur determinant and solve of a block by the same power of lambda,
-    so the symbols, in lowest terms, do not change."""
+    so the symbols, in lowest terms, do not change.  Every entry of one
+    `classes` dict also carries the same dict of weight plans
+    (`_bv_plan`), which depend only on the order and the face labels."""
 
-    __slots__ = ("dim", "ambient_dim", "_forms", "_den", "_gram", "_schur_cache", "_op_cache")
+    __slots__ = ("dim", "ambient_dim", "_forms", "_den", "_gram", "_schur_cache", "_op_cache", "_plans")
 
-    def __init__(self, rays, qi, forms, t: int, m: int, classes: dict = None):
-        qh = [[sum(map(mul, row, h)) for row in qi] for h in rays]
-        gram = [[sum(map(mul, h, x)) for x in qh] for h in rays]
+    def __init__(self, gram, forms, t: int, m: int, classes: dict = None):
         if classes is None:
-            classes, order = {}, range(len(rays))
+            classes, order = {}, range(len(gram))
         else:
-            order = sorted(range(len(rays)), key=lambda i: (gram[i][i], sorted(gram[i])))
+            order = sorted(range(len(gram)), key=lambda i: (gram[i][i], sorted(gram[i])))
         g = math.gcd(*chain.from_iterable(gram)) or 1
         gram = tuple(tuple(gram[i][j] // g for j in order) for i in order)
         if gram not in classes:
             # under a definite Q, the rays are independent exactly when G is definite
             if not bareiss([list(row) for row in gram]):
                 raise ValueError("cone generators must be linearly independent")
-            classes[gram] = ({}, {})
-        self.dim, self.ambient_dim, self._den, self._gram = len(rays), m, t, gram
+            classes[gram] = ({}, {}, next(iter(classes.values()))[2] if classes else {})
+        self.dim, self.ambient_dim, self._den, self._gram = len(gram), m, t, gram
         self._forms = [forms[i] for i in order]
-        self._schur_cache, self._op_cache = classes[gram]
+        self._schur_cache, self._op_cache, self._plans = classes[gram]
 
 
 class UniCone(_Cell):
@@ -163,8 +185,10 @@ class UniCone(_Cell):
         if any(len(g) != m for g in glist):
             raise ValueError("generators must have equal length")
         q = inner_product_matrix(qmat, m)
-        hs, t = _integer_rows(glist)
-        super().__init__(hs, _integer_rows(q)[0], [{k: x for k, x in enumerate(h) if x} for h in hs], t, m)
+        rows, t = _integer_rows(glist)
+        hs = list(map(tuple, rows))
+        forms = [{k: x for k, x in enumerate(h) if x} for h in hs]
+        super().__init__(_gram_table(hs, _integer_rows(q)[0])(hs), forms, t, m)
         self.gens, self.qmat, self._sym_cache = tuple(glist), q, {}
 
     def labels(self) -> range:
@@ -490,10 +514,10 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
     D_n(C; C) = 0 for n >= 1.
 
     The weights p_I(nu) depend only on the parts of nu, not on the labels
-    that carry them: each call lists the compositions of n into r parts
-    (`combinat.compositions`), keeps one table of their nonzero weights as
-    integers over one denominator, and maps it onto every r-subset of the
-    labels.
+    that carry them: the cone's plan for (labels, n) (`_bv_plan`) lists the
+    compositions of n into r parts (`combinat.compositions`), keeps one
+    table of their nonzero weights as integers over one denominator, and
+    maps it onto every r-subset of the labels.
     """
     if not _is_int(n) or n < 0:
         raise ValueError("order must be non-negative")
@@ -505,26 +529,38 @@ def bv_op_unimodular(cone: UniCone, face_labels, n: int) -> DiffOp:
     return DiffOp(cone.ambient_dim, n - len(out) if out else 0, sym)
 
 
-def _bv_sym(cone: _Cell, out: tuple, n: int) -> tuple:
-    """The symbol of D_n(C; F) in cell coordinates, as integer (terms, den), for
-    F named by a label tuple `out` and n >= len(out); memoized per Gram class."""
-    if not out:
-        return ({(0,) * cone.dim: 1} if n == 0 else {}), 1
-    hit = cone._op_cache.get((out, n))
-    if hit is not None:
-        return hit
+def _bv_plan(out: tuple, n: int) -> tuple:
+    """The weights of D_n(C; F) over its peeling operators, for F named by
+    a nonempty label tuple `out`: (entries, den) with D_n = sum over the
+    entries (w, picked, alpha) of w L(E; picked, out; alpha) / den.  It
+    depends on no Gram matrix, so one plan serves every cell of a scope."""
     ps = [p_of_n(k) for k in range(1, n + 1)]
     d = math.lcm(*(x.denominator for x in ps))
     a = [0] + [x.numerator * (d // x.denominator) for x in ps]
-    rmax, sign, parts = min(n, len(out)), (-1) ** (n - len(out)), []
+    rmax, sign, entries = min(n, len(out)), (-1) ** (n - len(out)), []
     for r in range(1, rmax + 1):
         weights = ((math.prod(a[k] for k in nu), nu) for nu in compositions(n, r))
         table = [(sign * w * d ** (rmax - r), nu) for w, nu in weights if w]
         for picked in combinations(out, r):
             for w, nu in table:
-                alpha = tuple((e, k - 1) for e, k in zip(picked, nu) if k > 1)
-                parts.append((w, _ibp_rec(cone, picked, out, alpha, "min")))
-    sym = cone._op_cache[out, n] = _ysum(parts, d ** rmax)
+                entries.append((w, picked, tuple((e, k - 1) for e, k in zip(picked, nu) if k > 1)))
+    return entries, d ** rmax
+
+
+def _bv_sym(cone: _Cell, out: tuple, n: int) -> tuple:
+    """The symbol of D_n(C; F) in cell coordinates, as integer (terms, den), for
+    F named by a label tuple `out` and n >= len(out); memoized per Gram class,
+    its weight plan per `classes` scope."""
+    if not out:
+        return ({(0,) * cone.dim: 1} if n == 0 else {}), 1
+    hit = cone._op_cache.get((out, n))
+    if hit is not None:
+        return hit
+    plan = cone._plans.get((out, n))
+    if plan is None:
+        plan = cone._plans[out, n] = _bv_plan(out, n)
+    parts = [(w, _ibp_rec(cone, picked, out, alpha, "min")) for w, picked, alpha in plan[0]]
+    sym = cone._op_cache[out, n] = _ysum(parts, plan[1])
     return sym
 
 

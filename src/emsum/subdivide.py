@@ -2,24 +2,28 @@
 
 A pointed cone that is not unimodular is first cut by a pulling
 triangulation on its own extreme rays, read off the cone's face lattice
-with no section polytope built.  Every simplicial cell gets one Smith
-normal form (`_cell_lattice`), which gives its index, its integer
-coordinates and the lattice points of its fundamental box.  From there
-the two strategies take independent routes to signed unimodular cells:
+with no section polytope built.  A Smith normal form of a simplicial
+cell (`_cell_lattice`) gives its index, its integer coordinates and the
+lattice points of its fundamental box.  From there the two strategies
+take independent routes to signed unimodular cells:
 
 - default: signed short-vector steps (`_signed_decomposition`).  Each
   cell is half-open with respect to one perturbed interior point, and a
   cell of index > 1 is replaced by the signed cells that a short lattice
   vector from its box makes, each of index at most half its own, until
   every cell is unimodular; a half-open unimodular cell is then an
-  inclusion-exclusion over its closed faces.  An index-k cone of the
-  form cone(e1, e2, e1 + e2 + k e3) takes 5 signed cells for every k.
+  inclusion-exclusion over its closed faces.  A Smith form is taken only
+  for a triangulation cell and for a cell that is split; a piece reads
+  its index off its parent, and a unimodular leaf its coordinates off
+  one elimination.  An index-k cone of the form
+  cone(e1, e2, e1 + e2 + k e3) takes 5 signed cells and one Smith form
+  for every k.
 - alternate: a stellar refinement of the fan, star by star, until every
   maximal cell is unimodular (`unimodularize`), and signs read off the
   boundary walls that make the fan's faces a signed decomposition of the
-  cone's indicator function (`signed_coefficients`); the one coverage
-  check, wall by wall, reads sides off the coordinates.  The same
-  cone takes 2k - 1 fan cells.
+  cone's indicator function (`signed_coefficients`); every cell gets one
+  Smith form, and the one coverage check, wall by wall, reads sides off
+  its coordinates.  The same cone takes 2k - 1 fan cells.
 
 The vertex operator of the cone is then the signed sum of the vertex
 operators of the cells, each taken at the order matching its dimension
@@ -39,8 +43,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .conecalc import DiffOp, _bv_sym, _Cell, _poly, _to_ambient, _ysum
+from .conecalc import DiffOp, _bv_sym, _Cell, _gram_table, _poly, _to_ambient, _ysum
 from .exactcore import (
+    _eliminate,
     _integer_rows,
     _integer_vectors,
     _is_int,
@@ -396,6 +401,29 @@ def _short_vector(lattice: _Lattice, cell: tuple) -> tuple:
     return lam, w
 
 
+def _split(lattice: _Lattice, cell: tuple) -> list:
+    """One signed step on a cell of index > 1: (sigma[g_i <- w], its index
+    |lambda_i| ind sigma, the sign of lambda_i) for each lambda_i != 0 of
+    `_short_vector`, the index read off lambda with no Smith form."""
+    lam, w = _short_vector(lattice, cell)
+    index, scale = lattice.index, lattice.scale
+    return [(_cell_key(cell[:i] + (w,) + cell[i + 1:]), abs(x) * index // scale, 1 if x > 0 else -1)
+            for i, x in enumerate(lam) if x]
+
+
+def _leaf_coords(cell: tuple, points: list) -> list:
+    """The integer coordinates over a unimodular cell's rays of each of
+    `points`, from one `_eliminate` of [cell | points], whose rows / delta
+    are its reduced echelon form.  A point off the cell's span, or at a
+    coordinate that is not an integer, as a cell of index > 1 can give,
+    raises AssertionError."""
+    k = len(cell)
+    rows, pivots, delta = _eliminate(list(zip(*cell, *points)))
+    if pivots != tuple(range(k)) or any(x % delta for row in rows[:k] for x in row[k:]):
+        raise AssertionError("a unimodular leaf must hold every point at integer coordinates")
+    return list(zip(*([x // delta for x in row[k:]] for row in rows[:k])))
+
+
 def _signed_decomposition(cells: list, rays: list) -> list:
     """Signed closed unimodular cells whose indicators sum to [K], for the
     cells of a triangulation of the pointed cone K generated by `rays`:
@@ -413,41 +441,51 @@ def _signed_decomposition(cells: list, rays: list) -> list:
     i-th of them holds x when the line crosses the facet opposite g_i,
     leaving sigma when lambda_i > 0 and entering when lambda_i < 0, and
     w not in -sigma keeps the line from staying in sigma for ever.  Each
-    new cell has index |lambda_i| ind sigma <= ind sigma / 2.  A
-    half-open cell is fixed by its rays, so one table maps each cell met
-    to its `_cell_lattice` and summed sign, drained largest index first:
-    pieces are smaller than their cell, so each cell is taken once, with
-    its whole sign, and one whose signs sum to 0 is dropped unsplit.  A
-    unimodular leaf with open facets S is the sum over the subsets T of
-    S of (-1)^|T| [its face without the rays in T]; one pass of its
-    coordinates over y, the first cell's rays and the other rays gives S
-    and its count of the points it holds.  The self-check raises
-    AssertionError: each step must lower the index, the half-open leaves
-    must hold y and every ray once, and the coefficients must sum to 1,
-    the count at the origin, with 0 on the face {0} itself, which the
-    compactly supported Euler characteristic forces: it is 1 on {0} and
-    0 on every other closed cone.
+    new cell has index |lambda_i| ind sigma <= ind sigma / 2, read off
+    lambda with no Smith form (`_split`).  A half-open cell is fixed by
+    its rays, so one table maps each cell met to its index and summed
+    sign, drained largest index first: pieces are smaller than their
+    cell, so each cell is taken once, with its whole sign, and one whose
+    signs sum to 0 is dropped unsplit.  `_cell_lattice` is taken for each
+    triangulation cell and for each cell that is split, never for a
+    unimodular leaf.  A leaf with open facets S is the sum over the
+    subsets T of S of (-1)^|T| [its face without the rays in T]; one
+    `_eliminate` of [its rays | y, the first cell's rays and the other
+    rays] (`_leaf_coords`) gives the integer coordinates of those points,
+    hence S and its count of the points it holds.  The self-check raises
+    AssertionError: an index read off lambda must match the Smith form of
+    a cell that is split and be the same from every parent, each step
+    must lower the index, a leaf must hold every point at integer
+    coordinates on its span, the half-open leaves must hold y and every
+    ray once, and the coefficients must sum to 1, the count at the
+    origin, with 0 on the face {0} itself, which the compactly supported
+    Euler characteristic forces: it is 1 on {0} and 0 on every other
+    closed cone.
     """
     points = [tuple(map(sum, zip(*rays))), *dict.fromkeys([*cells[0], *rays])]
-    table, coeff, held = {cell: [_cell_lattice(cell), 1] for cell in cells}, {}, [0] * len(points)
-    heap = sorted((-lattice.index, cell) for cell, (lattice, _) in table.items())
+    lattices = {cell: _cell_lattice(cell) for cell in cells}
+    table = {cell: [lattice.index, 1] for cell, lattice in lattices.items()}
+    heap = sorted((-index, cell) for cell, (index, _) in table.items())
+    coeff, held = {}, [0] * len(points)
     while heap:
-        lattice, sign = table[cell := heapq.heappop(heap)[1]]
+        index, sign = table[cell := heapq.heappop(heap)[1]]
         if not sign:
             continue
-        if lattice.index > 1:
-            lam, w = _short_vector(lattice, cell)
-            for i, x in enumerate(lam):
-                if x:
-                    piece = _cell_key(cell[:i] + (w,) + cell[i + 1:])
-                    if piece not in table:
-                        table[piece] = [_cell_lattice(piece), 0]
-                        heapq.heappush(heap, (-table[piece][0].index, piece))
-                    if table[piece][0].index >= lattice.index:
-                        raise AssertionError("a signed step must decrease the index")
-                    table[piece][1] += sign if x > 0 else -sign
+        if index > 1:
+            lattice = lattices.get(cell) or _cell_lattice(cell)
+            if lattice.index != index:
+                raise AssertionError("a cell's index must match its Smith form")
+            for piece, size, step in _split(lattice, cell):
+                if piece not in table:
+                    table[piece] = [size, 0]
+                    heapq.heappush(heap, (-size, piece))
+                if size >= index:
+                    raise AssertionError("a signed step must decrease the index")
+                if table[piece][0] != size:
+                    raise AssertionError("a cell's index must not depend on its parent")
+                table[piece][1] += step * sign
             continue
-        coords = [lattice.coords(p) for p in points]
+        coords = _leaf_coords(cell, points)
         opened = {i for i in range(len(cell)) if next(c[i] for c in coords if c[i]) < 0}
         held = [h + sign * all(ti > 0 or (ti == 0 and i not in opened) for i, ti in enumerate(t))
                 for h, t in zip(held, coords)]
@@ -508,7 +546,8 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
     The operators come out lifted to Q^M, as if composed with
     xi_j = <xi, b_j>: a cell ray h enters as the form sum_j h_j t b_j,
     built once per distinct ray, and each cell's symbol is composed
-    straight to these forms.  A cone of d rays in Q^d with determinant +-1
+    straight to these forms.  One `_gram_table` over the distinct rays
+    gives each cell its Gram matrix under sQ.  A cone of d rays in Q^d with determinant +-1
     is its own single cell, by `_unimodular_basis`; any other cone takes
     `_triangulate`, then `_signed_decomposition` under "default" or
     `_unimodular_fan` and `_signed_faces` under "alternate".  All three
@@ -527,7 +566,8 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
     size, cols = len(lift[0]), list(zip(*lift))
     forms = {h: {k: x for k, col in enumerate(cols) if (x := sum(map(mul, h, col)))}
              for h in {h for c in signed for h in c.gens}}
-    cells = [(c.coeff, _Cell(c.gens, qi, [forms[h] for h in c.gens], t, size, classes))
+    gram = _gram_table(list(forms), qi)
+    cells = [(c.coeff, _Cell(gram(c.gens), [forms[h] for h in c.gens], t, size, classes))
              for c in signed]
 
     def operator(n: int) -> DiffOp:

@@ -298,7 +298,9 @@ def test_subdivide_cone_json(capsys):
 def test_subdivide_cone_takes_one_smith_form_per_cell(capsys, monkeypatch, strategy):
     # the command prints the signed cells that `cone_operator` sums; under
     # alternate they are the nonzero signed faces of `unimodularize`
-    # followed by `signed_coefficients`, a route the command does not take
+    # followed by `signed_coefficients`, a route the command does not take,
+    # and each of their cells takes a Smith form; under default only the
+    # one triangulation cell, of index 7, takes one, and no leaf
     gens = [[1, 0, 0], [1, 7, 0], [0, 0, 1], [1, 2, 5]]
     if strategy == "alternate":
         fan = subdivide.unimodularize(subdivide.triangulate_cone(gens, strategy), strategy)
@@ -318,7 +320,11 @@ def test_subdivide_cone_takes_one_smith_form_per_cell(capsys, monkeypatch, strat
     assert code == 0
     assert json.loads(out) == _signed_payload(expected)
     assert len(seen) == len(set(seen))
-    assert {sc.gens for sc in expected if sc.dim == 3} <= set(seen)
+    full = {sc.gens for sc in expected if sc.dim == 3}
+    if strategy == "alternate":
+        assert full <= set(seen)
+    else:
+        assert seen == [((0, 0, 1), (1, 0, 0), (1, 7, 0))] and not full & set(seen)
 
 
 @pytest.mark.parametrize("strategy, count", [("default", 5), ("alternate", 85)])

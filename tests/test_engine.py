@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from emsum import engine, exactcore, geometry, subdivide
+from emsum import conecalc, engine, exactcore, geometry, subdivide
 from emsum.conecalc import DiffOp, UniCone
 from emsum.engine import (
     ExpansionResult,
@@ -434,6 +434,22 @@ def test_fresh_expansion_builds_one_cell_symbol_per_gram_class(monkeypatch):
         (tuple(tuple(int(i == j) for j in range(c)) for i in range(c)), n)
         for c in (1, 2, 3) for n in range(c, c + 3)
     )
+
+
+def test_fresh_expansion_builds_one_weight_plan_per_order_and_cell_dimension(monkeypatch):
+    # the weights of D_n over its peeling operators depend on n and the
+    # cell's labels alone, so one plan per (n, cell dimension) serves every
+    # Gram class of the call; the cells of a lattice image of the
+    # octahedron fall into many classes
+    plans, real = [], conecalc._bv_plan
+    monkeypatch.setattr(conecalc, "_bv_plan", lambda out, n: plans.append((n, len(out))) or real(out, n))
+    built = built_cell_symbols(monkeypatch)
+    mat = unimodular_matrix(random.Random(3), 3)
+    image = [tuple(sum(a * x for a, x in zip(row, v)) for row in mat) for v in OCTAHEDRON.vertices]
+    phi = MultiPoly.variable(3, 0) ** 2 + MultiPoly.variable(3, 1)
+    expansion(build_polytope(image), phi)
+    assert len(plans) == len(set(plans))
+    assert len(built) > 3 * len(plans), (len(built), sorted(plans))
 
 
 def test_kept_operators_match_fresh_polytope_under_every_key(monkeypatch):

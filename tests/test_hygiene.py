@@ -9,6 +9,7 @@ unnoticed."""
 
 import ast
 import inspect
+import itertools
 import re
 from pathlib import Path
 
@@ -379,3 +380,73 @@ def test_every_parameter_is_read():
         for case in _unread_parameters(path)
     ]
     assert unread == [], f"parameters never read: {unread}"
+
+
+# functools names that memoize for as long as what they wrap lives
+MEMOIZERS = {"cache", "lru_cache"}
+# methods that write into a dict, list or set
+MUTATORS = {"add", "append", "clear", "extend", "insert", "pop", "popitem", "setdefault", "update"}
+
+
+def _memoizer(node: ast.AST) -> bool:
+    """Whether a decorator or a callee names a memoizer: bare, called or as
+    `functools.<name>`."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None)) in MEMOIZERS
+
+
+def _module_caches(tree: ast.Module) -> list:
+    """The names of a module's caches that outlive a call: each function or
+    method defined at module or class level under a memoizing decorator,
+    each module-level name bound to a memoized callable, each module-level
+    dict, list or set that some code writes into, and each name that a
+    `global` statement rebinds."""
+    found, containers = set(), set()
+    classes = [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in itertools.chain(tree.body, *classes):
+        if isinstance(node, FUNCTIONS) and any(map(_memoizer, node.decorator_list)):
+            found.add(node.name)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    bound += zip(target.elts, node.value.elts)
+                else:
+                    bound.append((target, node.value))
+    for target, value in bound:
+        name = getattr(target, "id", None)
+        if name is None:
+            continue
+        if isinstance(value, ast.Call) and _memoizer(value):
+            found.add(name)
+        elif isinstance(value, (ast.Dict, ast.List, ast.Set)) or (
+                isinstance(value, ast.Call) and getattr(value.func, "id", None) in ("dict", "list", "set")):
+            containers.add(name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.update(node.names)
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            found.update({getattr(node.value, "id", None)} & containers)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+            found.update({getattr(node.func.value, "id", None)} & containers)
+    return sorted(found)
+
+
+def test_module_level_caches_are_exactly_the_number_tables():
+    # a cache that outlives a call would let one input's work serve the
+    # next; only three pure functions of small integers keep one
+    probe = ("import functools\nfrom functools import lru_cache\n"
+             "TABLE, SEEN, HITS = {'x': 1}, {}, []\n"
+             "class K:\n    @functools.cache\n    def m(self): pass\n"
+             "@lru_cache(maxsize=None)\ndef f(n):\n    SEEN[n] = n\n    HITS.append(n)\n    return TABLE[n]\n"
+             "g = functools.cache(len)\n"
+             "def h():\n    global STATE\n    STATE = 1\n")
+    assert _module_caches(ast.parse(probe)) == ["HITS", "SEEN", "STATE", "f", "g", "m"]
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _module_caches(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"combinat.stirling2", "combinat.p_of_n", "exactcore.cyclotomic_polynomial"}

@@ -695,31 +695,50 @@ def _seeded_cones(count: int, seed: int = 0) -> list:
     return cones
 
 
+def _logged_leaves(monkeypatch) -> list:
+    """Record each (cell, points, coordinates) that `_leaf_coords` reads."""
+    read, real = [], subdivide._leaf_coords
+
+    def logging(cell, points):
+        coords = real(cell, points)
+        read.append((cell, points, coords))
+        return coords
+
+    monkeypatch.setattr(subdivide, "_leaf_coords", logging)
+    return read
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_each_leaf_reads_its_coordinates_in_one_pass(monkeypatch, strategy):
-    # a default leaf asks its coords about y and every ray once, in one run
-    # that gives both its open facets and its part of the self-check, and
-    # no call of either route builds one cell's lattice twice
-    built, asked = _logged_lattices(monkeypatch)
+    # a default leaf reads the coordinates of y and every ray from one
+    # elimination, which gives both its open facets and its part of the
+    # self-check, and takes a Smith form only as a triangulation cell; no
+    # call of either route builds one cell's lattice twice
+    built, _ = _logged_lattices(monkeypatch)
+    read, eliminated = _logged_leaves(monkeypatch), []
+    real = subdivide._eliminate
+    monkeypatch.setattr(subdivide, "_eliminate", lambda mat: eliminated.append(mat) or real(mat))
     per_index_cone = {}
     corpus = [(k, index_cone(k)) for k in (15, 31, 63, 127)] + [(None, g) for g in _seeded_cones(40)]
     for k, gens in corpus:
-        built.clear()
-        asked.clear()
+        for log in (built, read, eliminated):
+            log.clear()
         cone_operator(gens, strategy=strategy)
         assert len(built) == len(set(built)), gens
         if strategy == "alternate":
+            assert read == eliminated == [], gens
             continue
         rays = subdivide._ray_list(gens)
         points = sorted([tuple(map(sum, zip(*rays))), *rays])
-        for start in range(0, len(asked), len(points)):
-            run = asked[start:start + len(points)]
-            assert len({(cell, index) for cell, index, _ in run}) == 1 and run[0][1] == 1, gens
-            assert sorted(p for _, _, p in run) == points, gens
+        leaves = [cell for cell, _, _ in read]
+        assert len(leaves) == len(set(leaves)) == len(eliminated), gens
+        assert all(sorted(asked) == points for _, asked, _ in read), gens
+        assert not set(leaves) & set(built) - set(triangulate_cone(gens)), gens
         if k is not None:
-            per_index_cone[k] = len(asked)
+            per_index_cone[k] = (len(built), len(leaves))
     if strategy == "default":
-        assert per_index_cone == {15: 12, 31: 12, 63: 12, 127: 12}
+        # one Smith form, for the cell that is split, and three leaves
+        assert per_index_cone == {15: (1, 3), 31: (1, 3), 63: (1, 3), 127: (1, 3)}
 
 
 def test_signed_coefficients_coverage_check_is_linear_in_the_fan(monkeypatch):
@@ -1020,7 +1039,7 @@ def test_unicone_keeps_its_labels():
     cone = UniCone([(2, 0), (0, 1)])
     assert cone._gram == ((4, 0), (0, 1))
     assert ibp_op(cone, [0], [0], {0: 1}).symbol == MultiPoly.linear_form([2, 0])
-    cell = conecalc._Cell([(2, 0), (0, 1)], [[1, 0], [0, 1]], [{0: 2}, {1: 1}], 1, 2, {})
+    cell = conecalc._Cell([[4, 0], [0, 1]], [{0: 2}, {1: 1}], 1, 2, {})
     assert cell._gram == ((1, 0), (0, 4))
 
 
@@ -1301,10 +1320,11 @@ def _route_counts(monkeypatch, gens, strategy):
 
 def test_default_route_splits_every_index_cone_into_five_signed_cells(monkeypatch):
     # the short vector is w = -e3, with lambda = (1, 1, -1) / k: three
-    # unimodular cells, whose half-open faces sum to five signed cells; the
-    # stellar fan of the alternate route has 2k - 1 cells
+    # unimodular cells, whose half-open faces sum to five signed cells and
+    # whose indices are read off lambda, so the one Smith form is the
+    # cone's own; the stellar fan of the alternate route has 2k - 1 cells
     for k in (15, 63, 255, 1023, 4095):
-        assert _route_counts(monkeypatch, index_cone(k), "default") == (5, 4, 4)
+        assert _route_counts(monkeypatch, index_cone(k), "default") == (5, 1, 4)
     alternate = [_route_counts(monkeypatch, index_cone(k), "alternate") for k in (15, 63, 255)]
     assert alternate[0] == (85, 53, 44)
     for small, large in zip(alternate, alternate[1:]):
@@ -1326,13 +1346,15 @@ def _logged_splits(monkeypatch) -> list:
 def test_signed_decomposition_splits_each_distinct_cell_once(monkeypatch):
     # cells are taken largest index first, each with its summed sign: the
     # index-2 cell is dropped unsplit, where a depth-first walk split it
-    # twice (4 splits on 3 cells and 9 lattices) for the same signed cells
+    # twice (4 splits on 3 cells and 9 lattices) for the same signed cells;
+    # the two triangulation cells and the one other cell that is split take
+    # Smith forms, and the leaves none
     built, _ = _logged_lattices(monkeypatch)
     split = _logged_splits(monkeypatch)
     rays = subdivide._ray_list(EXAMPLE_CONE)
     signed = subdivide._signed_decomposition(subdivide._triangulate(rays, 3, "default"), rays)
     assert len(split) == len(set(split)) == 2
-    assert len(built) == len(set(built)) == 7
+    assert len(built) == len(set(built)) == 3
     assert [(c.gens, c.coeff) for c in signed] == [
         (((-3, -1, 3), (-1, 0, 1), (0, 0, 1)), 1),
         (((-1, 0, 1), (-1, 3, 3), (0, -1, -1)), -1),
@@ -1346,6 +1368,27 @@ def test_signed_decomposition_splits_each_distinct_cell_once(monkeypatch):
     default, alternate = cone_operator(EXAMPLE_CONE), cone_operator(EXAMPLE_CONE, strategy="alternate")
     for n in (3, 4, 5):
         assert default(n).symbol == alternate(n).symbol
+
+
+def test_indices_and_leaf_coordinates_match_smith_forms(monkeypatch):
+    # the default route reads a piece's index off lambda and a leaf's
+    # coordinates off one elimination; a Smith form of each gives the same
+    pieces, read, real = [], _logged_leaves(monkeypatch), subdivide._split
+
+    def logging(lattice, cell):
+        out = real(lattice, cell)
+        pieces.extend(out)
+        return out
+
+    monkeypatch.setattr(subdivide, "_split", logging)
+    cross = [_cross_polytope_vertex_cone(m, i, sign) for m in (3, 4) for i in range(m) for sign in (1, -1)]
+    for gens in _seeded_cones(60, seed=11) + cross:
+        cone_operator(gens)
+    assert len(pieces) > 100 and len(read) > 100
+    for piece, index, _ in pieces:
+        assert _cell_lattice(piece).index == index, piece
+    for leaf, points, coords in read:
+        assert coords == [_cell_lattice(leaf).coords(p) for p in points], leaf
 
 
 def test_no_default_decomposition_splits_a_cell_twice(monkeypatch):
@@ -1382,17 +1425,40 @@ def first_negated(lattice, cell):
 
 subdivide._short_vector = first_negated
 """
-# every index reads 2, so no step lowers it
-INDEX_TWO = """
-real = subdivide._cell_lattice
-subdivide._cell_lattice = lambda cell: real(cell)._replace(index=2)
+# every index read off lambda is doubled: the index-15 cone's pieces then
+# read 2 where their Smith forms read 1, and a piece of EXAMPLE_CONE that is
+# also a triangulation cell reads 4 against that cell's 2
+INDEX_DOUBLED = """
+real = subdivide._split
+subdivide._split = lambda lattice, cell: [(p, 2 * i, s) for p, i, s in real(lattice, cell)]
+"""
+# every index read off lambda is 1: the index-2 piece of cone((1, 0), (3, 7))
+# is taken for a leaf, and some point has a half-integer coordinate over it
+INDEX_ONE = """
+real = subdivide._split
+subdivide._split = lambda lattice, cell: [(p, 1, s) for p, i, s in real(lattice, cell)]
+"""
+# w leaves the plane of the cone, and so do the leaves it makes
+W_OFF_SPAN = """
+real = subdivide._short_vector
+
+def lifted(lattice, cell):
+    lam, w = real(lattice, cell)
+    return lam, w[:-1] + (w[-1] + 1,)
+
+subdivide._short_vector = lifted
 """
 
 
 @pytest.mark.parametrize("corrupt, gens, message", [
     (KEEP_MINUS_SIGMA, [(1, 0), (3, 7)], "signed cells must hold each point of the cone once"),
-    (INDEX_TWO, [(1, 0), (1, 2)], "a signed step must decrease the index"),
-], ids=["w-in-minus-sigma", "index-never-drops"])
+    (INDEX_DOUBLED, index_cone(15), "a cell's index must match its Smith form"),
+    (INDEX_DOUBLED, EXAMPLE_CONE, "a cell's index must not depend on its parent"),
+    (INDEX_DOUBLED, [(1, 0), (1, 2)], "a signed step must decrease the index"),
+    (INDEX_ONE, [(1, 0), (3, 7)], "a unimodular leaf must hold every point at integer coordinates"),
+    (W_OFF_SPAN, [(1, 0, 0), (1, 5, 0)], "a unimodular leaf must hold every point at integer coordinates"),
+], ids=["w-in-minus-sigma", "index-against-smith-form", "index-against-parent",
+        "index-never-drops", "leaf-off-lattice", "leaf-off-span"])
 def test_corrupted_signed_step_trips_the_self_check_under_optimize(corrupt, gens, message):
     proc = run_optimized(SIGNED_STEP_SCRIPT.format(corrupt=corrupt, gens=gens))
     assert proc.returncode == 0, proc.stderr
