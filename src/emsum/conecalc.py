@@ -104,34 +104,13 @@ class Deco:
     coeff: Mapping[Tuple[int, int], Fraction]
 
 
-def _gram_table(rays, qi):
-    """Gram matrices (h_i^T qi h_j) of cells on the integer `rays` under an
-    integer multiple qi of a definite inner product: a function from a cell,
-    a sequence of those rays, to its Gram rows.  qi h is taken once per
-    distinct ray and each entry once per distinct pair, over every cell
-    asked about."""
-    at = {h: i for i, h in enumerate(dict.fromkeys(rays))}
-    qh = [[sum(map(mul, row, h)) for row in qi] for h in at]
-    entries = {}
-
-    def gram(cell) -> list:
-        idx = [at[h] for h in cell]
-        for i, h in zip(idx, cell):
-            for j in idx:
-                if (i, j) not in entries:
-                    entries[i, j] = entries[j, i] = sum(map(mul, h, qh[j]))
-        return [[entries[i, j] for j in idx] for i in idx]
-
-    return gram
-
-
 class _Cell:
     """The integer set-up of the peeling recursion on a simplicial cone: the
     Gram matrix (h_i^T qi h_j) of its integer rays h_i under an integer
-    multiple qi of a definite inner product (`_gram_table`), the
-    recursion's one input, and the output forms of the cell coordinates,
-    y_i = <xi, f_i> / t, with f_i sparse integer forms on Q^m (the h_i
-    themselves, or lifted images).
+    multiple qi of a definite inner product, the recursion's one input,
+    which each cell builds from its own rays, and the output forms of the
+    cell coordinates, y_i = <xi, f_i> / t, with f_i sparse integer forms
+    on Q^m (the h_i themselves, or lifted images).
     With a `classes` dict, the cell orders its rays by (G_ii, sorted row i)
     and shares its Schur solves and symbols, which depend on G alone, with
     the earlier cells of that dict whose reordered G is equal.  G is kept
@@ -143,11 +122,13 @@ class _Cell:
 
     __slots__ = ("dim", "ambient_dim", "_forms", "_den", "_gram", "_schur_cache", "_op_cache", "_plans")
 
-    def __init__(self, gram, forms, t: int, m: int, classes: dict = None):
+    def __init__(self, rays, qi, forms, t: int, m: int, classes: dict = None):
+        qh = [[sum(map(mul, row, h)) for row in qi] for h in rays]
+        gram = [[sum(map(mul, h, x)) for x in qh] for h in rays]
         if classes is None:
-            classes, order = {}, range(len(gram))
+            classes, order = {}, range(len(rays))
         else:
-            order = sorted(range(len(gram)), key=lambda i: (gram[i][i], sorted(gram[i])))
+            order = sorted(range(len(rays)), key=lambda i: (gram[i][i], sorted(gram[i])))
         g = math.gcd(*chain.from_iterable(gram)) or 1
         gram = tuple(tuple(gram[i][j] // g for j in order) for i in order)
         if gram not in classes:
@@ -155,7 +136,7 @@ class _Cell:
             if not bareiss([list(row) for row in gram]):
                 raise ValueError("cone generators must be linearly independent")
             classes[gram] = ({}, {}, next(iter(classes.values()))[2] if classes else {})
-        self.dim, self.ambient_dim, self._den, self._gram = len(gram), m, t, gram
+        self.dim, self.ambient_dim, self._den, self._gram = len(rays), m, t, gram
         self._forms = [forms[i] for i in order]
         self._schur_cache, self._op_cache, self._plans = classes[gram]
 
@@ -185,10 +166,8 @@ class UniCone(_Cell):
         if any(len(g) != m for g in glist):
             raise ValueError("generators must have equal length")
         q = inner_product_matrix(qmat, m)
-        rows, t = _integer_rows(glist)
-        hs = list(map(tuple, rows))
-        forms = [{k: x for k, x in enumerate(h) if x} for h in hs]
-        super().__init__(_gram_table(hs, _integer_rows(q)[0])(hs), forms, t, m)
+        hs, t = _integer_rows(glist)
+        super().__init__(hs, _integer_rows(q)[0], [{k: x for k, x in enumerate(h) if x} for h in hs], t, m)
         self.gens, self.qmat, self._sym_cache = tuple(glist), q, {}
 
     def labels(self) -> range:

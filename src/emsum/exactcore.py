@@ -51,6 +51,17 @@ def as_vector(xs: Iterable[ScalarLike]) -> tuple:
     return tuple(as_scalar(x) for x in xs)
 
 
+def _cleared(xs: Iterable[ScalarLike]) -> list:
+    """The entries of xs, coerced by `as_scalar`, times the lcm of their
+    denominators: a fresh list of ints, which is a copy of an all-int xs."""
+    xs = list(xs)
+    if all(type(x) is int for x in xs):
+        return xs
+    xs = [x if type(x) is Fraction else as_scalar(x) for x in xs]
+    s = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (s // x.denominator) for x in xs]
+
+
 def as_matrix(rows: Iterable[Iterable[ScalarLike]]) -> tuple:
     mat = tuple(as_vector(r) for r in rows)
     if mat and any(len(r) != len(mat[0]) for r in mat):
@@ -104,11 +115,7 @@ def _eliminate(mat: Sequence[Sequence[ScalarLike]]) -> tuple:
     exact division), on each row scaled to integers by the lcm of its
     denominators.  Returns (rows, pivot_columns, delta): the reduced row
     echelon form is rows / delta, delta being the last pivot."""
-    rows = []
-    for r in mat:
-        r = [x if type(x) in (int, Fraction) else as_scalar(x) for x in r]
-        s = math.lcm(*(x.denominator for x in r))
-        rows.append([x.numerator * (s // x.denominator) for x in r])
+    rows = [_cleared(r) for r in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -399,9 +406,7 @@ def saturation_basis(generators: Sequence[Sequence[ScalarLike]]) -> list:
 def primitive_vector(v: Sequence[ScalarLike]) -> tuple:
     """The primitive integer vector on the ray through v (v must be rational
     and nonzero), in integers off the entries' numerators and denominators."""
-    vec = [x if type(x) in (int, Fraction) else as_scalar(x) for x in v]
-    denom = math.lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (denom // x.denominator) for x in vec]
+    ints = _cleared(v)
     g = math.gcd(*ints)
     if not g:
         raise ValueError("zero vector has no primitive representative")

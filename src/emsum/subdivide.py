@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
-from .conecalc import DiffOp, _bv_sym, _Cell, _gram_table, _poly, _to_ambient, _ysum
+from .conecalc import DiffOp, _bv_sym, _Cell, _poly, _to_ambient, _ysum
 from .exactcore import (
     _eliminate,
     _integer_rows,
@@ -546,9 +546,9 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
     The operators come out lifted to Q^M, as if composed with
     xi_j = <xi, b_j>: a cell ray h enters as the form sum_j h_j t b_j,
     built once per distinct ray, and each cell's symbol is composed
-    straight to these forms.  One `_gram_table` over the distinct rays
-    gives each cell its Gram matrix under sQ.  A cone of d rays in Q^d with determinant +-1
-    is its own single cell, by `_unimodular_basis`; any other cone takes
+    straight to these forms; each cell builds its own Gram matrix under
+    sQ from its rays.  A cone of d rays in Q^d with determinant +-1 is its
+    own single cell, by `_unimodular_basis`; any other cone takes
     `_triangulate`, then `_signed_decomposition` under "default" or
     `_unimodular_fan` and `_signed_faces` under "alternate".  All three
     give the sorted nonzero cells that the operator keeps as `cells`, and
@@ -566,8 +566,7 @@ def _cone_operator(rays: list, d: int, qmat, basis, strategy: str, classes: dict
     size, cols = len(lift[0]), list(zip(*lift))
     forms = {h: {k: x for k, col in enumerate(cols) if (x := sum(map(mul, h, col)))}
              for h in {h for c in signed for h in c.gens}}
-    gram = _gram_table(list(forms), qi)
-    cells = [(c.coeff, _Cell(gram(c.gens), [forms[h] for h in c.gens], t, size, classes))
+    cells = [(c.coeff, _Cell(c.gens, qi, [forms[h] for h in c.gens], t, size, classes))
              for c in signed]
 
     def operator(n: int) -> DiffOp:

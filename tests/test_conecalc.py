@@ -231,9 +231,10 @@ def test_scaled_gram_matrices_share_one_class():
     # so the two cells share one class; the second cell's operators, read
     # from what the first one built, equal the symbol route's, which never
     # reads the integer Gram matrix
-    gram, classes = conecalc._gram_table([(1, 0), (1, 2), (1, 1), (-1, 3)], [[1, 0], [0, 1]]), {}
+    eye = [[1, 0], [0, 1]]
+    classes = {}
     first, second = (
-        conecalc._Cell(gram(rays), [dict(enumerate(g)) for g in rays], 1, 2, classes)
+        conecalc._Cell(rays, eye, [dict(enumerate(g)) for g in rays], 1, 2, classes)
         for rays in ([(1, 0), (1, 2)], [(1, 1), (-1, 3)])
     )
     assert len(classes) == 1

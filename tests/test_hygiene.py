@@ -48,28 +48,58 @@ def _sources(folders) -> list:
     ]
 
 
+def _scanned(text: str, suffix: str) -> tuple:
+    """(names, attributes) that a source file can name a definition by: in
+    Python, the names its code reads (`Name` nodes and the names it
+    imports) and the attributes it reads off objects, so docstrings,
+    comments and strings name nothing; in any other file, such as a shell
+    script, every word of its text and every word after a dot."""
+    if suffix != ".py":
+        return set(re.findall(r"\w+", text)), set(re.findall(r"\.(\w+)", text))
+    names, attributes = set(), set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names, attributes
+
+
+def _names(scanned, qualname: str) -> bool:
+    """Whether a `_scanned` file uses a definition: a function or class by
+    its name, a method or property only where it is read off an object as
+    `.name`, so a namesake such as `operator.mul` imported as `mul` does not
+    count."""
+    names, attributes = scanned
+    name = qualname.rpartition(".")[2]
+    return name in attributes or "." not in qualname and name in names
+
+
 def _unnamed(definitions, paths=None) -> list:
     """The qualified names that no file of `paths` (default: every source
-    file of SEARCHED) uses: a function or class is used where its name
-    appears outside its own definition lines, a method or property only
-    where it is read off an object as `.name`, so a namesake such as
-    `operator.mul` imported as `mul` does not count."""
-    texts = [
-        path.read_text(encoding="utf-8")
+    file of SEARCHED) uses."""
+    scanned = [
+        _scanned(path.read_text(encoding="utf-8"), path.suffix)
         for path in (_sources(SEARCHED) if paths is None else paths)
     ]
-    unused = []
-    for module in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(module.read_text(encoding="utf-8"))
-        for qualname in definitions(tree):
-            name = re.escape(qualname.rpartition(".")[2])
-            use = re.compile(rf"\.{name}\b" if "." in qualname else rf"\b{name}\b")
-            definition = re.compile(
-                rf"^[ \t]*(?:async\s+def|def|class)\s+{name}\b", re.MULTILINE
-            )
-            if not any(use.search(definition.sub("", t)) for t in texts):
-                unused.append(f"{module.name}:{qualname}")
-    return unused
+    return [
+        f"{module.name}:{qualname}"
+        for module in sorted(PACKAGE.glob("*.py"))
+        for qualname in definitions(ast.parse(module.read_text(encoding="utf-8")))
+        if not any(_names(s, qualname) for s in scanned)
+    ]
+
+
+def test_a_name_in_prose_is_no_use():
+    # a docstring, a comment or an error message that names a definition
+    # does not keep it alive; a shell script names one by its text
+    probe = _scanned('def kept():\n    """Unlike `dropped`."""\n    raise ValueError("dropped")  # dropped\n'
+                     "\n\nkept()\nobj.method()\n", ".py")
+    names = ("kept", "dropped", "K.method", "K.other")
+    assert [q for q in names if not _names(probe, q)] == ["dropped", "K.other"]
+    assert _names(_scanned("emsum dropped --flag\n", ".sh"), "dropped")
 
 
 def test_every_top_level_definition_is_named_elsewhere():
@@ -86,6 +116,8 @@ def test_every_method_and_property_is_named_elsewhere():
 TEST_ONLY = {
     "combinat.py:c_seq": "the half-line corrections c_n, for acceptance criterion 1",
     "combinat.py:c_seq_twisted": "the twisted corrections c_n^omega, for acceptance criterion 2",
+    "combinat.py:J_mu": "the Szasz moment polynomials J_mu, for acceptance criterion 10",
+    "conecalc.py:ibp_op": "the peeling route of L(E; I, J; alpha), for acceptance criterion 4",
     "conecalc.py:ibp_symbol": "the symbol route that checks ibp_op, for acceptance criterion 4",
     "conecalc.py:ln_op": "the paper's face operators L_n(C; I), a kept reference",
     "conecalc.py:dual_projection": "the projection that fixes outer-set symbols, a kept reference",
